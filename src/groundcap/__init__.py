@@ -51,14 +51,11 @@ from .metrics import (
     GtBox,
     MetricsReport,
     PredBox,
-    ap50,
     cider,
     evaluate,
     match_frame,
     meteor_lite,
-    miou,
     phrase_similarity,
-    recall,
     stem,
     tokenize,
 )
@@ -112,7 +109,6 @@ __all__ = [
     "VideoAnnotation",
     "aggregate_video",
     "annotate_video",
-    "ap50",
     "assemble_tracks",
     "build_record",
     "build_stage2_prompt",
@@ -128,7 +124,6 @@ __all__ = [
     "mask_to_box",
     "match_frame",
     "meteor_lite",
-    "miou",
     "normalize_box",
     "parse_frame_grounding",
     "parse_stage2_response",
@@ -138,7 +133,6 @@ __all__ = [
     "phrase_similarity",
     "pos_tag",
     "read_annotations",
-    "recall",
     "render_svo_block",
     "render_tagged_caption",
     "request_hash",

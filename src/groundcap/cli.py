@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import sys
 import time
@@ -24,7 +23,6 @@ from typing import Optional
 from . import __version__
 from .config import PipelineConfig
 from .ingest import (
-    SchemaError,
     annotation_to_dict,
     group_frame_groundings,
     load_predictions,
@@ -35,11 +33,11 @@ from .ingest import (
 )
 from .captions import parse_tagged_caption, render_tagged_caption
 from .jsonio import canonical_json, canonical_jsonl_bytes
-from .llm import HttpChatClient, ResponseRejection, aggregate_video, track_by_language
+from .llm import ResponseRejection, aggregate_video, track_by_language
 from .metrics import EvalConfig, evaluate
 from .mockllm import serve_fixtures
-from .pipeline import collect_frame_objects, run_pipeline
-from .records import RecordValidationError, SvoFrame, SvoRelation
+from .pipeline import collect_frame_objects, http_client_factory, run_pipeline
+from .records import SvoFrame, SvoRelation
 from .stats import dataset_stats
 from .svo import extract_svo, pos_tag
 
@@ -127,18 +125,6 @@ def _svo_frames_from_payload(obj: dict) -> list[SvoFrame]:
     return frames
 
 
-def _make_client(config: PipelineConfig) -> HttpChatClient:
-    if not config.endpoint:
-        raise SystemExit("error: no endpoint configured (use --endpoint or a config file)")
-    return HttpChatClient(
-        endpoint=config.endpoint,
-        model=config.model,
-        temperature=config.temperature,
-        seed=config.seed,
-        api_key=config.api_key(),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -150,17 +136,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     dropped = 0
     out_records = []
     for record in records:
-        objects = []
-        for obj in record.objects:
-            try:
-                box = obj.pixel_box().clamped(record.width, record.height)
-            except Exception:
-                dropped += 1
-                continue
-            if box.area == 0:
-                dropped += 1
-                continue
-            objects.append({"phrase": obj.phrase, "box": [float(v) for v in box.as_list()]})
+        objects = collect_frame_objects([record])
+        dropped += len(record.objects) - len(objects)
         out_records.append(
             {
                 "video_id": record.video_id,
@@ -168,7 +145,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 "width": record.width,
                 "height": record.height,
                 "caption": record.caption,
-                "objects": objects,
+                "objects": [
+                    {"phrase": phrase, "box": [float(v) for v in box.as_list()]}
+                    for _frame, phrase, box in objects
+                ],
             }
         )
     payload = canonical_jsonl_bytes(out_records)
@@ -213,7 +193,7 @@ def _cmd_svo(args: argparse.Namespace) -> int:
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    client = _make_client(config)
+    client = http_client_factory(config)()
     raw = Path(args.input).read_bytes()
     captions = []
     rejections = []
@@ -252,7 +232,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    client = _make_client(config)
+    client = http_client_factory(config)()
     raw_frames = Path(args.input).read_bytes()
     raw_captions = Path(args.captions).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
@@ -337,22 +317,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw_pred = Path(args.pred).read_bytes()
     raw_gt = Path(args.gt).read_bytes()
-    try:
-        preds = load_predictions(raw_pred, objectness_threshold=config.objectness_threshold)
-        gts = read_annotations(raw_gt)
-        report = evaluate(
-            preds,
-            gts,
-            EvalConfig(
-                iou_thresh=config.iou_thresh,
-                sim_thresh=config.sim_thresh,
-                similarity=config.similarity,
-                embedding_endpoint=config.embedding_endpoint,
-            ),
-        )
-    except (SchemaError, RecordValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    preds = load_predictions(raw_pred, objectness_threshold=config.objectness_threshold)
+    gts = read_annotations(raw_gt)
+    report = evaluate(
+        preds,
+        gts,
+        EvalConfig(
+            iou_thresh=config.iou_thresh,
+            sim_thresh=config.sim_thresh,
+            similarity=config.similarity,
+            embedding_endpoint=config.embedding_endpoint,
+        ),
+    )
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
     Path(args.out).write_bytes(payload)
     _write_manifest(
@@ -409,12 +385,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw = Path(args.input).read_bytes()
-    try:
-        records = read_annotations(raw)
-        report = dataset_stats(records)
-    except (SchemaError, RecordValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = dataset_stats(read_annotations(raw))
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
     Path(args.out).write_bytes(payload)
     _write_manifest(
@@ -545,10 +516,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, RecordValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # SchemaError and RecordValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

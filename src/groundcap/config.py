@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -52,22 +52,7 @@ class PipelineConfig:
         return replace(self, **changes) if changes else self
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "retries": self.retries,
-            "backoff": self.backoff,
-            "max_in_flight": self.max_in_flight,
-            "fps": self.fps,
-            "iou_thresh": self.iou_thresh,
-            "sim_thresh": self.sim_thresh,
-            "similarity": self.similarity,
-            "embedding_endpoint": self.embedding_endpoint,
-            "objectness_threshold": self.objectness_threshold,
-            "api_key_env": self.api_key_env,
-        }
+        return asdict(self)
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()

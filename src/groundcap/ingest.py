@@ -5,7 +5,9 @@
 * video annotations — one JSON document per video, JSON-lines for datasets
   (``video_annotation.schema.json``);
 * predictions — annotation records with per-frame confidence scores
-  (``predictions.schema.json``).
+  (``predictions.schema.json``, which differs from the annotation schema only
+  in ``$id``, title and description, so predictions are checked against the
+  annotation schema).
 
 Masks are kept run-length encoded until a box is actually needed.  All
 parsing is pure per record, so files can be processed in parallel.
@@ -321,6 +323,11 @@ def annotation_to_dict(annotation: VideoAnnotation) -> dict:
 def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotation:
     """Build a validated :class:`VideoAnnotation` from its plain-JSON form."""
     _check_schema(obj, "video_annotation.schema.json", line)
+    return _build_annotation(obj)
+
+
+def _build_annotation(obj: dict) -> VideoAnnotation:
+    """The record of a schema-valid plain-JSON annotation; checks its invariants."""
     try:
         caption = parse_tagged_caption(obj["caption"])
     except MalformedCaptionError as exc:
@@ -394,11 +401,9 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
             reasons.append(("schema", f"{err.json_path}: {err.message}"))
         return reasons
     try:
-        annotation_from_dict(obj)
+        _build_annotation(obj)
     except RecordValidationError as exc:
         reasons.append((exc.code, exc.message))
-    except SchemaError as exc:  # pragma: no cover - schema already checked
-        reasons.append(("schema", str(exc)))
     return reasons
 
 
@@ -440,7 +445,6 @@ def load_predictions(data: bytes, objectness_threshold: float = 0.5) -> list[Vid
     predictions = []
     seen: set[str] = set()
     for line, obj in iter_jsonl(data):
-        _check_schema(obj, "predictions.schema.json", line)
         annotation = annotation_from_dict(obj, line=line)
         if annotation.video_id in seen:
             raise SchemaError(f"duplicate video_id {annotation.video_id!r}", line=line)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Protocol, Sequence
 
@@ -347,38 +347,44 @@ class _SimCache:
         return self._cache[key]
 
 
-def _pred_order(preds: Sequence[PredBox], gts: Sequence[GtBox]) -> list[int]:
+def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
+    """IoU of every prediction against every ground-truth box of one frame."""
+    return [[iou(p.box, g.box) for g in gts] for p in preds]
+
+
+def _pred_order(preds: Sequence, table: list[list[float]]) -> list[int]:
     """Confidence-descending order; ties by best IoU, then input order."""
-    best_iou = [max((iou(p.box, g.box) for g in gts), default=0.0) for p in preds]
+    best_iou = [max(row, default=0.0) for row in table]
     return sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, -best_iou[i], i))
 
 
 def _greedy_assign(
-    preds: Sequence[PredBox],
-    gts: Sequence[GtBox],
+    preds: Sequence,
+    gts: Sequence,
+    table: list[list[float]],
+    order: list[int],
     iou_thresh: Optional[float],
     sim_thresh: Optional[float],
     sim,
 ) -> dict[int, tuple[int, float, float]]:
     """Greedy one-to-one assignment: pred index -> (gt index, iou, sim).
 
-    With thresholds set, a pair is eligible only when both gates pass; with
+    Predictions are taken in ``order`` and ``table`` holds their IoUs.  With
+    thresholds set, a pair is eligible only when both gates pass; with
     ``iou_thresh=None`` any unmatched GT is eligible (IoU-only matching with
     no floor) and similarity is not consulted.
     """
     taken: set[int] = set()
     result: dict[int, tuple[int, float, float]] = {}
-    for pi in _pred_order(preds, gts):
-        pred = preds[pi]
+    for pi in order:
         best: tuple[int, float, float] | None = None
-        for gi, gt in enumerate(gts):
+        for gi, overlap in enumerate(table[pi]):
             if gi in taken:
                 continue
-            overlap = iou(pred.box, gt.box)
             if iou_thresh is not None and overlap < iou_thresh:
                 continue
             if sim_thresh is not None:
-                similarity = sim(pred.phrase, gt.phrase)
+                similarity = sim(preds[pi].phrase, gts[gi].phrase)
                 if similarity < sim_thresh:
                     continue
             else:
@@ -405,7 +411,10 @@ def match_frame(
     similarity gate.
     """
     sim = _SimCache(backend or _DEFAULT_BACKEND)
-    assigned = _greedy_assign(preds, gts, iou_thresh, sim_thresh, sim)
+    table = _iou_table(preds, gts)
+    assigned = _greedy_assign(
+        preds, gts, table, _pred_order(preds, table), iou_thresh, sim_thresh, sim
+    )
     pairs = tuple(
         MatchedPair(pi, gi, overlap, similarity)
         for pi, (gi, overlap, similarity) in sorted(assigned.items())
@@ -424,7 +433,6 @@ def match_frame(
 
 @dataclass(frozen=True)
 class _Detection:
-    video_id: str
     frame: int
     box: BoundingBox
     phrase: str
@@ -434,7 +442,6 @@ class _Detection:
 
 @dataclass(frozen=True)
 class _GtObject:
-    video_id: str
     frame: int
     box: BoundingBox
     phrase: str
@@ -452,7 +459,7 @@ def _extract_gt(record: VideoAnnotation) -> list[_GtObject]:
         phrase = record.caption.phrases[track.phrase_index].text
         for frame in sorted(track.boxes):
             box = _record_boxes_normalized(record, track.boxes[frame])
-            objects.append(_GtObject(record.video_id, frame, box, phrase))
+            objects.append(_GtObject(frame, box, phrase))
     return objects
 
 
@@ -466,38 +473,43 @@ def _extract_preds(record: Optional[VideoAnnotation], seq_start: int = 0) -> lis
         confidence = track.confidence or {}
         for frame in sorted(track.boxes):
             box = _record_boxes_normalized(record, track.boxes[frame])
-            detections.append(
-                _Detection(record.video_id, frame, box, phrase, confidence.get(frame, 1.0), seq)
-            )
+            detections.append(_Detection(frame, box, phrase, confidence.get(frame, 1.0), seq))
             seq += 1
     return detections
 
 
-def _group_by_frame(items, key=lambda item: (item.video_id, item.frame)) -> dict:
+def _group_by_frame(items) -> dict:
     grouped: dict = {}
     for item in items:
-        grouped.setdefault(key(item), []).append(item)
+        grouped.setdefault(item.frame, []).append(item)
     return grouped
 
 
 def _match_pool(
     detections: list[_Detection],
     gt_objects: list[_GtObject],
-    iou_thresh: Optional[float],
-    sim_thresh: Optional[float],
+    iou_thresh: float,
+    sim_thresh: float,
     sim,
-) -> dict[int, tuple[_GtObject, float]]:
-    """Greedy matching frame by frame; detection seq -> (gt, iou)."""
+) -> tuple[set[int], list[float]]:
+    """Greedy matching of one video, frame by frame, at both gates.
+
+    Returns the seqs of the detections matched under the IoU and similarity
+    gates, and the IoU of every IoU-only match in matching order.  Each
+    frame's IoU table and prediction order serve both gates.
+    """
     gt_by_frame = _group_by_frame(gt_objects)
-    matches: dict[int, tuple[_GtObject, float]] = {}
-    for frame_key, frame_dets in _group_by_frame(detections).items():
-        gts = gt_by_frame.get(frame_key, [])
-        preds = [PredBox(d.box, d.phrase, d.confidence) for d in frame_dets]
-        gt_boxes = [GtBox(g.box, g.phrase) for g in gts]
-        assigned = _greedy_assign(preds, gt_boxes, iou_thresh, sim_thresh, sim)
-        for pi, (gi, overlap, _similarity) in assigned.items():
-            matches[frame_dets[pi].seq] = (gts[gi], overlap)
-    return matches
+    gated: set[int] = set()
+    overlaps: list[float] = []
+    for frame, frame_dets in _group_by_frame(detections).items():
+        gts = gt_by_frame.get(frame, [])
+        table = _iou_table(frame_dets, gts)
+        order = _pred_order(frame_dets, table)
+        assigned = _greedy_assign(frame_dets, gts, table, order, iou_thresh, sim_thresh, sim)
+        gated.update(frame_dets[pi].seq for pi in assigned)
+        iou_only = _greedy_assign(frame_dets, gts, table, order, None, None, sim)
+        overlaps.extend(overlap for _gi, overlap, _similarity in iou_only.values())
+    return gated, overlaps
 
 
 def _average_precision(ranked_tp: np.ndarray, num_gt: int) -> Optional[float]:
@@ -517,11 +529,9 @@ def _average_precision(ranked_tp: np.ndarray, num_gt: int) -> Optional[float]:
     return float(envelope[ranked_tp].sum() / num_gt)
 
 
-def _ranked_flags(
-    detections: list[_Detection], matches: dict[int, tuple[_GtObject, float]]
-) -> np.ndarray:
+def _ranked_flags(detections: list[_Detection], matched: set[int]) -> np.ndarray:
     order = sorted(detections, key=lambda d: (-d.confidence, d.seq))
-    return np.array([d.seq in matches for d in order], dtype=bool)
+    return np.array([d.seq in matched for d in order], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +545,7 @@ class LevelScores:
     recall: Optional[float]
 
     def as_dict(self) -> dict:
-        return {"ap50": self.ap50, "miou": self.miou, "recall": self.recall}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -566,15 +576,7 @@ class MetricsReport:
     num_videos: int
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "num_videos": self.num_videos,
-            "meteor": self.meteor,
-            "cider": self.cider,
-            "frame_level": self.frame_level.as_dict(),
-            "video_level": self.video_level.as_dict(),
-            "per_video": self.per_video,
-        }
+        return asdict(self)
 
 
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
@@ -584,70 +586,17 @@ def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
     return float(sum(present) / len(present))
 
 
-@dataclass
-class _VideoEval:
-    """Per-video grounding terms reused by both evaluation settings."""
-
-    detections: list[_Detection]
-    gt_objects: list[_GtObject]
-    ap50: Optional[float]
-    miou: Optional[float]
-    recall: Optional[float]
-
-
-def _evaluate_video(
-    detections: list[_Detection],
-    gt_objects: list[_GtObject],
-    config: EvalConfig,
-    sim,
-) -> _VideoEval:
-    num_gt = len(gt_objects)
+def _grounding_scores(
+    detections: list[_Detection], gated: set[int], overlaps: list[float], num_gt: int
+) -> LevelScores:
+    """AP50, mIoU and recall of one video's matches, or of the pooled corpus."""
     if num_gt == 0:
-        return _VideoEval(detections, gt_objects, None, None, None)
-    gated = _match_pool(detections, gt_objects, config.iou_thresh, config.sim_thresh, sim)
-    ap = _average_precision(_ranked_flags(detections, gated), num_gt)
-    recall_value = len(gated) / num_gt
-    iou_only = _match_pool(detections, gt_objects, None, None, sim)
-    iou_sum = sum(overlap for _gt, overlap in iou_only.values())
-    return _VideoEval(detections, gt_objects, ap, iou_sum / num_gt, recall_value)
-
-
-def ap50(
-    preds: Sequence[VideoAnnotation],
-    gts: Sequence[VideoAnnotation],
-    level: str,
-    config: EvalConfig = EvalConfig(),
-) -> Optional[float]:
-    """Average precision at IoU 0.5 with the phrase similarity gate applied."""
-    return _grounding_metric(preds, gts, level, config, "ap50")
-
-
-def miou(
-    preds: Sequence[VideoAnnotation],
-    gts: Sequence[VideoAnnotation],
-    level: str,
-    config: EvalConfig = EvalConfig(),
-) -> Optional[float]:
-    """Mean IoU over ground-truth boxes under IoU-only matching."""
-    return _grounding_metric(preds, gts, level, config, "miou")
-
-
-def recall(
-    preds: Sequence[VideoAnnotation],
-    gts: Sequence[VideoAnnotation],
-    level: str,
-    config: EvalConfig = EvalConfig(),
-) -> Optional[float]:
-    """Fraction of ground-truth boxes matched under both gates."""
-    return _grounding_metric(preds, gts, level, config, "recall")
-
-
-def _grounding_metric(preds, gts, level, config, which) -> Optional[float]:
-    if level not in ("frame", "video"):
-        raise ValueError(f"level must be 'frame' or 'video', got {level!r}")
-    report = evaluate(preds, gts, config)
-    scores = report.frame_level if level == "frame" else report.video_level
-    return getattr(scores, which)
+        return LevelScores(None, None, None)
+    return LevelScores(
+        _average_precision(_ranked_flags(detections, gated), num_gt),
+        sum(overlaps) / num_gt,
+        len(gated) / num_gt,
+    )
 
 
 def evaluate(
@@ -679,33 +628,35 @@ def evaluate(
     sim = _SimCache(backend)
     video_ids = sorted(gt_by_id)
 
-    evals: dict[str, _VideoEval] = {}
-    seq = 0  # detection sequence numbers must be unique across the pool
+    # Matching never crosses a frame, so the frame level pools the per-video
+    # matches.  Detection seqs are unique across the pool, and the overlaps
+    # concatenate in video order, so the pooled sums equal a corpus-wide
+    # rematch bit for bit.
+    all_dets: list[_Detection] = []
+    all_gated: set[int] = set()
+    all_overlaps: list[float] = []
+    total_gt = 0
+    per_video: dict[str, dict] = {}
     for video_id in video_ids:
-        detections = _extract_preds(pred_by_id.get(video_id), seq_start=seq)
-        seq += len(detections)
-        evals[video_id] = _evaluate_video(detections, _extract_gt(gt_by_id[video_id]), config, sim)
-
-    # Frame level: pool every detection and GT box across videos.
-    all_dets = [d for vid in video_ids for d in evals[vid].detections]
-    all_gts = [g for vid in video_ids for g in evals[vid].gt_objects]
-    total_gt = len(all_gts)
-    if total_gt == 0:
-        frame_scores = LevelScores(None, None, None)
-    else:
-        gated = _match_pool(all_dets, all_gts, config.iou_thresh, config.sim_thresh, sim)
-        frame_ap = _average_precision(_ranked_flags(all_dets, gated), total_gt)
-        iou_only = _match_pool(all_dets, all_gts, None, None, sim)
-        frame_scores = LevelScores(
-            frame_ap,
-            sum(v for _g, v in iou_only.values()) / total_gt,
-            len(gated) / total_gt,
+        detections = _extract_preds(pred_by_id.get(video_id), seq_start=len(all_dets))
+        gt_objects = _extract_gt(gt_by_id[video_id])
+        gated, overlaps = (
+            _match_pool(detections, gt_objects, config.iou_thresh, config.sim_thresh, sim)
+            if gt_objects
+            else (set(), [])
         )
-
+        per_video[video_id] = {
+            **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
+            "num_gt_boxes": len(gt_objects),
+            "num_pred_boxes": len(detections),
+        }
+        all_dets.extend(detections)
+        all_gated.update(gated)
+        all_overlaps.extend(overlaps)
+        total_gt += len(gt_objects)
+    frame_scores = _grounding_scores(all_dets, all_gated, all_overlaps, total_gt)
     video_scores = LevelScores(
-        _mean_or_none([evals[v].ap50 for v in video_ids]),
-        _mean_or_none([evals[v].miou for v in video_ids]),
-        _mean_or_none([evals[v].recall for v in video_ids]),
+        *(_mean_or_none([per_video[v][m] for v in video_ids]) for m in ("ap50", "miou", "recall"))
     )
 
     candidates = {}
@@ -720,18 +671,8 @@ def evaluate(
     }
     meteor_corpus = float(sum(meteor_by_video.values()) / len(video_ids))
 
-    per_video = {
-        vid: {
-            "ap50": evals[vid].ap50,
-            "miou": evals[vid].miou,
-            "recall": evals[vid].recall,
-            "meteor": meteor_by_video[vid],
-            "cider": cider_by_video[vid],
-            "num_gt_boxes": len(evals[vid].gt_objects),
-            "num_pred_boxes": len(evals[vid].detections),
-        }
-        for vid in video_ids
-    }
+    for vid in video_ids:
+        per_video[vid].update(meteor=meteor_by_video[vid], cider=cider_by_video[vid])
 
     return MetricsReport(
         frame_level=frame_scores,

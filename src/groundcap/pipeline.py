@@ -8,6 +8,7 @@ N videos always produces accepted + rejected == N.
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -72,6 +73,20 @@ def collect_frame_objects(
     return objects
 
 
+def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
+    """Makes HTTP chat clients for ``config``; raises at once when no endpoint is set."""
+    if not config.endpoint:
+        raise ValueError("no endpoint configured (use --endpoint or a config file)")
+    return functools.partial(
+        HttpChatClient,
+        endpoint=config.endpoint,
+        model=config.model,
+        temperature=config.temperature,
+        seed=config.seed,
+        api_key=config.api_key(),
+    )
+
+
 def annotate_video(
     frames: Sequence[FrameGrounding],
     client: ChatClient,
@@ -124,18 +139,11 @@ def run_pipeline(
 
     Results come back in sorted video-id order regardless of completion
     order, so batch outputs are deterministic.  Each worker thread gets its
-    own client from ``client_factory`` (default: an HTTP client built from
-    the config).
+    own client from ``client_factory`` (default: :func:`http_client_factory`
+    of the config).
     """
     if client_factory is None:
-        def client_factory() -> ChatClient:
-            return HttpChatClient(
-                endpoint=config.endpoint,
-                model=config.model,
-                temperature=config.temperature,
-                seed=config.seed,
-                api_key=config.api_key(),
-            )
+        client_factory = http_client_factory(config)
 
     local = threading.local()
 

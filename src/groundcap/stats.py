@@ -8,7 +8,7 @@ by their frame size) and averaged per instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .records import VideoAnnotation
@@ -28,17 +28,7 @@ class StatsReport:
     avg_caption_length_words: float
 
     def as_dict(self) -> dict:
-        return {
-            "num_videos": self.num_videos,
-            "avg_num_frames": self.avg_num_frames,
-            "avg_duration_seconds": self.avg_duration_seconds,
-            "avg_num_instances_per_video": self.avg_num_instances_per_video,
-            "total_num_instances": self.total_num_instances,
-            "avg_box_width": self.avg_box_width,
-            "avg_box_height": self.avg_box_height,
-            "avg_tube_length_frames": self.avg_tube_length_frames,
-            "avg_caption_length_words": self.avg_caption_length_words,
-        }
+        return asdict(self)
 
 
 def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:

@@ -125,6 +125,104 @@ def ap_oracle(ranked_tp: list[bool], num_gt: int) -> float:
     return ap
 
 
+def _oracle_boxes(record) -> list[dict]:
+    """Every box of a record in reading order (tracks, then frames), as
+    normalized ``(x, y, w, h)`` tuples."""
+    out = []
+    for track in record.tracks:
+        phrase = record.caption.phrases[track.phrase_index].text
+        scores = track.confidence or {}
+        for frame in sorted(track.boxes):
+            b = track.boxes[frame]
+            box = (b.x, b.y, b.w, b.h)
+            if not b.normalized:
+                box = (b.x / record.width, b.y / record.height,
+                       b.w / record.width, b.h / record.height)
+            out.append({"video": record.video_id, "frame": frame, "box": box,
+                        "phrase": phrase, "conf": scores.get(frame, 1.0)})
+    return out
+
+
+def _oracle_iou(a: tuple, b: tuple) -> float:
+    """IoU of two ``(x, y, w, h)`` boxes; identical boxes of positive area score 1."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    if a == b:
+        return 1.0 if aw * ah > 0 else 0.0
+    inter_w = max(min(ax + aw, bx + bw) - max(ax, bx), 0.0)
+    inter_h = max(min(ay + ah, by + bh) - max(ay, by), 0.0)
+    inter = inter_w * inter_h
+    union = aw * ah + bw * bh - inter
+    return 0.0 if union <= 0 else min(inter / union, 1.0)
+
+
+def _oracle_match(dets: list[dict], gts: list[dict], gated: bool, similar,
+                  iou_thresh: float, sim_thresh: float) -> dict[int, float]:
+    """Greedy matching of a pool, one (video, frame) at a time.
+
+    Returns detection position in ``dets`` -> IoU of its match.  In a frame,
+    predictions go by confidence, ties by best IoU against any GT box, then
+    reading order; each takes the free eligible GT box of highest IoU, the
+    earliest on a tie.
+    """
+    matched: dict[int, float] = {}
+    for key in dict.fromkeys((d["video"], d["frame"]) for d in dets):
+        frame_dets = [i for i, d in enumerate(dets) if (d["video"], d["frame"]) == key]
+        frame_gts = [g for g in gts if (g["video"], g["frame"]) == key]
+        ious = {i: [_oracle_iou(dets[i]["box"], g["box"]) for g in frame_gts] for i in frame_dets}
+        frame_dets.sort(key=lambda i: (-dets[i]["conf"], -max(ious[i], default=0.0), i))
+        free = set(range(len(frame_gts)))
+        for i in frame_dets:
+            eligible = [
+                j for j in sorted(free)
+                if not gated or (
+                    ious[i][j] >= iou_thresh
+                    and similar(dets[i]["phrase"], frame_gts[j]["phrase"]) >= sim_thresh
+                )
+            ]
+            if eligible:
+                j = max(eligible, key=lambda j: (ious[i][j], -j))
+                matched[i] = ious[i][j]
+                free.discard(j)
+    return matched
+
+
+def grounding_oracle(preds, gts, similar, iou_thresh: float = 0.5, sim_thresh: float = 0.5):
+    """AP50, mIoU and recall at frame and video level, rematched from the records.
+
+    The frame level matches the whole corpus as one pool, frame by frame;
+    the video level matches each video on its own and averages the videos
+    that have ground-truth boxes.  AP ranks detections by confidence, then
+    reading order (videos by id, tracks, frames).  Returns
+    ``{"frame": (ap50, miou, recall), "video": (ap50, miou, recall)}`` with
+    ``None`` where there is no ground-truth box.
+    """
+    pred_by_id = {r.video_id: r for r in preds}
+    video_ids = sorted(r.video_id for r in gts)
+    gt_by_id = {r.video_id: r for r in gts}
+
+    def scores(dets, gt_boxes):
+        if not gt_boxes:
+            return None
+        gated = _oracle_match(dets, gt_boxes, True, similar, iou_thresh, sim_thresh)
+        overlaps = _oracle_match(dets, gt_boxes, False, similar, iou_thresh, sim_thresh)
+        ranked = sorted(range(len(dets)), key=lambda i: (-dets[i]["conf"], i))
+        ap = ap_oracle([i in gated for i in ranked], len(gt_boxes))
+        return ap, sum(overlaps.values()) / len(gt_boxes), len(gated) / len(gt_boxes)
+
+    per_video = []
+    all_dets, all_gts = [], []
+    for vid in video_ids:
+        dets = _oracle_boxes(pred_by_id[vid]) if vid in pred_by_id else []
+        gt_boxes = _oracle_boxes(gt_by_id[vid])
+        per_video.append(scores(dets, gt_boxes))
+        all_dets += dets
+        all_gts += gt_boxes
+    present = [v for v in per_video if v is not None]
+    video = tuple(sum(v[k] for v in present) / len(present) for k in range(3)) if present else None
+    frame = scores(all_dets, all_gts)
+    return {"frame": frame or (None, None, None), "video": video or (None, None, None)}
+
+
 # ---------------------------------------------------------------------------
 # Reference grammar for the rendered SVO block
 

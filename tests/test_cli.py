@@ -222,14 +222,24 @@ class TestSvoAndIngest:
             "width": 10,
             "height": 10,
             "caption": "a cup",
-            "objects": [{"phrase": "a cup", "mask": [73, 1, 26]}],
+            "objects": [
+                {"phrase": "a cup", "mask": [73, 1, 26]},
+                {"phrase": "a lid", "mask": [100]},  # empty mask
+                {"phrase": "a bowl", "box": [12, 3, 4, 4]},  # off frame, vanishes when clamped
+                {"phrase": "a pan", "box": [8, 8, 5, 5]},  # clamped to the frame
+            ],
         }
         path = tmp_path / "frames.jsonl"
         path.write_text(json.dumps(record) + "\n", "utf-8")
         out = tmp_path / "normalized.jsonl"
         assert main(["ingest", "--input", str(path), "--out", str(out)]) == 0
         parsed = json.loads(out.read_text())
-        assert parsed["objects"][0]["box"] == [3.0, 7.0, 1.0, 1.0]
+        assert parsed["objects"] == [
+            {"phrase": "a cup", "box": [3.0, 7.0, 1.0, 1.0]},
+            {"phrase": "a pan", "box": [8.0, 8.0, 2.0, 2.0]},
+        ]
+        manifest = json.loads((tmp_path / "normalized.jsonl.manifest.json").read_text())
+        assert manifest["counts"] == {"dropped_objects": 2, "frames": 1, "videos": 1}
 
     def test_svo_output(self, tmp_path, stir_input):
         out = tmp_path / "svo.jsonl"
@@ -304,6 +314,28 @@ class TestUsageErrors:
     def test_missing_input_file_exit_1(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert main(["svo", "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 1
+
+    def test_build_without_endpoint_fails_like_aggregate(
+        self, tmp_path, stir_input, capsys, monkeypatch
+    ):
+        posts = []
+        monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: posts.append(a))
+        svo = tmp_path / "svo.jsonl"
+        assert main(["svo", "--input", str(stir_input), "--out", str(svo)]) == 0
+        capsys.readouterr()
+        runs = {
+            "aggregate": ["--input", str(svo), "--out", str(tmp_path / "captions.jsonl")],
+            "build": ["--input", str(stir_input), "--out", str(tmp_path / "dataset.jsonl")],
+        }
+        errors = {}
+        for command, args in runs.items():
+            rejected = str(tmp_path / f"{command}-rejected.jsonl")
+            assert main([command, *args, "--rejected", rejected]) == 1
+            errors[command] = capsys.readouterr().err.splitlines()[-1]
+        assert errors["build"] == errors["aggregate"]
+        assert errors["build"] == "error: no endpoint configured (use --endpoint or a config file)"
+        assert posts == []
+        assert not (tmp_path / "dataset.jsonl").exists()
 
 
 def test_mock_llm_subcommand_serves_fixtures(tmp_path):

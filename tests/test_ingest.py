@@ -246,6 +246,12 @@ class TestAnnotationRoundTrip:
     def test_schema_violation_reported(self):
         assert validate_annotation_dict({"video_id": "x"})[0][0] == "schema"
 
+    def test_validate_checks_the_schema_once(self, schema_passes):
+        obj = json.loads(serialize_video_annotation(minimal_annotation()))
+        obj["caption"] = "<p>broken"
+        assert [c for c, _ in validate_annotation_dict(obj)] == ["caption-malformed"]
+        assert schema_passes == ["video_annotation.schema.json"]
+
 
 class TestStreamFrameGroundings:
     def test_groups_one_video_at_a_time(self):
@@ -277,6 +283,24 @@ class TestStreamFrameGroundings:
         lines = to_jsonl([frame_line(), frame_line()]).splitlines()
         with pytest.raises(SchemaError, match="duplicate"):
             list(ingest.stream_frame_groundings(lines))
+
+
+@pytest.fixture
+def schema_passes(monkeypatch):
+    """Names of the schemas that records were checked against, one per pass."""
+    passes = []
+    real = ingest._validator
+
+    class Counting:
+        def __init__(self, name):
+            self.name = name
+
+        def iter_errors(self, obj):
+            passes.append(self.name)
+            return real(self.name).iter_errors(obj)
+
+    monkeypatch.setattr(ingest, "_validator", Counting)
+    return passes
 
 
 def prediction_line(scores: dict[int, float], threshold_frames=3) -> bytes:
@@ -338,3 +362,20 @@ class TestLoadPredictions:
         records = load_predictions((json.dumps(record) + "\n").encode(), 0.5)
         assert records[0].tracks[0].present_frames == [0, 1, 2]
         assert records[0].tracks[0].confidence is None
+
+    def test_predictions_schema_is_the_annotation_schema(self):
+        # predictions are checked against the annotation schema alone
+        def body(name):
+            schema = dict(ingest.load_schema(name))
+            for key in ("$id", "title", "description"):
+                schema.pop(key)
+            return schema
+
+        assert body("predictions.schema.json") == body("video_annotation.schema.json")
+
+    def test_each_record_checked_once(self, schema_passes):
+        second = json.loads(prediction_line({0: 0.9}))
+        second["video_id"] = "p2"
+        data = prediction_line({0: 0.9}) + (json.dumps(second) + "\n").encode()
+        assert len(load_predictions(data)) == 2
+        assert schema_passes == ["video_annotation.schema.json"] * 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,22 +10,20 @@ from groundcap import (
     GtBox,
     ObjectTrack,
     PredBox,
+    RecordValidationError,
     VideoAnnotation,
-    ap50,
     cider,
     evaluate,
     match_frame,
     meteor_lite,
-    miou,
     parse_tagged_caption,
     phrase_similarity,
-    recall,
     stem,
     tokenize,
 )
 from groundcap.metrics import _average_precision, cider_scores
 from conftest import make_annotation, make_corpus
-from oracles import ap_oracle, cider_oracle
+from oracles import ap_oracle, cider_oracle, grounding_oracle
 
 import numpy as np
 
@@ -402,16 +401,18 @@ def three_video_fixture():
 class TestGroundingMetrics:
     def test_identity_is_exactly_one(self):
         gt = [simple_gt("a"), simple_gt("b")]
-        for level in ("frame", "video"):
-            assert ap50(gt, gt, level) == 1.0
-            assert miou(gt, gt, level) == 1.0
-            assert recall(gt, gt, level) == 1.0
+        report = evaluate(gt, gt)
+        for scores in (report.frame_level, report.video_level):
+            assert scores.ap50 == 1.0
+            assert scores.miou == 1.0
+            assert scores.recall == 1.0
 
     def test_empty_predictions_score_zero(self):
         gt = [simple_gt()]
-        assert ap50([], gt, "frame") == 0.0
-        assert miou([], gt, "frame") == 0.0
-        assert recall([], gt, "frame") == 0.0
+        scores = evaluate([], gt).frame_level
+        assert scores.ap50 == 0.0
+        assert scores.miou == 0.0
+        assert scores.recall == 0.0
 
     def test_single_gt_pred_pair_miou_value(self):
         gt = [
@@ -420,8 +421,9 @@ class TestGroundingMetrics:
         pred = [
             annotation_with_tracks("v", {0: {0: BoundingBox(20, 20, 20, 20)}}, frame_count=1)
         ]
-        assert miou(pred, gt, "frame") == pytest.approx(100 / 700)
-        assert miou(pred, gt, "video") == pytest.approx(100 / 700)
+        report = evaluate(pred, gt)
+        assert report.frame_level.miou == pytest.approx(100 / 700)
+        assert report.video_level.miou == pytest.approx(100 / 700)
 
     def test_ap50_spec_pr_curve_case(self):
         # 2 GT boxes in separate frames; 3 preds: 0.9 TP, 0.8 FP, 0.7 TP
@@ -455,8 +457,9 @@ class TestGroundingMetrics:
             )
         ]
         expected = 0.5 * 1.0 + 0.5 * (2 / 3)
-        assert ap50(pred, gt, "frame") == pytest.approx(expected)
-        assert ap50(pred, gt, "video") == pytest.approx(expected)
+        report = evaluate(pred, gt)
+        assert report.frame_level.ap50 == pytest.approx(expected)
+        assert report.video_level.ap50 == pytest.approx(expected)
 
     def test_recall_counts_dual_gated_matches(self):
         # 4 GT boxes; 2 predictions pass both gates
@@ -477,7 +480,7 @@ class TestGroundingMetrics:
                 frame_count=2,
             )
         ]
-        assert recall(pred, gt, "frame") == 0.5
+        assert evaluate(pred, gt).frame_level.recall == 0.5
 
     def test_unrelated_phrases_zero_recall(self):
         gt = [
@@ -496,8 +499,9 @@ class TestGroundingMetrics:
                 tracks=(pred_track,),
             )
         ]
-        assert recall(pred, gt, "frame") == 0.0
-        assert miou(pred, gt, "frame") == 1.0  # IoU-only matching ignores phrases
+        scores = evaluate(pred, gt).frame_level
+        assert scores.recall == 0.0
+        assert scores.miou == 1.0  # IoU-only matching ignores phrases
 
 
 class TestEvaluate:
@@ -612,3 +616,107 @@ class TestEvaluate:
         assert report.frame_level.ap50 is None
         assert report.video_level.ap50 is None
         assert report.per_video["v"]["ap50"] is None
+
+
+CONFIDENCES = (0.25, 0.5, 0.5, 0.75, 1.0)  # few values, so ranks tie often
+
+
+def _jittered(rng, box, width, height):
+    w = max(1.0, box.w + rng.randint(-4, 4))
+    h = max(1.0, box.h + rng.randint(-4, 4))
+    x = min(max(0.0, box.x + rng.randint(-6, 6)), width - w)
+    y = min(max(0.0, box.y + rng.randint(-6, 6)), height - h)
+    return BoundingBox(x, y, w, h)
+
+
+def _noisy_prediction(rng, gt):
+    """Jittered, missing, relabelled, duplicated and extra boxes of ``gt``."""
+    phrases = len(gt.caption.phrases)
+    tracks = []
+    for track in gt.tracks:
+        for _copy in range(rng.choice((1, 1, 2))):
+            boxes = {
+                t: _jittered(rng, box, gt.width, gt.height)
+                for t, box in track.boxes.items()
+                if rng.random() > 0.25
+            }
+            if boxes:
+                phrase_index = (
+                    rng.randrange(phrases) if rng.random() < 0.2 else track.phrase_index
+                )
+                confidence = {t: rng.choice(CONFIDENCES) for t in boxes}
+                tracks.append(
+                    ObjectTrack.from_boxes(phrase_index, boxes, gt.frame_count, confidence)
+                )
+    for _extra in range(rng.randint(0, 2)):
+        t = rng.randrange(gt.frame_count)
+        box = BoundingBox(float(rng.randrange(0, 300)), float(rng.randrange(0, 150)), 30.0, 20.0)
+        tracks.append(
+            ObjectTrack.from_boxes(
+                rng.randrange(phrases), {t: box}, gt.frame_count, {t: rng.choice(CONFIDENCES)}
+            )
+        )
+    try:
+        return dataclasses.replace(gt, tracks=tuple(tracks))
+    except RecordValidationError:  # a duplicate came out identical to its original
+        return dataclasses.replace(gt, tracks=tuple(tracks[:1]))
+
+
+def _oracle_corpus(rng):
+    """2-8 videos of 1-4 frames each, so videos share frame indices."""
+    gts, preds = [], []
+    for i in range(rng.randint(2, 8)):
+        gt = make_annotation(rng, f"pool-{i}", frame_count=rng.randint(1, 4))
+        if rng.random() < 0.15:
+            gt = dataclasses.replace(gt, tracks=())  # no ground-truth boxes
+        gts.append(gt)
+        if rng.random() < 0.2:
+            continue  # no prediction for this video
+        preds.append(_noisy_prediction(rng, gt))
+    return preds, gts
+
+
+class TestPooledGroundingOracle:
+    def test_both_levels_match_pooled_rematch(self):
+        rng = random.Random(4242)
+        matched = 0
+        for _ in range(60):
+            preds, gts = _oracle_corpus(rng)
+            report = evaluate(preds, gts)
+            expected = grounding_oracle(preds, gts, phrase_similarity)
+            for level, scores in (("frame", report.frame_level), ("video", report.video_level)):
+                ours = (scores.ap50, scores.miou, scores.recall)
+                for got, want in zip(ours, expected[level]):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert got == pytest.approx(want, abs=1e-12)
+            matched += report.frame_level.recall not in (None, 0.0, 1.0)
+        assert matched > 30  # most corpora have partial matches, not trivial ones
+
+    def test_each_frame_matched_once(self, monkeypatch):
+        import groundcap.metrics as metrics
+
+        rng = random.Random(99)
+        preds, gts = _oracle_corpus(rng)
+        while not any(g.tracks for g in gts):
+            preds, gts = _oracle_corpus(rng)
+        pool_calls, iou_calls = [], []
+        real_pool, real_iou = metrics._match_pool, metrics.iou
+        monkeypatch.setattr(
+            metrics, "_match_pool", lambda *a: pool_calls.append(len(a[1])) or real_pool(*a)
+        )
+        monkeypatch.setattr(metrics, "iou", lambda a, b: iou_calls.append(1) or real_iou(a, b))
+        evaluate(preds, gts)
+        # one matching pass per ground-truth video with boxes, over that video alone
+        gt_boxes = [sum(len(track.boxes) for track in g.tracks) for g in gts]
+        assert pool_calls == [n for n in gt_boxes if n]
+        # one IoU per prediction x ground-truth pair sharing a (video, frame)
+        pairs = 0
+        for pred in preds:
+            gt = next(g for g in gts if g.video_id == pred.video_id)
+            for frame in {t for track in pred.tracks for t in track.boxes}:
+                n_pred = sum(frame in track.boxes for track in pred.tracks)
+                n_gt = sum(frame in track.boxes for track in gt.tracks)
+                pairs += n_pred * n_gt
+        assert len(iou_calls) == pairs
