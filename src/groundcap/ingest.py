@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
-
-import jsonschema
 
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
@@ -55,16 +56,147 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
+# The keywords _schema_errors checks; the input schemas may use no others
+# besides the annotations, which it ignores.
+_KEYWORDS = frozenset(
+    {
+        "type",
+        "required",
+        "properties",
+        "additionalProperties",
+        "patternProperties",
+        "items",
+        "minItems",
+        "maxItems",
+        "minimum",
+        "maximum",
+        "exclusiveMinimum",
+        "minLength",
+        "oneOf",
+    }
+)
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
+
+_DOUBLE_MAX = sys.float_info.max
+
+
+def _is_number(value) -> bool:
+    """A JSON number that fits a double: NaN, infinities and huge ints do not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -_DOUBLE_MAX <= value <= _DOUBLE_MAX
+    )
+
+
+_TYPES = {  # JSON Schema type -> (test, description in messages)
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "number": (_is_number, "a finite number"),
+    "integer": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+}
+
+
+def _show(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _check_keywords(schema) -> None:
+    """Raise ``ValueError`` if ``schema`` uses anything :func:`_schema_errors` does not check."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported schema {schema!r}: only object schemas are checked")
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    if schema.get("type", "object") not in tuple(_TYPES):
+        raise ValueError(f"unsupported schema type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("only additionalProperties: false is supported")
+    subschemas = [
+        *schema.get("properties", {}).values(),
+        *schema.get("patternProperties", {}).values(),
+        *schema.get("oneOf", []),
+    ]
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        _check_keywords(sub)
+
+
 @lru_cache(maxsize=None)
-def _validator(name: str) -> jsonschema.Draft202012Validator:
-    return jsonschema.Draft202012Validator(load_schema(name))
+def _input_schema(name: str) -> dict:
+    """The shipped schema ``name``, once checked to use only what the walker handles."""
+    schema = load_schema(name)
+    _check_keywords(schema)
+    return schema
+
+
+def _schema_errors(value, schema: dict, path: str) -> Iterator[tuple[str, str]]:
+    """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``.
+
+    Keywords mean what JSON Schema 2020-12 says and apply by the type of the
+    value, with two tightenings: numbers must be finite doubles, and a
+    ``patternProperties`` key must match its pattern whole (ECMA-262 ``$``,
+    which Python's ``re.search`` would let match before a trailing newline).
+    """
+    if "type" in schema:
+        test, expected = _TYPES[schema["type"]]
+        if not test(value):
+            yield path, f"expected {expected}, got {_show(value)}"
+            return
+    # numbers first: box coordinates and mask counts are most of the nodes
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']}"
+        if "maximum" in schema and value > schema["maximum"]:
+            yield path, f"{value!r} is greater than the maximum of {schema['maximum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, f"{value!r} is not greater than {schema['exclusiveMinimum']}"
+    elif isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+        properties = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
+        for key, item in value.items():
+            known = key in properties
+            if known:
+                yield from _schema_errors(item, properties[key], f"{path}.{key}")
+            for pattern, sub in patterns.items():
+                if re.fullmatch(pattern, key):
+                    known = True
+                    yield from _schema_errors(item, sub, f"{path}.{key}")
+            if not known and "additionalProperties" in schema:
+                yield path, f"unexpected property {key!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"has {len(value)} items, fewer than {schema['minItems']}"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"has {len(value)} items, more than {schema['maxItems']}"
+        if "items" in schema:
+            items = schema["items"]
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, items, f"{path}[{i}]")
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            yield path, f"shorter than {schema['minLength']} characters"
+    if "oneOf" in schema:
+        options = schema["oneOf"]
+        valid = sum(next(_schema_errors(value, sub, path), None) is None for sub in options)
+        if valid != 1:
+            yield path, f"valid under {valid} of the {len(options)} oneOf schemas, expected 1"
 
 
 def _check_schema(obj: dict, schema_name: str, line: Optional[int]) -> None:
-    errors = sorted(_validator(schema_name).iter_errors(obj), key=str)
-    if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise SchemaError(best.message, line=line, field_path=best.json_path)
+    for field_path, message in _schema_errors(obj, _input_schema(schema_name), "$"):
+        raise SchemaError(message, line=line, field_path=field_path)
 
 
 def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
@@ -210,7 +342,8 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
     seen: set[tuple[str, int]] = set()
     for line, obj in iter_jsonl(data):
         _check_schema(obj, "frame_grounding.schema.json", line)
-        width, height = obj["width"], obj["height"]
+        # the schema lets integral floats such as 2.0 pass as integers
+        width, height = int(obj["width"]), int(obj["height"])
         objects = []
         for item in obj["objects"]:
             if "box" in item:
@@ -221,7 +354,7 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
                     raise SchemaError(str(exc), line=line, field_path="objects.box") from exc
                 objects.append(FrameObject(item["phrase"], box=box))
             else:
-                mask = RleMask(tuple(item["mask"]), width, height)
+                mask = RleMask(tuple(map(int, item["mask"])), width, height)
                 if sum(mask.counts) != width * height:
                     raise SchemaError(
                         f"mask runs sum to {sum(mask.counts)}, expected {width * height}",
@@ -229,14 +362,15 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
                         field_path="objects.mask",
                     )
                 objects.append(FrameObject(item["phrase"], mask=mask))
-        key = (obj["video_id"], obj["frame_index"])
+        frame_index = int(obj["frame_index"])
+        key = (obj["video_id"], frame_index)
         if key in seen:
             raise SchemaError(f"duplicate frame record {key}", line=line)
         seen.add(key)
         records.append(
             FrameGrounding(
                 video_id=obj["video_id"],
-                frame_index=obj["frame_index"],
+                frame_index=frame_index,
                 width=width,
                 height=height,
                 caption=obj["caption"],
@@ -327,7 +461,10 @@ def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotati
 
 
 def _build_annotation(obj: dict) -> VideoAnnotation:
-    """The record of a schema-valid plain-JSON annotation; checks its invariants."""
+    """The record of a schema-valid plain-JSON annotation; checks its invariants.
+
+    Integer fields go through ``int``: the schema lets integral floats pass.
+    """
     try:
         caption = parse_tagged_caption(obj["caption"])
     except MalformedCaptionError as exc:
@@ -347,7 +484,7 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
             confidence = {int(k): float(v) for k, v in item["confidence"].items()}
         tracks.append(
             ObjectTrack(
-                phrase_index=item["phrase_index"],
+                phrase_index=int(item["phrase_index"]),
                 boxes=boxes,
                 presence=tuple(bool(v) for v in item["presence"]),
                 confidence=confidence,
@@ -355,10 +492,10 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
         )
     return VideoAnnotation(
         video_id=obj["video_id"],
-        frame_count=obj["frame_count"],
+        frame_count=int(obj["frame_count"]),
         fps=float(obj["fps"]),
-        width=obj["width"],
-        height=obj["height"],
+        width=int(obj["width"]),
+        height=int(obj["height"]),
         caption=caption,
         tracks=tuple(tracks),
         boxes_normalized=normalized,
@@ -394,11 +531,10 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
     phrase spans index it correctly, boxes stay inside the declared frame,
     and presence flags agree with the stored boxes.
     """
-    reasons: list[tuple[str, str]] = []
-    errors = sorted(_validator("video_annotation.schema.json").iter_errors(obj), key=str)
-    if errors:
-        for err in errors[:10]:
-            reasons.append(("schema", f"{err.json_path}: {err.message}"))
+    schema = _input_schema("video_annotation.schema.json")
+    errors = islice(_schema_errors(obj, schema, "$"), 10)
+    reasons = [("schema", f"{field_path}: {message}") for field_path, message in errors]
+    if reasons:
         return reasons
     try:
         _build_annotation(obj)

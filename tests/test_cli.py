@@ -383,3 +383,12 @@ def test_mock_llm_subcommand_serves_fixtures(tmp_path):
 def test_canonical_json_float_format():
     assert canonical_json({"x": 0.5, "n": 3, "s": "é"}) == '{"n": 3, "s": "é", "x": 0.500000}'
     assert canonical_json({"10": 1, "2": 2}) == '{"2": 2, "10": 1}'
+
+
+def test_cli_runs_without_jsonschema():
+    # jsonschema is a test dependency only: the CLI checks inputs itself
+    code = "import sys, groundcap.cli; print('jsonschema' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -13,11 +13,13 @@ from groundcap import (
     RleMask,
     SchemaError,
     VideoAnnotation,
+    evaluate,
     load_predictions,
     mask_to_box,
     parse_frame_grounding,
     parse_tagged_caption,
     parse_video_annotation,
+    read_annotations,
     serialize_video_annotation,
     validate_annotation_dict,
 )
@@ -95,6 +97,29 @@ class TestParseFrameGrounding:
         with pytest.raises(SchemaError) as excinfo:
             parse_frame_grounding(to_jsonl(lines))
         assert excinfo.value.line == 2
+
+    def test_integral_floats_stored_as_ints(self):
+        floats = frame_line(
+            frame_index=2.0,
+            width=10.0,
+            height=3.0,
+            objects=[{"phrase": "a cup", "mask": [12.0, 6, 12.0]}],
+        )
+        ints = frame_line(
+            frame_index=2, width=10, height=3, objects=[{"phrase": "a cup", "mask": [12, 6, 12]}]
+        )
+        record = parse_frame_grounding(to_jsonl([floats]))[0]
+        assert record == parse_frame_grounding(to_jsonl([ints]))[0]
+        mask = record.objects[0].mask
+        values = [record.frame_index, record.width, record.height, *mask.counts]
+        assert all(type(v) is int for v in values)
+
+    def test_infinite_mask_count_names_line_and_field(self):
+        line = frame_line(objects=[{"phrase": "a cup", "mask": [100, float("inf"), 6]}])
+        with pytest.raises(SchemaError) as excinfo:
+            parse_frame_grounding(to_jsonl([frame_line(frame_index=1), line]))
+        assert excinfo.value.line == 2
+        assert excinfo.value.field_path == "$.objects[0].mask[1]"
 
     def test_masks_stay_encoded(self):
         line = frame_line(objects=[{"phrase": "a cup", "mask": [100, 6, 455 * 256 - 106]}])
@@ -289,17 +314,13 @@ class TestStreamFrameGroundings:
 def schema_passes(monkeypatch):
     """Names of the schemas that records were checked against, one per pass."""
     passes = []
-    real = ingest._validator
+    real = ingest._input_schema
 
-    class Counting:
-        def __init__(self, name):
-            self.name = name
+    def counting(name):
+        passes.append(name)
+        return real(name)
 
-        def iter_errors(self, obj):
-            passes.append(self.name)
-            return real(self.name).iter_errors(obj)
-
-    monkeypatch.setattr(ingest, "_validator", Counting)
+    monkeypatch.setattr(ingest, "_input_schema", counting)
     return passes
 
 
@@ -362,6 +383,51 @@ class TestLoadPredictions:
         records = load_predictions((json.dumps(record) + "\n").encode(), 0.5)
         assert records[0].tracks[0].present_frames == [0, 1, 2]
         assert records[0].tracks[0].confidence is None
+
+    def test_integral_float_fields_score_the_same(self):
+        as_ints = prediction_line({0: 0.9, 1: 0.4}, 2)
+        record = json.loads(as_ints)
+        record.update(frame_count=2.0, width=455.0, height=256.0)
+        record["tracks"][0]["phrase_index"] = 0.0
+        pred = load_predictions((json.dumps(record) + "\n").encode())
+        assert pred == load_predictions(as_ints)
+        values = [pred[0].frame_count, pred[0].width, pred[0].height, pred[0].tracks[0].phrase_index]
+        assert all(type(v) is int for v in values)
+        gt = read_annotations(prediction_line({0: 1.0, 1: 1.0}, 2))
+        assert evaluate(pred, gt) == evaluate(load_predictions(as_ints), gt)
+
+    @staticmethod
+    def second_line(record: dict) -> bytes:
+        """A valid first record, then ``record`` on line 2."""
+        first = prediction_line({0: 0.9}, 1).replace(b'"p1"', b'"p0"')
+        return first + (json.dumps(record) + "\n").encode()
+
+    def test_newline_frame_key_rejected(self):
+        # Python's "$" matches before a trailing newline, and int("0\n") == 0
+        record = json.loads(prediction_line({0: 0.9}, 1))
+        record["tracks"][0]["boxes"]["0\n"] = [200.0, 200.0, 20.0, 20.0]
+        with pytest.raises(SchemaError, match=r"'0\\n'") as excinfo:
+            load_predictions(self.second_line(record))
+        assert excinfo.value.line == 2
+        assert excinfo.value.field_path == "$.tracks[0].boxes"
+
+    @pytest.mark.parametrize(
+        "load, path, field_path",
+        [
+            (read_annotations, ("fps",), "$.fps"),
+            (load_predictions, ("tracks", 0, "boxes", "0", 1), "$.tracks[0].boxes.0[1]"),
+        ],
+    )
+    def test_nan_names_line_and_field(self, load, path, field_path):
+        record = json.loads(prediction_line({0: 0.9}, 1))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = float("nan")
+        with pytest.raises(SchemaError) as excinfo:
+            load(self.second_line(record))
+        assert excinfo.value.line == 2
+        assert excinfo.value.field_path == field_path
 
     def test_predictions_schema_is_the_annotation_schema(self):
         # predictions are checked against the annotation schema alone

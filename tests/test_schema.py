@@ -1,0 +1,256 @@
+"""The schema walker in ``ingest`` against jsonschema, the reference validator.
+
+Random mutations of valid frame-grounding and annotation records must be
+accepted or rejected alike by both, except for the walker's two deliberate
+tightenings: numbers must be finite doubles (no NaN, infinity or integer past
+the double range), and a frame key must match its pattern whole (jsonschema's
+``re.search`` lets ``"0\\n"`` match ``^(0|[1-9][0-9]*)$``).
+"""
+
+import copy
+import json
+import math
+import re
+
+import jsonschema
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import groundcap.ingest as ingest
+from groundcap import load_predictions, parse_frame_grounding
+
+FRAME_SCHEMA = "frame_grounding.schema.json"
+ANNOTATION_SCHEMA = "video_annotation.schema.json"
+FRAME_KEY = re.compile(r"^(0|[1-9][0-9]*)$")
+
+FRAME = {
+    "video_id": "v1",
+    "frame_index": 3,
+    "width": 4,
+    "height": 3,
+    "caption": "a cook stirs a pot",
+    "objects": [
+        {"phrase": "a cook", "box": [0, 0, 2.5, 3]},
+        {"phrase": "a pot", "mask": [5, 2, 5]},
+    ],
+}
+
+ANNOTATION = {
+    "video_id": "v1",
+    "frame_count": 2,
+    "fps": 5.0,
+    "width": 455,
+    "height": 256,
+    "caption": "<p>a cook</p> stirs <p>a pot</p>",
+    "boxes_normalized": False,
+    "tracks": [
+        {
+            "phrase_index": 0,
+            "presence": [True, False],
+            "boxes": {"0": [1.0, 2.0, 3.0, 4.0]},
+            "confidence": {"0": 0.9},
+        },
+        {
+            "phrase_index": 1,
+            "presence": [True, True],
+            "boxes": {"0": [10.0, 20.0, 30.0, 40.0], "1": [11.0, 21.0, 30.0, 40.0]},
+        },
+    ],
+}
+
+KEYS = st.sampled_from(
+    ["0", "1", "07", "0\n", "-1", "", "x", "phrase", "box", "mask", "confidence", "presence"]
+)
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 10**6),
+    st.sampled_from([0.0, 2.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 6), max_size=5),
+    st.lists(st.floats(-1, 500), min_size=3, max_size=5),
+    st.dictionaries(KEYS, st.integers(0, 2), max_size=2),
+)
+
+
+def nodes(value, path=()):
+    """Every ``(path, node)`` of a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from nodes(child, (*path, key))
+
+
+def at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def mutate(record, data) -> None:
+    """Apply one random edit to ``record`` in place."""
+    everything = list(nodes(record))
+    # a new value is a random one or a copy of a subtree, which keeps some edits valid
+    new_value = st.one_of(VALUES, st.sampled_from([v for _, v in everything]).map(copy.deepcopy))
+    kind = data.draw(st.sampled_from(["delete", "retype", "float", "add", "grow", "both"]))
+    ints = [path for path, node in everything if type(node) is int]
+    dicts = [node for _, node in everything if isinstance(node, dict)]
+    lists = [node for _, node in everything if isinstance(node, list)]
+    located = [node for node in dicts if "box" in node or "mask" in node]
+    if kind in ("delete", "retype") and len(everything) > 1:
+        path, _ = data.draw(st.sampled_from(everything[1:]))
+        parent = at(record, path[:-1])
+        if kind == "delete":  # a key of an object, or an item, which shrinks the array
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(VALUES)
+    elif kind == "float" and ints:  # 2 -> 2.0, still an integer to JSON Schema
+        path = data.draw(st.sampled_from(ints))
+        at(record, path[:-1])[path[-1]] = float(at(record, path))
+    elif kind == "grow" and lists:
+        data.draw(st.sampled_from(lists)).append(data.draw(new_value))
+    elif kind == "both" and located:
+        target = data.draw(st.sampled_from(located))
+        target.setdefault("box", [0, 0, 1, 1])
+        target.setdefault("mask", [12])
+    else:
+        data.draw(st.sampled_from(dicts))[data.draw(KEYS)] = data.draw(new_value)
+
+
+def tightened(value) -> bool:
+    """Whether ``value`` holds what only the walker rejects."""
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    if isinstance(value, dict):
+        return any(
+            (FRAME_KEY.search(key) and not FRAME_KEY.fullmatch(key)) or tightened(item)
+            for key, item in value.items()
+        )
+    if isinstance(value, list):
+        return any(tightened(item) for item in value)
+    return False
+
+
+def walker_accepts(record, name: str) -> bool:
+    return next(ingest._schema_errors(record, ingest._input_schema(name), "$"), None) is None
+
+
+def check_against_jsonschema(base: dict, name: str, parse, data) -> None:
+    record = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(record, data)
+    reference = jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+    accepted = walker_accepts(record, name)
+    assert accepted == (reference and not tightened(record)), record
+    if accepted:
+        # a record past the schema parses or fails with a ValueError, never a crash
+        try:
+            parse((json.dumps(record) + "\n").encode())
+        except ValueError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frame_records_accepted_as_jsonschema_does(data):
+    check_against_jsonschema(FRAME, FRAME_SCHEMA, parse_frame_grounding, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_annotation_records_accepted_as_jsonschema_does(data):
+    check_against_jsonschema(ANNOTATION, ANNOTATION_SCHEMA, load_predictions, data)
+
+
+@pytest.mark.parametrize("name", [FRAME_SCHEMA, ANNOTATION_SCHEMA])
+def test_base_records_are_valid(name):
+    record = FRAME if name == FRAME_SCHEMA else ANNOTATION
+    assert walker_accepts(record, name)
+    assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+
+
+@pytest.mark.parametrize(
+    "name, path, value, valid",
+    [
+        (ANNOTATION_SCHEMA, ("fps",), 0, False),
+        (ANNOTATION_SCHEMA, ("fps",), 1e-9, True),
+        (ANNOTATION_SCHEMA, ("frame_count",), 2.0, True),
+        (ANNOTATION_SCHEMA, ("frame_count",), 0, False),
+        (ANNOTATION_SCHEMA, ("width",), True, False),
+        (ANNOTATION_SCHEMA, ("video_id",), "", False),
+        (ANNOTATION_SCHEMA, ("tracks", 0, "confidence", "0"), 1, True),
+        (ANNOTATION_SCHEMA, ("tracks", 0, "confidence", "0"), 1.0000001, False),
+        (ANNOTATION_SCHEMA, ("tracks", 0, "confidence", "0"), -0.0, True),
+        (ANNOTATION_SCHEMA, ("tracks", 0, "presence"), [], False),
+        (ANNOTATION_SCHEMA, ("tracks", 0, "boxes", "0"), [1.0, 2.0, 3.0], False),
+        (FRAME_SCHEMA, ("frame_index",), 0, True),
+        (FRAME_SCHEMA, ("frame_index",), -1, False),
+        (FRAME_SCHEMA, ("frame_index",), 1.5, False),
+        (FRAME_SCHEMA, ("objects", 0, "phrase"), "", False),
+        (FRAME_SCHEMA, ("objects", 0, "box"), [0, 0, 1, 1, 1], False),
+        (FRAME_SCHEMA, ("objects", 1, "mask", 0), -1, False),
+        (FRAME_SCHEMA, ("objects", 1, "mask", 0), 5.0, True),
+    ],
+)
+def test_boundaries_agree_with_jsonschema(name, path, value, valid):
+    record = copy.deepcopy(FRAME if name == FRAME_SCHEMA else ANNOTATION)
+    at(record, path[:-1])[path[-1]] = value
+    assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record) == valid
+    assert walker_accepts(record, name) == valid
+
+
+def test_the_tightenings_reject_what_jsonschema_accepts():
+    newline_key = copy.deepcopy(ANNOTATION)
+    newline_key["tracks"][1]["boxes"]["0\n"] = [1.0, 1.0, 1.0, 1.0]
+    nan_fps = dict(ANNOTATION, fps=math.nan)
+    infinite_count = copy.deepcopy(FRAME)
+    infinite_count["objects"][1]["mask"][0] = math.inf
+    for record, name in [
+        (newline_key, ANNOTATION_SCHEMA),
+        (nan_fps, ANNOTATION_SCHEMA),
+        (dict(FRAME, width=10**400), FRAME_SCHEMA),
+    ]:
+        assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+        assert not walker_accepts(record, name)
+    assert not walker_accepts(infinite_count, FRAME_SCHEMA)
+
+
+def schema_keywords(schema: dict):
+    yield from schema
+    subschemas = [
+        *schema.get("properties", {}).values(),
+        *schema.get("patternProperties", {}).values(),
+        *schema.get("oneOf", []),
+    ]
+    if "items" in schema:
+        subschemas.append(schema["items"])
+    for sub in subschemas:
+        yield from schema_keywords(sub)
+
+
+@pytest.mark.parametrize("name", [FRAME_SCHEMA, ANNOTATION_SCHEMA])
+def test_input_schemas_use_only_handled_keywords(name):
+    schema = ingest.load_schema(name)
+    assert set(schema_keywords(schema)) <= ingest._KEYWORDS | ingest._ANNOTATIONS
+    assert ingest._input_schema(name) is schema
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "object", "properties": {"a": {"type": "string", "enum": ["x"]}}},
+        {"type": "array", "items": {"$ref": "#/$defs/box"}},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+        {"type": ["string", "null"]},
+        {"type": "array", "items": True},
+    ],
+)
+def test_unhandled_schema_raises(schema):
+    with pytest.raises(ValueError, match="unsupported|only"):
+        ingest._check_keywords(schema)
