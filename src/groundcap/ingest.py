@@ -202,15 +202,19 @@ def _check_schema(obj: dict, schema_name: str, line: Optional[int]) -> None:
 def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, parsed_object)`` for non-blank lines; 1-based."""
     for i, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc.msg}", line=i) from exc
-        if not isinstance(obj, dict):
-            raise SchemaError("record must be a JSON object", line=i)
-        yield i, obj
+        if raw.strip():
+            yield i, _json_record(raw, i)
+
+
+def _json_record(text: str, line: int) -> dict:
+    """One JSON-lines record, which must be an object."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}", line=line) from exc
+    if not isinstance(obj, dict):
+        raise SchemaError("record must be a JSON object", line=line)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -341,44 +345,47 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
     records: list[FrameGrounding] = []
     seen: set[tuple[str, int]] = set()
     for line, obj in iter_jsonl(data):
-        _check_schema(obj, "frame_grounding.schema.json", line)
-        # the schema lets integral floats such as 2.0 pass as integers
-        width, height = int(obj["width"]), int(obj["height"])
-        objects = []
-        for item in obj["objects"]:
-            if "box" in item:
-                x, y, w, h = (float(v) for v in item["box"])
-                try:
-                    box = BoundingBox(x, y, w, h, normalized=False)
-                except ValueError as exc:
-                    raise SchemaError(str(exc), line=line, field_path="objects.box") from exc
-                objects.append(FrameObject(item["phrase"], box=box))
-            else:
-                mask = RleMask(tuple(map(int, item["mask"])), width, height)
-                if sum(mask.counts) != width * height:
-                    raise SchemaError(
-                        f"mask runs sum to {sum(mask.counts)}, expected {width * height}",
-                        line=line,
-                        field_path="objects.mask",
-                    )
-                objects.append(FrameObject(item["phrase"], mask=mask))
-        frame_index = int(obj["frame_index"])
-        key = (obj["video_id"], frame_index)
+        record = _frame_grounding(obj, line)
+        key = (record.video_id, record.frame_index)
         if key in seen:
             raise SchemaError(f"duplicate frame record {key}", line=line)
         seen.add(key)
-        records.append(
-            FrameGrounding(
-                video_id=obj["video_id"],
-                frame_index=frame_index,
-                width=width,
-                height=height,
-                caption=obj["caption"],
-                objects=tuple(objects),
-            )
-        )
+        records.append(record)
     records.sort(key=lambda r: (r.video_id, r.frame_index))
     return records
+
+
+def _frame_grounding(obj: dict, line: int) -> FrameGrounding:
+    """Check one frame-grounding record and build it; errors name ``line``."""
+    _check_schema(obj, "frame_grounding.schema.json", line)
+    # the schema lets integral floats such as 2.0 pass as integers
+    width, height = int(obj["width"]), int(obj["height"])
+    objects = []
+    for i, item in enumerate(obj["objects"]):
+        if "box" in item:
+            x, y, w, h = (float(v) for v in item["box"])
+            try:
+                box = BoundingBox(x, y, w, h, normalized=False)
+            except ValueError as exc:
+                raise SchemaError(str(exc), line=line, field_path=f"$.objects[{i}].box") from exc
+            objects.append(FrameObject(item["phrase"], box=box))
+        else:
+            mask = RleMask(tuple(map(int, item["mask"])), width, height)
+            if sum(mask.counts) != width * height:
+                raise SchemaError(
+                    f"mask runs sum to {sum(mask.counts)}, expected {width * height}",
+                    line=line,
+                    field_path=f"$.objects[{i}].mask",
+                )
+            objects.append(FrameObject(item["phrase"], mask=mask))
+    return FrameGrounding(
+        video_id=obj["video_id"],
+        frame_index=int(obj["frame_index"]),
+        width=width,
+        height=height,
+        caption=obj["caption"],
+        objects=tuple(objects),
+    )
 
 
 def group_frame_groundings(records: list[FrameGrounding]) -> dict[str, list[FrameGrounding]]:
@@ -403,10 +410,7 @@ def stream_frame_groundings(lines: Iterable[bytes]) -> Iterator[tuple[str, list[
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
         if not text.strip():
             continue
-        records = parse_frame_grounding(text.encode("utf-8"))
-        if len(records) != 1:
-            raise SchemaError("expected one record per line", line=line_no)
-        record = records[0]
+        record = _frame_grounding(_json_record(text, line_no), line_no)
         if record.video_id != current_id:
             if record.video_id in finished:
                 raise SchemaError(

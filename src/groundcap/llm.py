@@ -10,9 +10,13 @@ accepted ones.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import re
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
@@ -62,7 +66,18 @@ class ChatClient(Protocol):
 
 
 class TransportError(Exception):
-    """The endpoint could not be reached or returned an unusable envelope."""
+    """The endpoint could not be reached or returned an unusable envelope.
+
+    ``retryable`` is false when sending the same request again cannot help:
+    an HTTP 4xx answer other than 408 (timeout) and 429 (rate limit).
+    """
+
+    def __init__(self, message: str, retryable: bool = True):
+        super().__init__(message)
+        self.retryable = retryable
+
+
+_RETRYABLE_4XX = (408, 429)
 
 
 class ResponseRejection(Exception):
@@ -95,6 +110,36 @@ class PhraseAssignment:
     assigned: Optional[str]  # None is the None-class
 
 
+# Most answers a :class:`ResponseMemo` keeps; a corpus-sized run is mostly
+# distinct requests, so memory must not grow with the corpus.
+MEMO_CAPACITY = 4096
+
+
+class ResponseMemo:
+    """Completion texts by request digest, least recently used dropped first.
+
+    Safe to share between threads; one memo serves every client of a run.
+    """
+
+    def __init__(self) -> None:
+        self._texts: OrderedDict[bytes, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: bytes) -> Optional[str]:
+        with self._lock:
+            text = self._texts.get(key)
+            if text is not None:
+                self._texts.move_to_end(key)
+            return text
+
+    def put(self, key: bytes, text: str) -> None:
+        with self._lock:
+            self._texts[key] = text
+            self._texts.move_to_end(key)
+            while len(self._texts) > MEMO_CAPACITY:
+                self._texts.popitem(last=False)
+
+
 @dataclass
 class HttpChatClient:
     """Chat-completions client: JSON over HTTP POST.
@@ -103,6 +148,11 @@ class HttpChatClient:
     configured); the response must contain a first choice with
     ``message.content``.  Instances are cheap; each worker thread should own
     one so the underlying session is not shared.
+
+    At temperature 0 decoding is deterministic, so an answer is kept in
+    ``memo`` under the digest of its request body and a byte-identical
+    request is answered from there without a round trip.  Clients that share
+    a memo share those answers.
     """
 
     endpoint: str
@@ -112,6 +162,7 @@ class HttpChatClient:
     api_key: Optional[str] = None
     timeout: float = 60.0
     session: requests.Session = field(default_factory=requests.Session, repr=False)
+    memo: ResponseMemo = field(default_factory=ResponseMemo, repr=False)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         payload: dict = {
@@ -121,23 +172,36 @@ class HttpChatClient:
         }
         if self.seed is not None:
             payload["seed"] = self.seed
+        # the bytes requests would send for json=payload
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        key = hashlib.sha256(body).digest() if self.temperature == 0 else None
+        if key is not None:
+            text = self.memo.get(key)
+            if text is not None:
+                return text
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             response = self.session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                self.endpoint, data=body, headers=headers, timeout=self.timeout
             )
             response.raise_for_status()
-            body = response.json()
+            envelope = response.json()
+        except requests.HTTPError as exc:
+            status = exc.response.status_code
+            retryable = not 400 <= status < 500 or status in _RETRYABLE_4XX
+            raise TransportError(str(exc), retryable=retryable) from exc
         except (requests.RequestException, ValueError) as exc:
             raise TransportError(str(exc)) from exc
         try:
-            content = body["choices"][0]["message"]["content"]
+            content = envelope["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed completion envelope: {body!r}") from exc
+            raise TransportError(f"malformed completion envelope: {envelope!r}") from exc
         if not isinstance(content, str):
             raise TransportError(f"completion content is not text: {content!r}")
+        if key is not None:
+            self.memo.put(key, content)
         return content
 
 
@@ -145,14 +209,20 @@ class HttpChatClient:
 # Response parsing
 
 _QUOTE_PAIRS = {"`": "'", "'": "'", '"': '"'}
+# A value ends at the first closing quote that ends the dictionary (a
+# trailing comma allowed) or is followed by another quoted key, so
+# apostrophes inside it survive and a second key does not leak into it.
+_VALUE_END = {
+    quote: re.compile(re.escape(quote) + r"(?=\s*(?:,?\s*\Z|,\s*[`'\"][^`'\"]*[`'\"]\s*:))")
+    for quote in ("'", '"')
+}
 
 
 def _extract_dict_value(text: str, key: str) -> str:
     """Pull the quoted value of ``key`` out of a dictionary-shaped response.
 
-    Tolerates prose around the dictionary and either backtick or standard
-    quoting; the value runs to the last closing quote before the dictionary
-    ends, so apostrophes inside the value survive.
+    Tolerates prose around the dictionary, other keys before or after
+    ``key``, and either backtick or standard quoting.
     """
     start = text.find("{")
     end = text.rfind("}")
@@ -165,11 +235,10 @@ def _extract_dict_value(text: str, key: str) -> str:
     rest = body[key_match.end() :]
     if not rest or rest[0] not in _QUOTE_PAIRS:
         raise ResponseRejection(f"no-{key.lower()}-key", f"{key} value is not a quoted string")
-    closing = _QUOTE_PAIRS[rest[0]]
-    value_end = rest.rfind(closing)
-    if value_end <= 0:
+    value_end = _VALUE_END[_QUOTE_PAIRS[rest[0]]].search(rest, 1)
+    if value_end is None:
         raise ResponseRejection(f"no-{key.lower()}-key", f"{key} value is not closed")
-    return rest[1:value_end]
+    return rest[1 : value_end.start()]
 
 
 def build_stage2_prompt(svo_block: str) -> list[ChatMessage]:
@@ -247,8 +316,9 @@ def _call_with_retries(
 ):
     """Run request+parse up to ``retries`` extra times before giving up.
 
-    Transport failures back off exponentially; parse failures re-prompt
-    immediately.  The final failure's reason code is raised.
+    Transport failures back off exponentially, and one that cannot be
+    retried is raised at once; parse failures re-prompt immediately.  The
+    final failure's reason code is raised.
     """
     last: ResponseRejection | None = None
     for attempt in range(retries + 1):
@@ -256,6 +326,8 @@ def _call_with_retries(
             return parse(client.complete(messages))
         except TransportError as exc:
             last = ResponseRejection(REJECT_TRANSPORT, str(exc))
+            if not exc.retryable:
+                raise last from exc
             if attempt < retries and backoff > 0:
                 time.sleep(backoff * (2**attempt))
         except ResponseRejection as exc:

@@ -18,7 +18,14 @@ from typing import Callable, Optional, Sequence
 from .boxes import BoundingBox
 from .config import PipelineConfig
 from .ingest import EmptyMaskError, FrameGrounding
-from .llm import ChatClient, HttpChatClient, ResponseRejection, aggregate_video, track_by_language
+from .llm import (
+    ChatClient,
+    HttpChatClient,
+    ResponseMemo,
+    ResponseRejection,
+    aggregate_video,
+    track_by_language,
+)
 from .records import REJECTED, ValidationReport, VideoAnnotation
 from .svo import extract_svo, pos_tag
 from .tubes import assemble_tracks, build_record
@@ -74,7 +81,12 @@ def collect_frame_objects(
 
 
 def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
-    """Makes HTTP chat clients for ``config``; raises at once when no endpoint is set."""
+    """Makes HTTP chat clients for ``config``; raises at once when no endpoint is set.
+
+    Every client it makes shares one :class:`ResponseMemo`, so at
+    temperature 0 a run sends each distinct request once, unless workers
+    miss on it at the same moment.
+    """
     if not config.endpoint:
         raise ValueError("no endpoint configured (use --endpoint or a config file)")
     return functools.partial(
@@ -84,6 +96,7 @@ def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
         temperature=config.temperature,
         seed=config.seed,
         api_key=config.api_key(),
+        memo=ResponseMemo(),
     )
 
 

@@ -121,6 +121,19 @@ class TestParseFrameGrounding:
         assert excinfo.value.line == 2
         assert excinfo.value.field_path == "$.objects[0].mask[1]"
 
+    @pytest.mark.parametrize(
+        "second, field_path",
+        [
+            ({"phrase": "a cup", "mask": [100, 6, 5]}, "$.objects[1].mask"),
+            ({"phrase": "a cup", "box": [10, 10, -4, 20]}, "$.objects[1].box"),
+        ],
+    )
+    def test_object_check_names_the_object(self, second, field_path):
+        first = {"phrase": "a bowl", "mask": [100, 6, 455 * 256 - 106]}
+        with pytest.raises(SchemaError) as excinfo:
+            parse_frame_grounding(to_jsonl([frame_line(objects=[first, second])]))
+        assert excinfo.value.field_path == field_path
+
     def test_masks_stay_encoded(self):
         line = frame_line(objects=[{"phrase": "a cup", "mask": [100, 6, 455 * 256 - 106]}])
         record = parse_frame_grounding(to_jsonl([line]))[0]
@@ -308,6 +321,26 @@ class TestStreamFrameGroundings:
         lines = to_jsonl([frame_line(), frame_line()]).splitlines()
         with pytest.raises(SchemaError, match="duplicate"):
             list(ingest.stream_frame_groundings(lines))
+
+    @pytest.mark.parametrize(
+        "bad, field_path",
+        [
+            (frame_line(frame_index=-1), "$.frame_index"),
+            (frame_line(objects=[{"phrase": "a cup", "mask": [1, 2]}]), "$.objects[0].mask"),
+        ],
+    )
+    def test_errors_name_the_streamed_line(self, bad, field_path):
+        lines = to_jsonl([frame_line(frame_index=0), frame_line(frame_index=1)]).splitlines()
+        lines += [b"", to_jsonl([bad]).strip()]
+        with pytest.raises(SchemaError) as excinfo:
+            list(ingest.stream_frame_groundings(lines))
+        assert (excinfo.value.line, excinfo.value.field_path) == (4, field_path)
+
+    def test_invalid_json_names_the_streamed_line(self):
+        lines = to_jsonl([frame_line()]).splitlines() + [b"{"]
+        with pytest.raises(SchemaError, match="invalid JSON") as excinfo:
+            list(ingest.stream_frame_groundings(lines))
+        assert excinfo.value.line == 2
 
 
 @pytest.fixture

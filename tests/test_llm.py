@@ -1,5 +1,12 @@
-import pytest
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+import requests
+from hypothesis import given, strategies as st
+
+import groundcap.llm as llm
 from groundcap import (
     BoundingBox,
     HttpChatClient,
@@ -82,6 +89,44 @@ class TestStage2Parse:
     def test_value_with_apostrophe(self):
         text = "{`CAPTION': `<p>a person's hand</p> moves'}"
         assert parse_stage2_response(text).caption.phrase_texts == ["a person's hand"]
+
+    def test_second_key_does_not_leak_into_caption(self):
+        text = "{`CAPTION': `<p>a cat</p> sits', `NOTE': `done'}"
+        assert parse_stage2_response(text).caption.plain == "a cat sits"
+
+    def test_trailing_comma_tolerated(self):
+        assert parse_stage2_response("{`CAPTION': `<p>a cat</p> sits',}").caption.plain == (
+            "a cat sits"
+        )
+
+
+QUOTINGS = [("`", "'"), ("'", "'"), ('"', '"')]
+# a colon is left out: a value holding `', `k': ...` reads as a second key
+DICT_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=":"))
+EXTRA_KEYS = st.lists(
+    st.tuples(st.sampled_from(["NOTE", "REASON", "score"]), DICT_TEXT, st.sampled_from(QUOTINGS)),
+    max_size=2,
+)
+
+
+def quoted_entry(key: str, value: str, quoting: tuple[str, str]) -> str:
+    opening, closing = quoting
+    return f"{opening}{key}{closing}: {opening}{value}{closing}"
+
+
+@given(
+    value=DICT_TEXT,
+    quoting=st.sampled_from(QUOTINGS),
+    before=EXTRA_KEYS,
+    after=EXTRA_KEYS,
+    separator=st.sampled_from([", ", ",", ",\n  "]),
+)
+def test_dict_value_round_trips_among_other_keys(value, quoting, before, after, separator):
+    entries = [quoted_entry(*entry) for entry in before]
+    entries.append(quoted_entry("CAPTION", value, quoting))
+    entries += [quoted_entry(*entry) for entry in after]
+    text = "{" + separator.join(entries) + "}"
+    assert llm._extract_dict_value(text, "CAPTION") == value
 
 
 class TestStage3Prompt:
@@ -196,6 +241,131 @@ class TestTrackByLanguage:
             )
         assert assignments[0].assigned is None
         assert any("None-class" in r.message for r in caplog.records)
+
+
+class TestRetryPolicy:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        return slept
+
+    @pytest.mark.parametrize(
+        "status, retryable",
+        [(400, False), (401, False), (403, False), (404, False), (408, True), (429, True),
+         (500, True), (503, True)],
+    )
+    def test_http_status_decides_retry(self, status, retryable, sleeps):
+        client = HttpChatClient(endpoint="http://x", model="m", session=StatusSession(status))
+        with pytest.raises(ResponseRejection) as excinfo:
+            aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+        assert excinfo.value.code == "transport"
+        assert client.session.posts == (3 if retryable else 1)
+        assert sleeps == ([0.5, 1.0] if retryable else [])
+
+    def test_missing_fixture_fails_after_one_request_without_sleeping(self, sleeps):
+        with MockLlmServer({}) as server:
+            client = HttpChatClient(endpoint=server.url, model="test-model")
+            assignments = track_by_language([obj(0, "a thing")], ["a person"], client)
+            assert server.request_count == 1
+        assert assignments[0].assigned is None
+        assert sleeps == []
+
+    def test_connection_error_is_retried(self, sleeps):
+        client = HttpChatClient(
+            endpoint="http://127.0.0.1:1/v1/chat/completions", model="m", timeout=0.2
+        )
+        with pytest.raises(ResponseRejection) as excinfo:
+            aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+        assert excinfo.value.code == "transport"
+        assert sleeps == [0.5, 1.0]
+
+
+class StatusSession:
+    """Stands in for ``requests.Session``: every POST gets ``status``."""
+
+    def __init__(self, status: int):
+        self.status = status
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        response = requests.Response()
+        response.status_code = self.status
+        response.url = url
+        response._content = b"{}"
+        return response
+
+
+class TestResponseMemo:
+    MESSAGES = build_stage3_prompt("person", ["a woman"])
+
+    def test_repeat_is_answered_from_memory(self):
+        fixtures = {request_hash(self.MESSAGES): category_response("a woman")}
+        with MockLlmServer(fixtures) as server:
+            client = HttpChatClient(endpoint=server.url, model="test-model")
+            answers = [client.complete(self.MESSAGES) for _ in range(3)]
+            assert server.request_count == 1
+        assert answers == [category_response("a woman")] * 3
+
+    def test_request_body_is_part_of_the_key(self):
+        with MockLlmServer({}, default=category_response(None)) as server:
+            memo = llm.ResponseMemo()
+            for model in ("m1", "m2"):
+                HttpChatClient(endpoint=server.url, model=model, memo=memo).complete(self.MESSAGES)
+            assert server.request_count == 2
+
+    def test_nonzero_temperature_always_reaches_the_endpoint(self):
+        with MockLlmServer({}, default=category_response(None)) as server:
+            client = HttpChatClient(endpoint=server.url, model="m", temperature=0.7)
+            for _ in range(3):
+                client.complete(self.MESSAGES)
+            assert server.request_count == 3
+
+    def test_failed_call_is_not_remembered(self):
+        with MockLlmServer({}) as server:
+            client = HttpChatClient(endpoint=server.url, model="m")
+            with pytest.raises(TransportError):
+                client.complete(self.MESSAGES)
+            server.responses[request_hash(self.MESSAGES)] = category_response("a woman")
+            assert client.complete(self.MESSAGES) == category_response("a woman")
+            assert server.request_count == 2
+
+    def test_least_recently_used_answer_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(llm, "MEMO_CAPACITY", 2)
+        a, b, c = (build_stage3_prompt(p, ["a woman"]) for p in ("a", "b", "c"))
+        with MockLlmServer({}, default=category_response(None)) as server:
+            client = HttpChatClient(endpoint=server.url, model="m")
+            for messages in (a, b, a, c):  # c evicts b, used less recently than a
+                client.complete(messages)
+            assert server.request_count == 3
+            client.complete(a)
+            assert server.request_count == 3
+            client.complete(b)
+            assert server.request_count == 4
+
+    def test_threads_share_one_memo_safely(self, monkeypatch):
+        monkeypatch.setattr(llm, "MEMO_CAPACITY", 16)
+        memo = llm.ResponseMemo()
+        keys = [bytes([k]) for k in range(50)]
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            for _ in range(2000):
+                key = rng.choice(keys)
+                if rng.random() < 0.5:
+                    memo.put(key, key.hex())
+                else:
+                    assert memo.get(key) in (None, key.hex())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(hammer, range(8), timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(memo._texts) <= 16
 
 
 class TestHttpClientWithMockServer:

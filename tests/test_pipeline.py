@@ -2,6 +2,7 @@ import pytest
 
 from groundcap import MockLlmServer, PipelineConfig, annotate_video, run_pipeline
 from groundcap.llm import HttpChatClient
+from groundcap.pipeline import http_client_factory
 from conftest import (
     BEVERAGE_FRAME_PHRASES,
     ReplayClient,
@@ -121,6 +122,32 @@ class TestRunPipeline:
         assert len(accepted) + len(rejected) == 5
         assert [r.video_id for r in rejected] == [broken_id]
         assert rejected[0].report.reason_codes == ["no-caption-key"]
+
+
+class TestSharedResponseMemo:
+    # 50 videos with the same content: one aggregation and six phrase
+    # classifications are the only distinct requests of the whole build
+    GROUNDINGS = {f"vid-{i:02d}": stirring_frames(f"vid-{i:02d}") for i in range(50)}
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_build_sends_each_distinct_request_once_per_worker_at_most(self, workers):
+        with MockLlmServer(stirring_fixtures()) as server:
+            config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=workers)
+            results = run_pipeline(self.GROUNDINGS, config)
+            requests_sent = server.request_count
+        assert all(r.report.accepted for r in results)
+        assert 7 <= requests_sent <= 7 * workers
+
+    def test_clients_of_one_factory_share_answers(self):
+        frames = stirring_frames()
+        with MockLlmServer(stirring_fixtures()) as server:
+            config = CONFIG.override(endpoint=server.url, model="mock")
+            make = http_client_factory(config)
+            for client in (make(), make()):
+                annotate_video(frames, client, config)
+            assert server.request_count == 7
+            annotate_video(frames, http_client_factory(config)(), config)
+            assert server.request_count == 14
 
 
 def test_http_client_seed_and_auth_fields():
