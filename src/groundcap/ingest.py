@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
@@ -56,8 +57,8 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-# The keywords _schema_errors checks; the input schemas may use no others
-# besides the annotations, which it ignores.
+# The keywords the compiled checkers handle; the input schemas may use no
+# others besides the annotations, which they ignore.
 _KEYWORDS = frozenset(
     {
         "type",
@@ -89,14 +90,31 @@ def _is_number(value) -> bool:
     )
 
 
-_TYPES = {  # JSON Schema type -> (test, description in messages)
-    "object": (lambda v: isinstance(v, dict), "an object"),
-    "array": (lambda v: isinstance(v, list), "an array"),
-    "string": (lambda v: isinstance(v, str), "a string"),
-    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
-    "number": (_is_number, "a finite number"),
-    "integer": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+def _is_integer(value) -> bool:
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+_TYPES = {  # JSON Schema type -> (Python classes, further test, description in messages)
+    "object": (dict, None, "an object"),
+    "array": (list, None, "an array"),
+    "string": (str, None, "a string"),
+    "boolean": (bool, None, "a boolean"),
+    "number": ((int, float), _is_number, "a finite number"),
+    "integer": ((int, float), _is_integer, "an integer"),
 }
+
+# (keyword, whether a number fails it, message), in the order they are checked
+_BOUNDS = (
+    ("minimum", operator.lt, "{!r} is less than the minimum of {}"),
+    ("maximum", operator.gt, "{!r} is greater than the maximum of {}"),
+    ("exclusiveMinimum", operator.le, "{!r} is not greater than {}"),
+)
+
+# A checker returns None for a valid value, else ``(path, message)`` for each
+# violation in walk order, the path relative to the checked value; a parent
+# puts its own segment in front as the errors travel up.
+_Errors = Optional[list[tuple[str, str]]]
+_Checker = Callable[[object], _Errors]
 
 
 def _show(value) -> str:
@@ -108,94 +126,248 @@ def _show(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _check_keywords(schema) -> None:
-    """Raise ``ValueError`` if ``schema`` uses anything :func:`_schema_errors` does not check."""
-    if not isinstance(schema, dict):
-        raise ValueError(f"unsupported schema {schema!r}: only object schemas are checked")
-    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
-    if unknown:
-        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
-    if schema.get("type", "object") not in tuple(_TYPES):
-        raise ValueError(f"unsupported schema type {schema['type']!r}")
-    if schema.get("additionalProperties", False) is not False:
-        raise ValueError("only additionalProperties: false is supported")
-    subschemas = [
-        *schema.get("properties", {}).values(),
-        *schema.get("patternProperties", {}).values(),
-        *schema.get("oneOf", []),
-    ]
-    if "items" in schema:
-        subschemas.append(schema["items"])
-    for sub in subschemas:
-        _check_keywords(sub)
+def _nested(errors: _Errors, found: list[tuple[str, str]], segment: str) -> list[tuple[str, str]]:
+    """``errors`` followed by a child's ``found``, moved under ``segment``."""
+    moved = [(segment + path, message) for path, message in found]
+    return moved if errors is None else errors + moved
 
 
-@lru_cache(maxsize=None)
-def _input_schema(name: str) -> dict:
-    """The shipped schema ``name``, once checked to use only what the walker handles."""
-    schema = load_schema(name)
-    _check_keywords(schema)
-    return schema
-
-
-def _schema_errors(value, schema: dict, path: str) -> Iterator[tuple[str, str]]:
-    """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``.
+def _compile(schema) -> _Checker:
+    """The checker for ``schema``; ``ValueError`` on anything it does not handle.
 
     Keywords mean what JSON Schema 2020-12 says and apply by the type of the
     value, with two tightenings: numbers must be finite doubles, and a
     ``patternProperties`` key must match its pattern whole (ECMA-262 ``$``,
     which Python's ``re.search`` would let match before a trailing newline).
+    Each keyword's arguments are read here, once, so checking a value looks
+    nothing up in the schema.
     """
-    if "type" in schema:
-        test, expected = _TYPES[schema["type"]]
-        if not test(value):
-            yield path, f"expected {expected}, got {_show(value)}"
-            return
-    # numbers first: box coordinates and mask counts are most of the nodes
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if "minimum" in schema and value < schema["minimum"]:
-            yield path, f"{value!r} is less than the minimum of {schema['minimum']}"
-        if "maximum" in schema and value > schema["maximum"]:
-            yield path, f"{value!r} is greater than the maximum of {schema['maximum']}"
-        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-            yield path, f"{value!r} is not greater than {schema['exclusiveMinimum']}"
-    elif isinstance(value, dict):
-        for name in schema.get("required", ()):
+    if not isinstance(schema, dict):
+        raise ValueError(f"unsupported schema {schema!r}: only object schemas are checked")
+    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
+    if unknown:
+        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
+    kind = schema.get("type")
+    if kind is not None and kind not in tuple(_TYPES):
+        raise ValueError(f"unsupported schema type {kind!r}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError("only additionalProperties: false is supported")
+    by_value = {  # what applies to a value of each kind (a boolean has no keywords)
+        "number": _number_checker(schema),
+        "object": _object_checker(schema),
+        "array": _array_checker(schema),
+        "string": _string_checker(schema),
+    }
+    one_of = _one_of_checker(schema)
+    if kind is None:
+        return _then(_by_value_type(by_value), one_of) or (lambda value: None)
+    body = _then(by_value.get("number" if kind == "integer" else kind), one_of)
+    classes, further, expected = _TYPES[kind]
+
+    def typed(value) -> _Errors:
+        if not isinstance(value, classes) or (further is not None and not further(value)):
+            return [("", f"expected {expected}, got {_show(value)}")]
+        return body(value) if body is not None else None
+
+    return typed
+
+
+def _then(first: Optional[_Checker], second: Optional[_Checker]) -> Optional[_Checker]:
+    """Both checks in order; None when neither has anything to check."""
+    if first is None or second is None:
+        return first or second
+
+    def both(value) -> _Errors:
+        errors, more = first(value), second(value)
+        return errors + more if errors and more else errors or more
+
+    return both
+
+
+def _by_value_type(by_value: dict[str, Optional[_Checker]]) -> Optional[_Checker]:
+    """For a schema without ``type``: the checks that apply to the value's kind."""
+    if not any(by_value.values()):
+        return None
+
+    def check(value) -> _Errors:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            body = by_value["number"]
+        elif isinstance(value, dict):
+            body = by_value["object"]
+        elif isinstance(value, list):
+            body = by_value["array"]
+        elif isinstance(value, str):
+            body = by_value["string"]
+        else:
+            return None
+        return body(value) if body is not None else None
+
+    return check
+
+
+def _number_checker(schema: dict) -> Optional[_Checker]:
+    bounds = [(fails, schema[word], text) for word, fails, text in _BOUNDS if word in schema]
+    if not bounds:
+        return None
+
+    def check(value) -> _Errors:
+        errors = None
+        for fails, limit, text in bounds:
+            if fails(value, limit):
+                errors = (errors or []) + [("", text.format(value, limit))]
+        return errors
+
+    return check
+
+
+def _object_checker(schema: dict) -> Optional[_Checker]:
+    required = tuple(schema.get("required", ()))
+    properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    patterns = [
+        (re.compile(pattern).fullmatch, _compile(sub))
+        for pattern, sub in schema.get("patternProperties", {}).items()
+    ]
+    closed = "additionalProperties" in schema
+    walk = bool(properties or patterns or closed)
+    if not (required or walk):
+        return None
+
+    def check(value) -> _Errors:
+        errors = None
+        for name in required:
             if name not in value:
-                yield path, f"{name!r} is a required property"
-        properties = schema.get("properties", {})
-        patterns = schema.get("patternProperties", {})
+                errors = (errors or []) + [("", f"{name!r} is a required property")]
+        if not walk:
+            return errors
         for key, item in value.items():
-            known = key in properties
+            sub = properties.get(key)
+            known = sub is not None
             if known:
-                yield from _schema_errors(item, properties[key], f"{path}.{key}")
-            for pattern, sub in patterns.items():
-                if re.fullmatch(pattern, key):
+                found = sub(item)
+                if found:
+                    errors = _nested(errors, found, f".{key}")
+            for fullmatch, sub in patterns:
+                if fullmatch(key):
                     known = True
-                    yield from _schema_errors(item, sub, f"{path}.{key}")
-            if not known and "additionalProperties" in schema:
-                yield path, f"unexpected property {key!r}"
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            yield path, f"has {len(value)} items, fewer than {schema['minItems']}"
-        if "maxItems" in schema and len(value) > schema["maxItems"]:
-            yield path, f"has {len(value)} items, more than {schema['maxItems']}"
-        if "items" in schema:
-            items = schema["items"]
+                    found = sub(item)
+                    if found:
+                        errors = _nested(errors, found, f".{key}")
+            if not known and closed:
+                errors = (errors or []) + [("", f"unexpected property {key!r}")]
+        return errors
+
+    return check
+
+
+def _array_checker(schema: dict) -> Optional[_Checker]:
+    least, most = schema.get("minItems"), schema.get("maxItems")
+    items = _compile(schema["items"]) if "items" in schema else None
+    all_pass = _leaf_array_test(schema["items"]) if "items" in schema else None
+    if least is None and most is None and items is None:
+        return None
+
+    def check(value) -> _Errors:
+        errors = None
+        if least is not None and len(value) < least:
+            errors = [("", f"has {len(value)} items, fewer than {least}")]
+        if most is not None and len(value) > most:
+            errors = (errors or []) + [("", f"has {len(value)} items, more than {most}")]
+        if items is not None and (all_pass is None or not all_pass(value)):
             for i, item in enumerate(value):
-                yield from _schema_errors(item, items, f"{path}[{i}]")
-    elif isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            yield path, f"shorter than {schema['minLength']} characters"
-    if "oneOf" in schema:
-        options = schema["oneOf"]
-        valid = sum(next(_schema_errors(value, sub, path), None) is None for sub in options)
-        if valid != 1:
-            yield path, f"valid under {valid} of the {len(options)} oneOf schemas, expected 1"
+                found = items(item)
+                if found:
+                    errors = _nested(errors, found, f"[{i}]")
+        return errors
+
+    return check
+
+
+def _leaf_array_test(items: dict) -> Optional[Callable[[list], bool]]:
+    """A test that every item of a list passes the scalar schema ``items``.
+
+    It runs in C-level builtins (``map(type, ...)``, ``min``, ``max``), and
+    True means every item passes; on False the items are checked one by one,
+    which finds the errors.  None when ``items`` is not a scalar leaf.
+    """
+    if set(items) - _ANNOTATIONS - {"type", "minimum", "maximum", "exclusiveMinimum"}:
+        return None
+    kind = items.get("type")
+    if kind == "boolean":  # bounds apply to numbers only
+        return lambda value: set(map(type, value)) <= {bool}
+    if kind not in ("number", "integer"):
+        return None
+    # bool is its own type here, so True in a number array takes the slow path
+    kinds = {int} if kind == "integer" else {int, float}
+    floor = max(-_DOUBLE_MAX, items.get("minimum", -_DOUBLE_MAX))
+    ceiling = min(_DOUBLE_MAX, items.get("maximum", _DOUBLE_MAX))
+    above = items.get("exclusiveMinimum")
+
+    def all_pass(value: list) -> bool:
+        if not value:
+            return True
+        seen = set(map(type, value))
+        if not seen <= kinds:
+            return False
+        # a NaN can hide from min and max, so a list with floats is searched for one
+        low, high = min(value), max(value)
+        return (
+            floor <= low
+            and high <= ceiling
+            and (above is None or low > above)
+            and not (float in seen and any(map(math.isnan, value)))
+        )
+
+    return all_pass
+
+
+def _string_checker(schema: dict) -> Optional[_Checker]:
+    if "minLength" not in schema:
+        return None
+    least = schema["minLength"]
+
+    def check(value) -> _Errors:
+        return [("", f"shorter than {least} characters")] if len(value) < least else None
+
+    return check
+
+
+def _one_of_checker(schema: dict) -> Optional[_Checker]:
+    if "oneOf" not in schema:
+        return None
+    options = [_compile(sub) for sub in schema["oneOf"]]
+
+    def check(value) -> _Errors:
+        valid = 0
+        for option in options:
+            if not option(value):
+                valid += 1
+        if valid == 1:
+            return None
+        return [("", f"valid under {valid} of the {len(options)} oneOf schemas, expected 1")]
+
+    return check
+
+
+@lru_cache(maxsize=None)
+def _input_schema(name: str) -> Callable[[object], list[tuple[str, str]]]:
+    """The checker of shipped schema ``name``, loaded and compiled once per process.
+
+    It returns ``(json_path, message)`` for each way a value breaks the
+    schema, in walk order, and an empty list for a valid value.
+    """
+    check = _compile(load_schema(name))
+
+    def errors(value) -> list[tuple[str, str]]:
+        found = check(value)
+        return [("$" + path, message) for path, message in found] if found else []
+
+    return errors
 
 
 def _check_schema(obj: dict, schema_name: str, line: Optional[int]) -> None:
-    for field_path, message in _schema_errors(obj, _input_schema(schema_name), "$"):
+    errors = _input_schema(schema_name)(obj)
+    if errors:
+        field_path, message = errors[0]
         raise SchemaError(message, line=line, field_path=field_path)
 
 
@@ -405,6 +577,7 @@ def stream_frame_groundings(lines: Iterable[bytes]) -> Iterator[tuple[str, list[
     """
     current_id: Optional[str] = None
     current: list[FrameGrounding] = []
+    frames: set[int] = set()  # frame indices of the current video
     finished: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
         text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
@@ -421,10 +594,12 @@ def stream_frame_groundings(lines: Iterable[bytes]) -> Iterator[tuple[str, list[
                 yield current_id, sorted(current, key=lambda r: r.frame_index)
             current_id = record.video_id
             current = []
-        if any(r.frame_index == record.frame_index for r in current):
+            frames = set()
+        if record.frame_index in frames:
             raise SchemaError(
                 f"duplicate frame record {(record.video_id, record.frame_index)}", line=line_no
             )
+        frames.add(record.frame_index)
         current.append(record)
     if current_id is not None:
         yield current_id, sorted(current, key=lambda r: r.frame_index)
@@ -535,8 +710,7 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
     phrase spans index it correctly, boxes stay inside the declared frame,
     and presence flags agree with the stored boxes.
     """
-    schema = _input_schema("video_annotation.schema.json")
-    errors = islice(_schema_errors(obj, schema, "$"), 10)
+    errors = _input_schema("video_annotation.schema.json")(obj)[:10]
     reasons = [("schema", f"{field_path}: {message}") for field_path, message in errors]
     if reasons:
         return reasons
@@ -610,7 +784,7 @@ def _apply_objectness(
                 f"track {index} missing confidence for frames {missing} "
                 f"with threshold {threshold}",
                 line=line,
-                field_path=f"tracks[{index}].confidence",
+                field_path=f"$.tracks[{index}].confidence",
             )
         kept = {t: box for t, box in track.boxes.items() if confidence[t] >= threshold}
         if not kept:

@@ -209,36 +209,63 @@ class HttpChatClient:
 # Response parsing
 
 _QUOTE_PAIRS = {"`": "'", "'": "'", '"': '"'}
-# A value ends at the first closing quote that ends the dictionary (a
-# trailing comma allowed) or is followed by another quoted key, so
-# apostrophes inside it survive and a second key does not leak into it.
-_VALUE_END = {
-    quote: re.compile(re.escape(quote) + r"(?=\s*(?:,?\s*\Z|,\s*[`'\"][^`'\"]*[`'\"]\s*:))")
-    for quote in ("'", '"')
-}
+# A value ends where the dictionary ends (a trailing comma allowed) or another
+# quoted key follows, so apostrophes inside it survive and a second key does
+# not leak into it.
+_AFTER_VALUE = r"(?=\s*(?:,?\s*\Z|,\s*[`'\"][^`'\"]*[`'\"]\s*:))"
+_VALUE_END = {quote: re.compile(re.escape(quote) + _AFTER_VALUE) for quote in ("'", '"')}
+_BARE_VALUE = re.compile(r"[^`'\",]*" + _AFTER_VALUE)  # a number, true or null
+# A key, quoted or not, where one can start: at the start of the dictionary
+# body or after the comma that follows a closed value.
+_KEY = re.compile(r"\s*[`'\"]?([^`'\":,]*?)[`'\"]?\s*:\s*")
+_COMMA = re.compile(r"\s*,")
 
 
 def _extract_dict_value(text: str, key: str) -> str:
     """Pull the quoted value of ``key`` out of a dictionary-shaped response.
 
     Tolerates prose around the dictionary, other keys before or after
-    ``key``, and either backtick or standard quoting.
+    ``key``, and either backtick or standard quoting.  The dictionary is read
+    key by key from its start, so ``key`` inside a longer key or inside an
+    earlier value is not taken for it; when that fails, each later ``{`` is
+    tried as the start, which passes over braces in prose and nested values.
     """
     start = text.find("{")
     end = text.rfind("}")
     if start < 0 or end <= start:
         raise ResponseRejection(REJECT_NO_DICTIONARY, "response contains no dictionary")
-    body = text[start + 1 : end]
-    key_match = re.search(rf"[`'\"]?{re.escape(key)}[`'\"]?\s*:\s*", body)
-    if key_match is None:
-        raise ResponseRejection(f"no-{key.lower()}-key", f"response dictionary has no {key} key")
-    rest = body[key_match.end() :]
-    if not rest or rest[0] not in _QUOTE_PAIRS:
-        raise ResponseRejection(f"no-{key.lower()}-key", f"{key} value is not a quoted string")
-    value_end = _VALUE_END[_QUOTE_PAIRS[rest[0]]].search(rest, 1)
-    if value_end is None:
-        raise ResponseRejection(f"no-{key.lower()}-key", f"{key} value is not closed")
-    return rest[1 : value_end.start()]
+    first_failure = None
+    while 0 <= start < end:
+        try:
+            return _dict_body_value(text[start + 1 : end], key)
+        except ResponseRejection as exc:
+            first_failure = first_failure or exc
+        start = text.find("{", start + 1)
+    raise first_failure
+
+
+def _dict_body_value(body: str, key: str) -> str:
+    code = f"no-{key.lower()}-key"
+    pos = 0
+    while (found := _KEY.match(body, pos)) is not None:
+        value_start = found.end()
+        opening = body[value_start : value_start + 1]
+        quoted = opening in _QUOTE_PAIRS
+        if quoted:
+            value_end = _VALUE_END[_QUOTE_PAIRS[opening]].search(body, value_start + 1)
+        else:
+            value_end = _BARE_VALUE.match(body, value_start)
+        if found.group(1) == key:
+            if not quoted:
+                raise ResponseRejection(code, f"{key} value is not a quoted string")
+            if value_end is None:
+                raise ResponseRejection(code, f"{key} value is not closed")
+            return body[value_start + 1 : value_end.start()]
+        comma = value_end and _COMMA.match(body, value_end.end())
+        if not comma:
+            break
+        pos = comma.end()
+    raise ResponseRejection(code, f"response dictionary has no {key} key")
 
 
 def build_stage2_prompt(svo_block: str) -> list[ChatMessage]:

@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from . import llm, tubes
 from .boxes import BoundingBox
 from .config import PipelineConfig
 from .ingest import EmptyMaskError, FrameGrounding
@@ -143,6 +144,41 @@ def annotate_video(
     return PipelineResult(video_id, annotation, report)
 
 
+class _HeldRecords(logging.Filter):
+    """Holds back the log records of threads that are annotating a video.
+
+    Workers finish videos in any order; holding each video's records until
+    its result is collected lets them reach the handlers in video-id order.
+    """
+
+    loggers = (logger, llm.logger, tubes.logger)  # the modules annotate_video logs from
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._local = threading.local()
+
+    def filter(self, record: logging.LogRecord) -> bool:
+        held = getattr(self._local, "held", None)
+        if held is None:
+            return True
+        held.append(record)
+        return False
+
+    def hold(self) -> list[logging.LogRecord]:
+        """Start holding this thread's records; returns the list they go to."""
+        self._local.held = []
+        return self._local.held
+
+    def release(self) -> None:
+        """Stop holding this thread's records."""
+        self._local.held = None
+
+
+def _handle(records: list[logging.LogRecord]) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
 def run_pipeline(
     groundings_by_video: dict[str, list[FrameGrounding]],
     config: PipelineConfig,
@@ -150,22 +186,42 @@ def run_pipeline(
 ) -> list[PipelineResult]:
     """Annotate a batch of videos with up to ``max_in_flight`` workers.
 
-    Results come back in sorted video-id order regardless of completion
-    order, so batch outputs are deterministic.  Each worker thread gets its
-    own client from ``client_factory`` (default: :func:`http_client_factory`
-    of the config).
+    Results, and the warnings logged while annotating each video, come back
+    in sorted video-id order regardless of completion order, so batch
+    outputs and logs are deterministic.  Each worker thread gets its own
+    client from ``client_factory`` (default: :func:`http_client_factory` of
+    the config).
     """
     if client_factory is None:
         client_factory = http_client_factory(config)
 
     local = threading.local()
+    held_records = _HeldRecords()
 
-    def worker(video_id: str) -> PipelineResult:
+    def worker(video_id: str) -> tuple[PipelineResult, list[logging.LogRecord]]:
         if not hasattr(local, "client"):
             local.client = client_factory()
-        return annotate_video(groundings_by_video[video_id], local.client, config)
+        held = held_records.hold()
+        try:
+            result = annotate_video(groundings_by_video[video_id], local.client, config)
+        except BaseException:
+            held_records.release()
+            _handle(held)  # a video that raised still shows what it logged
+            raise
+        held_records.release()
+        return result, held
 
     video_ids = sorted(groundings_by_video)
     workers = max(1, config.max_in_flight)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, video_ids))
+    results = []
+    for source in _HeldRecords.loggers:
+        source.addFilter(held_records)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for result, held in pool.map(worker, video_ids):
+                _handle(held)
+                results.append(result)
+    finally:
+        for source in _HeldRecords.loggers:
+            source.removeFilter(held_records)
+    return results

@@ -2,15 +2,18 @@
 
 Everything here deliberately avoids the library's code paths: IoU by
 counting unit grid cells, masks by full decode, CIDEr with dense vectors
-over an enumerated vocabulary, AP by enumerating the PR curve, and a
-recursive-descent parser for the rendered SVO block grammar.
+over an enumerated vocabulary, AP by enumerating the PR curve, a
+recursive-descent parser for the rendered SVO block grammar, and a schema
+walker that interprets the schema dict at every node.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
+from typing import Iterator
 
 import numpy as np
 
@@ -304,3 +307,91 @@ class SvoBlockParser:
 
 def parse_svo_block(text: str) -> list[list[dict]]:
     return SvoBlockParser(text).parse()
+
+
+# ---------------------------------------------------------------------------
+# Input schemas: the interpreting walker the compiled checkers must agree with
+
+_DOUBLE_MAX = sys.float_info.max
+
+
+def _is_number(value) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and -_DOUBLE_MAX <= value <= _DOUBLE_MAX
+    )
+
+
+_TYPES = {
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "number": (_is_number, "a finite number"),
+    "integer": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+}
+
+
+def _show(value) -> str:
+    if isinstance(value, dict):
+        return "an object"
+    if isinstance(value, list):
+        return "an array"
+    text = repr(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def schema_errors(value, schema: dict, path: str = "$") -> Iterator[tuple[str, str]]:
+    """Yield ``(json_path, message)`` for each way ``value`` breaks ``schema``.
+
+    Reads the schema dict afresh at every node.  Keywords mean what JSON
+    Schema 2020-12 says and apply by the type of the value, with two
+    tightenings: numbers must be finite doubles, and a ``patternProperties``
+    key must match its pattern whole.
+    """
+    if "type" in schema:
+        test, expected = _TYPES[schema["type"]]
+        if not test(value):
+            yield path, f"expected {expected}, got {_show(value)}"
+            return
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield path, f"{value!r} is less than the minimum of {schema['minimum']}"
+        if "maximum" in schema and value > schema["maximum"]:
+            yield path, f"{value!r} is greater than the maximum of {schema['maximum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield path, f"{value!r} is not greater than {schema['exclusiveMinimum']}"
+    elif isinstance(value, dict):
+        for name in schema.get("required", ()):
+            if name not in value:
+                yield path, f"{name!r} is a required property"
+        properties = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
+        for key, item in value.items():
+            known = key in properties
+            if known:
+                yield from schema_errors(item, properties[key], f"{path}.{key}")
+            for pattern, sub in patterns.items():
+                if re.fullmatch(pattern, key):
+                    known = True
+                    yield from schema_errors(item, sub, f"{path}.{key}")
+            if not known and "additionalProperties" in schema:
+                yield path, f"unexpected property {key!r}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield path, f"has {len(value)} items, fewer than {schema['minItems']}"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield path, f"has {len(value)} items, more than {schema['maxItems']}"
+        if "items" in schema:
+            items = schema["items"]
+            for i, item in enumerate(value):
+                yield from schema_errors(item, items, f"{path}[{i}]")
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            yield path, f"shorter than {schema['minLength']} characters"
+    if "oneOf" in schema:
+        options = schema["oneOf"]
+        valid = sum(next(schema_errors(value, sub, path), None) is None for sub in options)
+        if valid != 1:
+            yield path, f"valid under {valid} of the {len(options)} oneOf schemas, expected 1"

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from conftest import (
     beverage_fixtures,
     beverage_frames,
     make_corpus,
+    salt_word,
     stirring_fixtures,
     stirring_frames,
 )
@@ -121,6 +123,47 @@ class TestBuild:
         log = json.loads(rejected.read_text())
         assert log["video_id"] == "broken"
         assert log["reasons"][0]["code"] == "no-dictionary"
+
+    def test_multi_worker_stderr_is_the_same_every_run(self, tmp_path):
+        # every video drops an empty mask and an off-frame box, and demotes a
+        # phrase of its own that has no fixture (an HTTP 404) to the None-class
+        records, fixtures, owner = [], {}, {}
+        for n in range(6):
+            video_id = f"vid-{n}"
+            salt = salt_word(video_id)
+            owner[salt] = video_id
+            fixtures.update(stirring_fixtures(video_id, salted=True))
+            frames = frames_jsonl(stirring_frames(video_id, salted=True)).splitlines()
+            video = [json.loads(line) for line in frames]
+            video[1]["objects"].append({"phrase": f"a {salt}", "box": [1, 1, 5, 5]})
+            video[2]["objects"].append({"phrase": "a cup", "mask": [455 * 256]})
+            video[3]["objects"].append({"phrase": "a cup", "box": [500, 300, 10, 10]})
+            records += video
+        frames_path = tmp_path / "frames.jsonl"
+        frames_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        runs = []
+        with MockLlmServer(fixtures) as server:
+            config = write_config(tmp_path, server)
+            for run in range(2):
+                command = [
+                    sys.executable, "-m", "groundcap.cli", "build",
+                    "--input", str(frames_path),
+                    "--out", str(tmp_path / f"dataset-{run}.jsonl"),
+                    "--rejected", str(tmp_path / f"rejected-{run}.jsonl"),
+                    "--config", str(config),
+                    "--max-in-flight", "2",
+                ]
+                runs.append(subprocess.run(command, capture_output=True, timeout=120, check=True))
+        assert runs[0].stderr == runs[1].stderr
+        warnings = runs[0].stderr.decode().splitlines()
+
+        def video_of(line: str) -> str:
+            named = re.search(r"video (vid-\d)", line)
+            return named.group(1) if named else next(v for s, v in owner.items() if s in line)
+
+        videos = [video_of(line) for line in warnings]
+        assert videos == sorted(videos)
+        assert len(warnings) == 6 * 3
 
 
 class TestEval:

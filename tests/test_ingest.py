@@ -403,9 +403,12 @@ class TestLoadPredictions:
     def test_missing_confidence_with_filtering_is_error(self):
         record = json.loads(prediction_line({0: 0.9, 1: 0.9}))
         del record["tracks"][0]["confidence"]["1"]
-        data = (json.dumps(record) + "\n").encode()
-        with pytest.raises(SchemaError, match="confidence"):
+        record["video_id"] = "p2"
+        data = prediction_line({0: 0.9}) + (json.dumps(record) + "\n").encode()
+        with pytest.raises(SchemaError, match="confidence") as excinfo:
             load_predictions(data, objectness_threshold=0.5)
+        assert (excinfo.value.line, excinfo.value.field_path) == (2, "$.tracks[0].confidence")
+        assert str(excinfo.value).startswith("line 2: $.tracks[0].confidence: track 0 missing")
         # without filtering the partial confidence map is tolerated
         assert load_predictions(data, objectness_threshold=0.0)
 

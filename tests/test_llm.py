@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -99,12 +100,33 @@ class TestStage2Parse:
             "a cat sits"
         )
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{`SUBCAPTION': `x', `CAPTION': `<p>a cat</p> sits'}",
+            "{`NOTE': `see CAPTION: below', `CAPTION': `<p>a cat</p> sits'}",
+            '{"score": 0.5, "CAPTION": "<p>a cat</p> sits"}',
+            "Sure {here}: {`CAPTION': `<p>a cat</p> sits'}",
+            "{`NOTE': {`a': 1}, `CAPTION': `<p>a cat</p> sits'}",
+        ],
+    )
+    def test_key_is_read_only_where_a_key_starts(self, text):
+        assert parse_stage2_response(text).caption.plain == "a cat sits"
+
 
 QUOTINGS = [("`", "'"), ("'", "'"), ('"', '"')]
-# a colon is left out: a value holding `', `k': ...` reads as a second key
-DICT_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=":"))
+# a value holding `', `k': ...` reads as its end and a second key, so none does
+FAKE_END = re.compile(r"[`'\"]\s*,\s*[`'\"][^`'\"]*[`'\"]\s*:")
+DICT_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.lists(st.sampled_from(["CAPTION", ": ", "'", "`", ", ", "a"])).map("".join),
+).filter(lambda value: not FAKE_END.search(value))
 EXTRA_KEYS = st.lists(
-    st.tuples(st.sampled_from(["NOTE", "REASON", "score"]), DICT_TEXT, st.sampled_from(QUOTINGS)),
+    st.tuples(
+        st.sampled_from(["NOTE", "REASON", "score", "SUBCAPTION", "CAPTION2"]),
+        DICT_TEXT,
+        st.sampled_from(QUOTINGS),
+    ),
     max_size=2,
 )
 

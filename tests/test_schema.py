@@ -1,16 +1,19 @@
-"""The schema walker in ``ingest`` against jsonschema, the reference validator.
+"""The compiled schema checkers in ``ingest`` against two references.
 
-Random mutations of valid frame-grounding and annotation records must be
-accepted or rejected alike by both, except for the walker's two deliberate
-tightenings: numbers must be finite doubles (no NaN, infinity or integer past
-the double range), and a frame key must match its pattern whole (jsonschema's
-``re.search`` lets ``"0\\n"`` match ``^(0|[1-9][0-9]*)$``).
+Random mutations of valid frame-grounding and annotation records must get
+exactly the errors of ``oracles.schema_errors``, the walker that reads the
+schema at every node, in the same order.  They must also be accepted or
+rejected as jsonschema does, except for two deliberate tightenings: numbers
+must be finite doubles (no NaN, infinity or integer past the double range),
+and a frame key must match its pattern whole (jsonschema's ``re.search`` lets
+``"0\\n"`` match ``^(0|[1-9][0-9]*)$``).
 """
 
 import copy
 import json
 import math
 import re
+import sys
 
 import jsonschema
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import groundcap.ingest as ingest
 from groundcap import load_predictions, parse_frame_grounding
+from oracles import schema_errors
 
 FRAME_SCHEMA = "frame_grounding.schema.json"
 ANNOTATION_SCHEMA = "video_annotation.schema.json"
@@ -72,6 +76,10 @@ VALUES = st.one_of(
     st.lists(st.floats(-1, 500), min_size=3, max_size=5),
     st.dictionaries(KEYS, st.integers(0, 2), max_size=2),
 )
+# what a number or flag inside a box, mask or presence array can turn into
+SCALARS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 10**400, -(10**400), 2.0, -0.0, 1.5, -1, True, "1", None]
+)
 
 
 def nodes(value, path=()):
@@ -98,8 +106,18 @@ def mutate(record, data) -> None:
     everything = list(nodes(record))
     # a new value is a random one or a copy of a subtree, which keeps some edits valid
     new_value = st.one_of(VALUES, st.sampled_from([v for _, v in everything]).map(copy.deepcopy))
-    kind = data.draw(st.sampled_from(["delete", "retype", "float", "add", "grow", "both"]))
-    ints = [path for path, node in everything if type(node) is int]
+    kind = data.draw(
+        st.sampled_from(
+            ["delete", "retype", "float", "int", "scalar", "key", "add", "grow", "both"]
+        )
+    )
+    ints = [path for path, node in everything if type(node) is int and abs(node) < 2**1023]
+    integral = [path for path, node in everything if type(node) is float and node.is_integer()]
+    leaves = [  # items of the scalar arrays, which are checked in bulk
+        path
+        for path, _ in everything
+        if path[-2:-1] in (("box",), ("mask",), ("presence",)) or path[-3:-2] == ("boxes",)
+    ]
     dicts = [node for _, node in everything if isinstance(node, dict)]
     lists = [node for _, node in everything if isinstance(node, list)]
     located = [node for node in dicts if "box" in node or "mask" in node]
@@ -113,6 +131,16 @@ def mutate(record, data) -> None:
     elif kind == "float" and ints:  # 2 -> 2.0, still an integer to JSON Schema
         path = data.draw(st.sampled_from(ints))
         at(record, path[:-1])[path[-1]] = float(at(record, path))
+    elif kind == "int" and integral:  # 2.0 -> 2
+        path = data.draw(st.sampled_from(integral))
+        at(record, path[:-1])[path[-1]] = int(at(record, path))
+    elif kind == "scalar" and leaves:
+        path = data.draw(st.sampled_from(leaves))
+        at(record, path[:-1])[path[-1]] = data.draw(SCALARS)
+    elif kind == "key" and any(dicts):  # rename a key, such as a frame key to "0\n"
+        target = data.draw(st.sampled_from([node for node in dicts if node]))
+        old_key = data.draw(st.sampled_from(sorted(target)))
+        target[data.draw(KEYS)] = target.pop(old_key)
     elif kind == "grow" and lists:
         data.draw(st.sampled_from(lists)).append(data.draw(new_value))
     elif kind == "both" and located:
@@ -127,6 +155,8 @@ def tightened(value) -> bool:
     """Whether ``value`` holds what only the walker rejects."""
     if isinstance(value, float):
         return not math.isfinite(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) > sys.float_info.max
     if isinstance(value, dict):
         return any(
             (FRAME_KEY.search(key) and not FRAME_KEY.fullmatch(key)) or tightened(item)
@@ -137,16 +167,21 @@ def tightened(value) -> bool:
     return False
 
 
-def walker_accepts(record, name: str) -> bool:
-    return next(ingest._schema_errors(record, ingest._input_schema(name), "$"), None) is None
+def accepts(record, name: str) -> bool:
+    return not ingest._input_schema(name)(record)
 
 
-def check_against_jsonschema(base: dict, name: str, parse, data) -> None:
+def mutated(base: dict, data) -> dict:
     record = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 3))):
         mutate(record, data)
+    return record
+
+
+def check_against_jsonschema(base: dict, name: str, parse, data) -> None:
+    record = mutated(base, data)
     reference = jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
-    accepted = walker_accepts(record, name)
+    accepted = accepts(record, name)
     assert accepted == (reference and not tightened(record)), record
     if accepted:
         # a record past the schema parses or fails with a ValueError, never a crash
@@ -168,10 +203,19 @@ def test_annotation_records_accepted_as_jsonschema_does(data):
     check_against_jsonschema(ANNOTATION, ANNOTATION_SCHEMA, load_predictions, data)
 
 
+@pytest.mark.parametrize("name, base", [(FRAME_SCHEMA, FRAME), (ANNOTATION_SCHEMA, ANNOTATION)])
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_compiled_errors_equal_the_walker(name, base, data):
+    record = mutated(base, data)
+    expected = list(schema_errors(record, ingest.load_schema(name), "$"))
+    assert ingest._input_schema(name)(record) == expected, record
+
+
 @pytest.mark.parametrize("name", [FRAME_SCHEMA, ANNOTATION_SCHEMA])
 def test_base_records_are_valid(name):
     record = FRAME if name == FRAME_SCHEMA else ANNOTATION
-    assert walker_accepts(record, name)
+    assert accepts(record, name)
     assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
 
 
@@ -202,7 +246,7 @@ def test_boundaries_agree_with_jsonschema(name, path, value, valid):
     record = copy.deepcopy(FRAME if name == FRAME_SCHEMA else ANNOTATION)
     at(record, path[:-1])[path[-1]] = value
     assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record) == valid
-    assert walker_accepts(record, name) == valid
+    assert accepts(record, name) == valid
 
 
 def test_the_tightenings_reject_what_jsonschema_accepts():
@@ -217,8 +261,8 @@ def test_the_tightenings_reject_what_jsonschema_accepts():
         (dict(FRAME, width=10**400), FRAME_SCHEMA),
     ]:
         assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
-        assert not walker_accepts(record, name)
-    assert not walker_accepts(infinite_count, FRAME_SCHEMA)
+        assert not accepts(record, name)
+    assert not accepts(infinite_count, FRAME_SCHEMA)
 
 
 def schema_keywords(schema: dict):
@@ -238,7 +282,7 @@ def schema_keywords(schema: dict):
 def test_input_schemas_use_only_handled_keywords(name):
     schema = ingest.load_schema(name)
     assert set(schema_keywords(schema)) <= ingest._KEYWORDS | ingest._ANNOTATIONS
-    assert ingest._input_schema(name) is schema
+    assert ingest._input_schema(name) is ingest._input_schema(name)  # compiled once
 
 
 @pytest.mark.parametrize(
@@ -253,4 +297,4 @@ def test_input_schemas_use_only_handled_keywords(name):
 )
 def test_unhandled_schema_raises(schema):
     with pytest.raises(ValueError, match="unsupported|only"):
-        ingest._check_keywords(schema)
+        ingest._compile(schema)
