@@ -30,7 +30,6 @@ from .ingest import (
     serialize_video_annotation,
     stream_frame_groundings,
     validate_annotation_dict,
-    write_annotations,
 )
 from .llm import (
     AggregatedCaption,
@@ -48,12 +47,9 @@ from .llm import (
 )
 from .metrics import (
     EvalConfig,
-    GtBox,
     MetricsReport,
-    PredBox,
     cider,
     evaluate,
-    match_frame,
     meteor_lite,
     phrase_similarity,
     stem,
@@ -83,7 +79,6 @@ __all__ = [
     "EvalConfig",
     "FrameGrounding",
     "FrameObject",
-    "GtBox",
     "HttpChatClient",
     "LexiconTagger",
     "MalformedCaptionError",
@@ -94,7 +89,6 @@ __all__ = [
     "PhraseSpan",
     "PipelineConfig",
     "PipelineResult",
-    "PredBox",
     "RecordValidationError",
     "ResponseRejection",
     "RleMask",
@@ -122,7 +116,6 @@ __all__ = [
     "iou",
     "load_predictions",
     "mask_to_box",
-    "match_frame",
     "meteor_lite",
     "normalize_box",
     "parse_frame_grounding",
@@ -143,5 +136,4 @@ __all__ = [
     "tokenize",
     "track_by_language",
     "validate_annotation_dict",
-    "write_annotations",
 ]

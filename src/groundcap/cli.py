@@ -17,26 +17,29 @@ import hashlib
 import logging
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .config import PipelineConfig
 from .ingest import (
+    SchemaError,
     annotation_to_dict,
     group_frame_groundings,
+    iter_jsonl,
     load_predictions,
     parse_frame_grounding,
     read_annotations,
     validate_annotation_dict,
-    iter_jsonl,
 )
 from .captions import parse_tagged_caption, render_tagged_caption
 from .jsonio import canonical_json, canonical_jsonl_bytes
 from .llm import ResponseRejection, aggregate_video, track_by_language
 from .metrics import EvalConfig, evaluate
 from .mockllm import serve_fixtures
-from .pipeline import collect_frame_objects, http_client_factory, run_pipeline
+from .pipeline import collect_frame_objects, map_videos, run_pipeline
 from .records import SvoFrame, SvoRelation
 from .stats import dataset_stats
 from .svo import extract_svo, pos_tag
@@ -48,22 +51,25 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(
-    command: str,
+def _write_outputs(
+    args: argparse.Namespace,
     config: PipelineConfig,
     inputs: dict[str, bytes],
     outputs: dict[str, bytes],
     counts: dict[str, int],
-    manifest_path: Path,
 ) -> None:
+    """Write each output file, then ``<out>.manifest.json`` (or ``--manifest``)."""
+    for path, data in outputs.items():
+        Path(path).write_bytes(data)
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
         "config_hash": config.config_hash(),
         "inputs": {name: _digest(data) for name, data in inputs.items()},
         "outputs": {name: _digest(data) for name, data in outputs.items()},
         "counts": counts,
     }
+    manifest_path = Path(args.manifest or f"{args.out}.manifest.json")
     manifest_path.write_bytes(canonical_json(manifest).encode("utf-8") + b"\n")
 
 
@@ -88,41 +94,19 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     return config.override(**overrides)
 
 
-def _svo_payload(video_id: str, frames) -> dict:
-    return {
-        "video_id": video_id,
-        "frames": [
-            {
-                "frame_index": frame.frame_index,
-                "relations": [
-                    {
-                        "subject": r.subject,
-                        "verb": r.verb,
-                        "object": r.object,
-                        "adpositions": [list(p) for p in r.adpositions],
-                    }
-                    for r in frame.relations
-                ],
-            }
-            for frame in frames
-        ],
-    }
+@contextmanager
+def _stage_record(line: int) -> Iterator[None]:
+    """Reports a malformed record of a stage output file as a SchemaError at ``line``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise SchemaError(f"{exc.args[0]!r} is a required property", line=line) from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc), line=line) from exc
 
 
-def _svo_frames_from_payload(obj: dict) -> list[SvoFrame]:
-    frames = []
-    for item in obj["frames"]:
-        relations = tuple(
-            SvoRelation(
-                subject=r["subject"],
-                verb=r["verb"],
-                object=r.get("object"),
-                adpositions=tuple((p[0], p[1]) for p in r.get("adpositions", [])),
-            )
-            for r in item["relations"]
-        )
-        frames.append(SvoFrame(item["frame_index"], relations))
-    return frames
+def _with_reasons(video_id: str, reasons) -> dict:
+    return {"video_id": video_id, "reasons": [{"code": c, "message": m} for c, m in reasons]}
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +135,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 ],
             }
         )
-    payload = canonical_jsonl_bytes(out_records)
-    out = Path(args.out)
-    out.write_bytes(payload)
     videos = {r.video_id for r in records}
-    _write_manifest(
-        "ingest",
+    _write_outputs(
+        args,
         config,
         {args.input: raw},
-        {args.out: payload},
+        {args.out: canonical_jsonl_bytes(out_records)},
         {"frames": len(records), "videos": len(videos), "dropped_objects": dropped},
-        Path(args.manifest or f"{args.out}.manifest.json"),
     )
-    print(f"ingested {len(records)} frames across {len(videos)} videos -> {out}")
+    print(f"ingested {len(records)} frames across {len(videos)} videos -> {Path(args.out)}")
     return 0
 
 
@@ -171,60 +151,55 @@ def _cmd_svo(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw = Path(args.input).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw))
-    payloads = []
-    for video_id in sorted(by_video):
-        frames = [
-            extract_svo(pos_tag(f.caption), f.frame_index) for f in by_video[video_id]
-        ]
-        payloads.append(_svo_payload(video_id, frames))
+    payloads = [
+        {
+            "video_id": video_id,
+            "frames": [
+                asdict(extract_svo(pos_tag(f.caption), f.frame_index)) for f in by_video[video_id]
+            ],
+        }
+        for video_id in sorted(by_video)
+    ]
     payload = canonical_jsonl_bytes(payloads)
-    Path(args.out).write_bytes(payload)
-    _write_manifest(
-        "svo",
-        config,
-        {args.input: raw},
-        {args.out: payload},
-        {"videos": len(payloads)},
-        Path(args.manifest or f"{args.out}.manifest.json"),
-    )
+    _write_outputs(args, config, {args.input: raw}, {args.out: payload}, {"videos": len(payloads)})
     print(f"extracted SVO frames for {len(payloads)} videos -> {args.out}")
     return 0
 
 
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    client = http_client_factory(config)()
     raw = Path(args.input).read_bytes()
-    captions = []
-    rejections = []
-    for _line, obj in iter_jsonl(raw):
-        frames = _svo_frames_from_payload(obj)
+    videos = []
+    for line, obj in iter_jsonl(raw):
+        with _stage_record(line):
+            frames = [
+                SvoFrame(f["frame_index"], tuple(SvoRelation(**r) for r in f["relations"]))
+                for f in obj["frames"]
+            ]
+            videos.append((obj["video_id"], frames))
+
+    def aggregate(video: tuple[str, list[SvoFrame]], client) -> dict:
+        video_id, frames = video
         try:
             aggregated = aggregate_video(
                 frames, client, retries=config.retries, backoff=config.backoff
             )
         except ResponseRejection as exc:
-            rejections.append(
-                {"video_id": obj["video_id"], "reasons": [{"code": exc.code, "message": exc.message}]}
-            )
-            continue
-        captions.append(
-            {
-                "video_id": obj["video_id"],
-                "caption": render_tagged_caption(aggregated.caption),
-            }
-        )
-    payload = canonical_jsonl_bytes(captions)
-    rejected_payload = canonical_jsonl_bytes(rejections)
-    Path(args.out).write_bytes(payload)
-    Path(args.rejected).write_bytes(rejected_payload)
-    _write_manifest(
-        "aggregate",
+            return _with_reasons(video_id, [(exc.code, exc.message)])
+        return {"video_id": video_id, "caption": render_tagged_caption(aggregated.caption)}
+
+    results = map_videos(videos, aggregate, config)
+    captions = [r for r in results if "caption" in r]
+    rejections = [r for r in results if "reasons" in r]
+    _write_outputs(
+        args,
         config,
         {args.input: raw},
-        {args.out: payload, args.rejected: rejected_payload},
-        {"videos": len(captions) + len(rejections), "accepted": len(captions), "rejected": len(rejections)},
-        Path(args.manifest or f"{args.out}.manifest.json"),
+        {
+            args.out: canonical_jsonl_bytes(captions),
+            args.rejected: canonical_jsonl_bytes(rejections),
+        },
+        {"videos": len(results), "accepted": len(captions), "rejected": len(rejections)},
     )
     print(f"aggregated {len(captions)} captions ({len(rejections)} rejected) -> {args.out}")
     return 0
@@ -232,48 +207,35 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    client = http_client_factory(config)()
     raw_frames = Path(args.input).read_bytes()
     raw_captions = Path(args.captions).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
-    captions = {
-        obj["video_id"]: parse_tagged_caption(obj["caption"])
-        for _line, obj in iter_jsonl(raw_captions)
-    }
-    outputs = []
-    for video_id in sorted(captions):
+    captions = {}
+    for line, obj in iter_jsonl(raw_captions):
+        with _stage_record(line):
+            captions[obj["video_id"]] = parse_tagged_caption(obj["caption"])
+    video_ids = sorted(captions)
+    for video_id in video_ids:
         if video_id not in by_video:
             raise SystemExit(f"error: no frame groundings for video {video_id!r}")
-        frame_objects = collect_frame_objects(by_video[video_id])
+
+    def track(video_id: str, client) -> dict:
         assignments = track_by_language(
-            frame_objects,
+            collect_frame_objects(by_video[video_id]),
             captions[video_id].phrase_texts,
             client,
             retries=config.retries,
             backoff=config.backoff,
         )
-        outputs.append(
-            {
-                "video_id": video_id,
-                "assignments": [
-                    {
-                        "frame_index": a.frame_index,
-                        "frame_phrase": a.frame_phrase,
-                        "assigned": a.assigned,
-                    }
-                    for a in assignments
-                ],
-            }
-        )
-    payload = canonical_jsonl_bytes(outputs)
-    Path(args.out).write_bytes(payload)
-    _write_manifest(
-        "track",
+        return {"video_id": video_id, "assignments": [asdict(a) for a in assignments]}
+
+    outputs = map_videos(video_ids, track, config)
+    _write_outputs(
+        args,
         config,
         {args.input: raw_frames, args.captions: raw_captions},
-        {args.out: payload},
+        {args.out: canonical_jsonl_bytes(outputs)},
         {"videos": len(outputs)},
-        Path(args.manifest or f"{args.out}.manifest.json"),
     )
     print(f"tracked phrases for {len(outputs)} videos -> {args.out}")
     return 0
@@ -288,23 +250,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     rejected = [r for r in results if r.annotation is None]
     dataset = canonical_jsonl_bytes([annotation_to_dict(r.annotation) for r in accepted])
     rejection_log = canonical_jsonl_bytes(
-        [
-            {
-                "video_id": r.video_id,
-                "reasons": [{"code": c, "message": m} for c, m in r.report.reasons],
-            }
-            for r in rejected
-        ]
+        [_with_reasons(r.video_id, r.report.reasons) for r in rejected]
     )
-    Path(args.out).write_bytes(dataset)
-    Path(args.rejected).write_bytes(rejection_log)
-    _write_manifest(
-        "build",
+    _write_outputs(
+        args,
         config,
         {args.input: raw},
         {args.out: dataset, args.rejected: rejection_log},
         {"videos": len(results), "accepted": len(accepted), "rejected": len(rejected)},
-        Path(args.manifest or f"{args.out}.manifest.json"),
     )
     print(
         f"built {len(accepted)} records ({len(rejected)} rejected) from "
@@ -330,14 +283,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         ),
     )
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
-    Path(args.out).write_bytes(payload)
-    _write_manifest(
-        "eval",
+    _write_outputs(
+        args,
         config,
         {args.pred: raw_pred, args.gt: raw_gt},
         {args.out: payload},
         {"videos": report.num_videos},
-        Path(args.manifest or f"{args.out}.manifest.json"),
     )
     frame, video = report.frame_level, report.video_level
     print(
@@ -360,23 +311,14 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             failures += 1
             for code, message in reasons:
                 print(f"{video_id}: {code}: {message}")
-        reports.append(
-            {
-                "video_id": video_id,
-                "status": status,
-                "reasons": [{"code": c, "message": m} for c, m in reasons],
-            }
-        )
+        reports.append({**_with_reasons(video_id, reasons), "status": status})
     if args.out:
-        payload = canonical_jsonl_bytes(reports)
-        Path(args.out).write_bytes(payload)
-        _write_manifest(
-            "validate",
+        _write_outputs(
+            args,
             _load_config(args),
             {args.input: raw},
-            {args.out: payload},
+            {args.out: canonical_jsonl_bytes(reports)},
             {"videos": len(reports), "accepted": len(reports) - failures, "rejected": failures},
-            Path(args.manifest or f"{args.out}.manifest.json"),
         )
     print(f"validated {len(reports)} records: {len(reports) - failures} ok, {failures} invalid")
     return 1 if failures else 0
@@ -387,14 +329,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     raw = Path(args.input).read_bytes()
     report = dataset_stats(read_annotations(raw))
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
-    Path(args.out).write_bytes(payload)
-    _write_manifest(
-        "stats",
-        config,
-        {args.input: raw},
-        {args.out: payload},
-        {"videos": report.num_videos},
-        Path(args.manifest or f"{args.out}.manifest.json"),
+    _write_outputs(
+        args, config, {args.input: raw}, {args.out: payload}, {"videos": report.num_videos}
     )
     for key, value in report.as_dict().items():
         print(f"{key}: {value}")

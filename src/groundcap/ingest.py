@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
-from .jsonio import canonical_json, canonical_jsonl_bytes
+from .jsonio import canonical_json
 from .records import ObjectTrack, RecordValidationError, VideoAnnotation
 
 
@@ -732,11 +732,6 @@ def read_annotations(data: bytes) -> list[VideoAnnotation]:
         seen.add(annotation.video_id)
         annotations.append(annotation)
     return annotations
-
-
-def write_annotations(annotations: Sequence[VideoAnnotation]) -> bytes:
-    """Serialize a dataset as canonical JSON-lines."""
-    return canonical_jsonl_bytes([annotation_to_dict(a) for a in annotations])
 
 
 # ---------------------------------------------------------------------------

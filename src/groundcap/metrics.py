@@ -307,34 +307,6 @@ def phrase_similarity(a: str, b: str, backend: SimilarityBackend | None = None) 
 # Matching
 
 
-@dataclass(frozen=True)
-class PredBox:
-    box: BoundingBox
-    phrase: str
-    confidence: float = 1.0
-
-
-@dataclass(frozen=True)
-class GtBox:
-    box: BoundingBox
-    phrase: str
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    pred_index: int
-    gt_index: int
-    iou: float
-    phrase_sim: float
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    pairs: tuple[MatchedPair, ...]
-    unmatched_preds: tuple[int, ...]
-    unmatched_gts: tuple[int, ...]
-
-
 class _SimCache:
     def __init__(self, backend: SimilarityBackend):
         self.backend = backend
@@ -395,36 +367,6 @@ def _greedy_assign(
             result[pi] = best
             taken.add(best[0])
     return result
-
-
-def match_frame(
-    preds: Sequence[PredBox],
-    gts: Sequence[GtBox],
-    iou_thresh: float = DEFAULT_IOU_THRESH,
-    sim_thresh: float = DEFAULT_SIM_THRESH,
-    backend: SimilarityBackend | None = None,
-) -> MatchResult:
-    """One-to-one matching of one frame's detections against its ground truth.
-
-    Predictions are taken in confidence order; each claims the unmatched GT
-    with the highest IoU among pairs passing both the IoU and the phrase
-    similarity gate.
-    """
-    sim = _SimCache(backend or _DEFAULT_BACKEND)
-    table = _iou_table(preds, gts)
-    assigned = _greedy_assign(
-        preds, gts, table, _pred_order(preds, table), iou_thresh, sim_thresh, sim
-    )
-    pairs = tuple(
-        MatchedPair(pi, gi, overlap, similarity)
-        for pi, (gi, overlap, similarity) in sorted(assigned.items())
-    )
-    matched_gts = {p.gt_index for p in pairs}
-    return MatchResult(
-        pairs=pairs,
-        unmatched_preds=tuple(i for i in range(len(preds)) if i not in assigned),
-        unmatched_gts=tuple(i for i in range(len(gts)) if i not in matched_gts),
-    )
 
 
 # ---------------------------------------------------------------------------

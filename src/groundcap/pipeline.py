@@ -4,6 +4,11 @@ One video flows: frame captions -> SVO frames -> aggregated caption ->
 phrase assignments -> tracks -> final record.  Every failure mode ends in a
 rejected :class:`ValidationReport` instead of an exception, so a batch over
 N videos always produces accepted + rejected == N.
+
+:func:`map_videos` is the one batch driver: ``build`` (through
+:func:`run_pipeline`), ``aggregate`` and ``track`` all run their per-video
+work through it, so ``max_in_flight`` bounds the workers of each, and their
+results and warnings come out in input order whatever the worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import llm, tubes
 from .boxes import BoundingBox
@@ -34,6 +39,9 @@ from .tubes import assemble_tracks, build_record
 logger = logging.getLogger(__name__)
 
 REJECT_INCONSISTENT_FRAMES = "inconsistent-frames"
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 @dataclass(frozen=True)
@@ -145,13 +153,13 @@ def annotate_video(
 
 
 class _HeldRecords(logging.Filter):
-    """Holds back the log records of threads that are annotating a video.
+    """Holds back the log records of threads that are working on a video.
 
     Workers finish videos in any order; holding each video's records until
-    its result is collected lets them reach the handlers in video-id order.
+    its result is collected lets them reach the handlers in input order.
     """
 
-    loggers = (logger, llm.logger, tubes.logger)  # the modules annotate_video logs from
+    loggers = (logger, llm.logger, tubes.logger)  # the modules per-video work logs from
 
     def __init__(self) -> None:
         super().__init__()
@@ -179,49 +187,56 @@ def _handle(records: list[logging.LogRecord]) -> None:
         logging.getLogger(record.name).handle(record)
 
 
-def run_pipeline(
-    groundings_by_video: dict[str, list[FrameGrounding]],
+def map_videos(
+    items: Sequence[T],
+    work: Callable[[T, ChatClient], R],
     config: PipelineConfig,
-    client_factory: Optional[Callable[[], ChatClient]] = None,
-) -> list[PipelineResult]:
-    """Annotate a batch of videos with up to ``max_in_flight`` workers.
+) -> list[R]:
+    """``work(item, client)`` for each item, with up to ``max_in_flight`` workers.
 
-    Results, and the warnings logged while annotating each video, come back
-    in sorted video-id order regardless of completion order, so batch
-    outputs and logs are deterministic.  Each worker thread gets its own
-    client from ``client_factory`` (default: :func:`http_client_factory` of
-    the config).
+    Results, and the warnings logged while working on each item, come back
+    in the order of ``items`` regardless of completion order, so batch
+    outputs and logs are deterministic.  Each worker thread makes its own
+    client with :func:`http_client_factory` of the config.
     """
-    if client_factory is None:
-        client_factory = http_client_factory(config)
-
+    client_factory = http_client_factory(config)
     local = threading.local()
     held_records = _HeldRecords()
 
-    def worker(video_id: str) -> tuple[PipelineResult, list[logging.LogRecord]]:
+    def worker(item: T) -> tuple[R, list[logging.LogRecord]]:
         if not hasattr(local, "client"):
             local.client = client_factory()
         held = held_records.hold()
         try:
-            result = annotate_video(groundings_by_video[video_id], local.client, config)
+            result = work(item, local.client)
         except BaseException:
             held_records.release()
-            _handle(held)  # a video that raised still shows what it logged
+            _handle(held)  # an item that raised still shows what it logged
             raise
         held_records.release()
         return result, held
 
-    video_ids = sorted(groundings_by_video)
-    workers = max(1, config.max_in_flight)
     results = []
     for source in _HeldRecords.loggers:
         source.addFilter(held_records)
     try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result, held in pool.map(worker, video_ids):
+        with ThreadPoolExecutor(max_workers=max(1, config.max_in_flight)) as pool:
+            for result, held in pool.map(worker, items):
                 _handle(held)
                 results.append(result)
     finally:
         for source in _HeldRecords.loggers:
             source.removeFilter(held_records)
     return results
+
+
+def run_pipeline(
+    groundings_by_video: dict[str, list[FrameGrounding]],
+    config: PipelineConfig,
+) -> list[PipelineResult]:
+    """Annotate a batch of videos through :func:`map_videos`, in sorted video-id order."""
+    return map_videos(
+        [groundings_by_video[video_id] for video_id in sorted(groundings_by_video)],
+        lambda frames, client: annotate_video(frames, client, config),
+        config,
+    )

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import (
     stirring_fixtures,
     stirring_frames,
 )
-from groundcap import MockLlmServer
+from groundcap import HttpChatClient, MockLlmServer
 
 
 def frames_jsonl(frames) -> str:
@@ -55,6 +56,29 @@ def write_config(tmp_path, server, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), "utf-8")
     return path
+
+
+def write_warning_videos(path):
+    """Frame groundings of 6 videos that each log three warnings.
+
+    Every video drops an empty mask and an off-frame box, and demotes a
+    phrase of its own that has no fixture (an HTTP 404) to the None-class.
+    Returns the fixtures and the video of each demoted phrase's salt word.
+    """
+    records, fixtures, owner = [], {}, {}
+    for n in range(6):
+        video_id = f"vid-{n}"
+        salt = salt_word(video_id)
+        owner[salt] = video_id
+        fixtures.update(stirring_fixtures(video_id, salted=True))
+        frames = frames_jsonl(stirring_frames(video_id, salted=True)).splitlines()
+        video = [json.loads(line) for line in frames]
+        video[1]["objects"].append({"phrase": f"a {salt}", "box": [1, 1, 5, 5]})
+        video[2]["objects"].append({"phrase": "a cup", "mask": [455 * 256]})
+        video[3]["objects"].append({"phrase": "a cup", "box": [500, 300, 10, 10]})
+        records += video
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    return fixtures, owner
 
 
 class TestBuild:
@@ -125,22 +149,8 @@ class TestBuild:
         assert log["reasons"][0]["code"] == "no-dictionary"
 
     def test_multi_worker_stderr_is_the_same_every_run(self, tmp_path):
-        # every video drops an empty mask and an off-frame box, and demotes a
-        # phrase of its own that has no fixture (an HTTP 404) to the None-class
-        records, fixtures, owner = [], {}, {}
-        for n in range(6):
-            video_id = f"vid-{n}"
-            salt = salt_word(video_id)
-            owner[salt] = video_id
-            fixtures.update(stirring_fixtures(video_id, salted=True))
-            frames = frames_jsonl(stirring_frames(video_id, salted=True)).splitlines()
-            video = [json.loads(line) for line in frames]
-            video[1]["objects"].append({"phrase": f"a {salt}", "box": [1, 1, 5, 5]})
-            video[2]["objects"].append({"phrase": "a cup", "mask": [455 * 256]})
-            video[3]["objects"].append({"phrase": "a cup", "box": [500, 300, 10, 10]})
-            records += video
         frames_path = tmp_path / "frames.jsonl"
-        frames_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        fixtures, owner = write_warning_videos(frames_path)
         runs = []
         with MockLlmServer(fixtures) as server:
             config = write_config(tmp_path, server)
@@ -343,6 +353,143 @@ class TestSvoAndIngest:
         assert assigned["a cup"] is None
 
 
+class TestStageWorkers:
+    @pytest.fixture
+    def warning_inputs(self, tmp_path):
+        fixtures, _owner = write_warning_videos(tmp_path / "frames.jsonl")
+        # vid-3's aggregation answer has no caption, so aggregate rejects it
+        fixtures[next(iter(stirring_fixtures("vid-3", salted=True)))] = "{`WRONG': `thing'}"
+        svo = ["svo", "--input", str(tmp_path / "frames.jsonl")]
+        assert main([*svo, "--out", str(tmp_path / "svo.jsonl")]) == 0
+        return fixtures
+
+    def test_aggregate_and_track_give_the_same_bytes_at_any_worker_count(
+        self, tmp_path, warning_inputs, monkeypatch, capsys, caplog
+    ):
+        original = HttpChatClient.complete
+        callers: set[int] = set()
+        lock = threading.Lock()
+        # the first two threads to ask wait for each other, so a run that
+        # sends every request from one thread fails here
+        barrier = threading.Barrier(2, timeout=10)
+
+        def complete(self, messages):
+            with lock:
+                first = threading.get_ident() not in callers and len(callers) < 2
+                callers.add(threading.get_ident())
+            if first and workers > 1:
+                barrier.wait()
+            return original(self, messages)
+
+        monkeypatch.setattr(HttpChatClient, "complete", complete)
+        capsys.readouterr()
+        runs = {}
+        with MockLlmServer(warning_inputs) as server:
+            config = write_config(tmp_path, server, retries=1)
+            for workers in (1, 3):
+                caplog.clear()
+                run_dir = tmp_path / f"workers-{workers}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                client = ["--config", str(config), "--max-in-flight", str(workers)]
+                aggregate = ["aggregate", "--input", "../svo.jsonl", "--out", "captions.jsonl"]
+                track = ["track", "--input", "../frames.jsonl", "--captions", "captions.jsonl"]
+                threads = []  # how many threads sent requests, per command
+                for argv in (
+                    [*aggregate, "--rejected", "rejected.jsonl"],
+                    [*track, "--out", "assignments.jsonl"],
+                ):
+                    callers.clear()
+                    assert main([*argv, *client]) == 0
+                    threads.append(len(callers))
+                out, err = capsys.readouterr()
+                logged = "".join(
+                    f"{r.levelname} {r.name}: {r.getMessage()}\n" for r in caplog.records
+                )
+                files = {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+                hashes = set()
+                for name in ("captions.jsonl.manifest.json", "assignments.jsonl.manifest.json"):
+                    # the config hash covers max_in_flight, so it alone may differ
+                    manifest = json.loads(files[name])
+                    hashes.add(manifest.pop("config_hash"))
+                    files[name] = canonical_json(manifest).encode()
+                runs[workers] = (files, out, err + logged, threads, hashes)
+        files, out, stderr, threads, hashes = runs[1]
+        files3, out3, stderr3, threads3, hashes3 = runs[3]
+        assert (files3, out3, stderr3) == (files, out, stderr)
+        assert threads == [1, 1]
+        assert min(threads3) > 1
+        assert len(hashes) == len(hashes3) == 1 and hashes != hashes3
+        assert sorted(files) == [
+            "assignments.jsonl",
+            "assignments.jsonl.manifest.json",
+            "captions.jsonl",
+            "captions.jsonl.manifest.json",
+            "rejected.jsonl",
+        ]
+        assert len(files["captions.jsonl"].splitlines()) == 5
+        assert b"vid-3" in files["rejected.jsonl"]
+        warnings = stderr.splitlines()
+        assert len(warnings) == 5 * 3  # track warns three times for each captioned video
+        assert [re.search(r"vid-\d", w) is not None for w in warnings].count(True) == 10
+
+
+class TestMalformedStageInput:
+    @pytest.fixture
+    def server(self):
+        with MockLlmServer({}) as server:
+            yield server
+
+    def run_failing(self, argv, tmp_path, server, capsys) -> str:
+        """The last line ``argv`` prints to stderr; it must fail before any request."""
+        config = write_config(tmp_path, server)
+        out = ["--out", str(tmp_path / "out.jsonl"), "--config", str(config)]
+        assert main([*argv, *out]) == 1
+        assert server.request_count == 0
+        return capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([{"video_id": "v1"}], "line 1: 'frames' is a required property"),
+            ([{"frames": []}], "line 1: 'video_id' is a required property"),
+            (
+                [
+                    {"video_id": "v0", "frames": []},
+                    {"video_id": "v1", "frames": [{"frame_index": 0}]},
+                ],
+                "line 2: 'relations' is a required property",
+            ),
+        ],
+    )
+    def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):
+        svo = tmp_path / "svo.jsonl"
+        svo.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == f"error: {message}"
+
+    def test_track_names_the_line(self, tmp_path, stir_input, server, capsys):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(json.dumps({"video_id": "v1"}) + "\n", "utf-8")
+        argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == "error: line 1: 'caption' is a required property"
+
+    def test_track_checks_every_video_before_any_request(self, tmp_path, stir_input, server):
+        captions = tmp_path / "captions.jsonl"
+        records = [
+            {"video_id": "vid-stir", "caption": "<p>A person</p> is stirring"},
+            {"video_id": "vid-zzz", "caption": "<p>A person</p> is stirring"},
+        ]
+        captions.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        config = write_config(tmp_path, server)
+        argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
+        with pytest.raises(SystemExit, match="no frame groundings for video 'vid-zzz'"):
+            main([*argv, "--out", str(tmp_path / "a.jsonl"), "--config", str(config)])
+        assert server.request_count == 0
+
+
 class TestUsageErrors:
     def test_unknown_flag_exit_2(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -421,6 +568,7 @@ def test_mock_llm_subcommand_serves_fixtures(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=5)
+        proc.stdout.close()
 
 
 def test_canonical_json_float_format():

@@ -7,21 +7,18 @@ import pytest
 from groundcap import (
     BoundingBox,
     EvalConfig,
-    GtBox,
     ObjectTrack,
-    PredBox,
     RecordValidationError,
     VideoAnnotation,
     cider,
     evaluate,
-    match_frame,
     meteor_lite,
     parse_tagged_caption,
     phrase_similarity,
     stem,
     tokenize,
 )
-from groundcap.metrics import _average_precision, cider_scores
+from groundcap.metrics import _Detection, _GtObject, _average_precision, _match_pool, cider_scores
 from conftest import make_annotation, make_corpus
 from oracles import ap_oracle, cider_oracle, grounding_oracle
 
@@ -241,28 +238,31 @@ class TestPhraseSimilarity:
             phrase_similarity("", "a cup")
 
 
-def pbox(x, y, w, h, phrase="a cup", conf=1.0):
-    return PredBox(BoundingBox(x, y, w, h), phrase, conf)
+def pbox(x, y, w, h, phrase="a cup", conf=1.0, seq=0):
+    return _Detection(0, BoundingBox(x, y, w, h), phrase, conf, seq)
 
 
 def gbox(x, y, w, h, phrase="a cup"):
-    return GtBox(BoundingBox(x, y, w, h), phrase)
+    return _GtObject(0, BoundingBox(x, y, w, h), phrase)
+
+
+def match(preds, gts, iou_thresh=0.5, sim_thresh=0.5):
+    """Seqs matched under both gates, and the IoU-only overlaps, of one frame."""
+    return _match_pool(preds, gts, iou_thresh, sim_thresh, phrase_similarity)
 
 
 class TestMatchFrame:
+    """Greedy one-to-one matching within one frame, at both gates."""
+
     def test_identical_all_matched(self):
-        preds = [pbox(0, 0, 10, 10), pbox(20, 20, 5, 5, "a bowl")]
+        preds = [pbox(0, 0, 10, 10, seq=0), pbox(20, 20, 5, 5, "a bowl", seq=1)]
         gts = [gbox(0, 0, 10, 10), gbox(20, 20, 5, 5, "a bowl")]
-        result = match_frame(preds, gts)
-        assert len(result.pairs) == 2
-        assert all(p.iou == 1.0 for p in result.pairs)
-        assert result.unmatched_preds == ()
-        assert result.unmatched_gts == ()
+        gated, overlaps = match(preds, gts)
+        assert gated == {0, 1}
+        assert overlaps == [1.0, 1.0]
 
     def test_no_preds(self):
-        result = match_frame([], [gbox(0, 0, 10, 10)])
-        assert result.pairs == ()
-        assert result.unmatched_gts == (0,)
+        assert match([], [gbox(0, 0, 10, 10)]) == (set(), [])
 
     def test_two_preds_compete_for_one_gt(self):
         # exhaustive check of the 2x1 case: higher confidence wins
@@ -271,28 +271,27 @@ class TestMatchFrame:
             preds = [pbox(0, 0, 10, 10, conf=0.9), pbox(1, 1, 10, 10, conf=0.6)]
             if not have_high_first:
                 preds = preds[::-1]
-            result = match_frame(preds, gts)
-            assert len(result.pairs) == 1
-            winner = result.pairs[0].pred_index
+            preds = [dataclasses.replace(p, seq=i) for i, p in enumerate(preds)]
+            gated, overlaps = match(preds, gts)
+            assert len(gated) == 1
+            (winner,) = gated
             assert preds[winner].confidence == 0.9
-            assert len(result.unmatched_preds) == 1
+            assert overlaps == [1.0]  # the IoU-only match goes the same way
 
     def test_iou_gate(self):
-        result = match_frame([pbox(8, 8, 10, 10)], [gbox(0, 0, 10, 10)])
-        assert result.pairs == ()  # IoU 4/196 below 0.5
+        gated, overlaps = match([pbox(8, 8, 10, 10)], [gbox(0, 0, 10, 10)])
+        assert gated == set()  # IoU 4/196 below 0.5
+        assert overlaps == [pytest.approx(4 / 196)]  # IoU-only matching has no floor
 
     def test_similarity_gate(self):
-        result = match_frame([pbox(0, 0, 10, 10, phrase="a dog")], [gbox(0, 0, 10, 10, "a cup")])
-        assert result.pairs == ()
-        loose = match_frame(
-            [pbox(0, 0, 10, 10, phrase="a dog")], [gbox(0, 0, 10, 10, "a cup")], sim_thresh=0.0
-        )
-        assert len(loose.pairs) == 1
+        preds, gts = [pbox(0, 0, 10, 10, phrase="a dog")], [gbox(0, 0, 10, 10, "a cup")]
+        assert match(preds, gts) == (set(), [1.0])
+        assert match(preds, gts, sim_thresh=0.0) == ({0}, [1.0])
 
     def test_thresholded_pairs_respect_floor(self):
-        result = match_frame([pbox(0, 0, 10, 10)], [gbox(3, 0, 10, 10)], iou_thresh=0.5)
-        for pair in result.pairs:
-            assert pair.iou >= 0.5
+        preds, gts = [pbox(0, 0, 10, 10)], [gbox(3, 0, 10, 10)]  # IoU 70/130
+        assert match(preds, gts, iou_thresh=0.5)[0] == {0}
+        assert match(preds, gts, iou_thresh=0.6)[0] == set()
 
 
 class TestAveragePrecision:
