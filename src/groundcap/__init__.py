@@ -28,16 +28,13 @@ from .ingest import (
     parse_video_annotation,
     read_annotations,
     serialize_video_annotation,
-    stream_frame_groundings,
     validate_annotation_dict,
 )
 from .llm import (
-    AggregatedCaption,
     ChatMessage,
     HttpChatClient,
     PhraseAssignment,
     ResponseRejection,
-    TransportError,
     aggregate_video,
     build_stage2_prompt,
     build_stage3_prompt,
@@ -47,7 +44,6 @@ from .llm import (
 )
 from .metrics import (
     EvalConfig,
-    MetricsReport,
     cider,
     evaluate,
     meteor_lite,
@@ -56,23 +52,21 @@ from .metrics import (
     tokenize,
 )
 from .mockllm import MockLlmServer, request_hash
-from .pipeline import PipelineResult, annotate_video, run_pipeline
+from .pipeline import annotate_video, run_pipeline
 from .records import (
     ObjectTrack,
     RecordValidationError,
     SvoFrame,
     SvoRelation,
-    ValidationReport,
     VideoAnnotation,
 )
-from .stats import StatsReport, dataset_stats
-from .svo import LexiconTagger, TaggedToken, extract_svo, pos_tag, render_svo_block
+from .stats import dataset_stats
+from .svo import extract_svo, pos_tag, render_svo_block
 from .tubes import assemble_tracks, build_record, derive_presence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedCaption",
     "BoundingBox",
     "ChatMessage",
     "EmptyMaskError",
@@ -80,26 +74,19 @@ __all__ = [
     "FrameGrounding",
     "FrameObject",
     "HttpChatClient",
-    "LexiconTagger",
     "MalformedCaptionError",
-    "MetricsReport",
     "MockLlmServer",
     "ObjectTrack",
     "PhraseAssignment",
     "PhraseSpan",
     "PipelineConfig",
-    "PipelineResult",
     "RecordValidationError",
     "ResponseRejection",
     "RleMask",
     "SchemaError",
-    "StatsReport",
     "SvoFrame",
     "SvoRelation",
     "TaggedCaption",
-    "TaggedToken",
-    "TransportError",
-    "ValidationReport",
     "VideoAnnotation",
     "aggregate_video",
     "annotate_video",
@@ -132,7 +119,6 @@ __all__ = [
     "run_pipeline",
     "serialize_video_annotation",
     "stem",
-    "stream_frame_groundings",
     "tokenize",
     "track_by_language",
     "validate_annotation_dict",

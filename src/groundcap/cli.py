@@ -18,7 +18,7 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -75,23 +75,10 @@ def _write_outputs(
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
     config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for name in (
-        "endpoint",
-        "model",
-        "temperature",
-        "retries",
-        "max_in_flight",
-        "fps",
-        "iou_thresh",
-        "sim_thresh",
-        "similarity",
-        "embedding_endpoint",
-        "objectness_threshold",
-    ):
-        if hasattr(args, name):
-            overrides[name] = getattr(args, name)
-    return config.override(**overrides)
+    # every flag whose dest is a config field overrides it when given
+    return config.override(
+        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
+    )
 
 
 @contextmanager

@@ -51,11 +51,11 @@ class PipelineConfig:
         changes = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **changes) if changes else self
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_dict()).encode("utf-8")).hexdigest()
+        """Digest of every field but ``max_in_flight``, which changes no output byte."""
+        hashed = asdict(self)
+        del hashed["max_in_flight"]
+        return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 
     def api_key(self) -> Optional[str]:
         return os.environ.get(self.api_key_env)

@@ -408,19 +408,6 @@ class RleMask:
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
 
-    def decode(self) -> list[list[int]]:
-        """Materialize the full 0/1 grid, row-major."""
-        flat: list[int] = []
-        value = 0
-        for run in self.counts:
-            flat.extend([value] * run)
-            value = 1 - value
-        if len(flat) != self.width * self.height:
-            raise SchemaError(
-                f"mask runs sum to {len(flat)}, expected {self.width * self.height}"
-            )
-        return [flat[r * self.width : (r + 1) * self.width] for r in range(self.height)]
-
     def to_box(self) -> BoundingBox:
         return mask_to_box(self.counts, self.width, self.height)
 

@@ -69,10 +69,6 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
-def canonical_json_bytes(obj: Any) -> bytes:
-    return canonical_json(obj).encode("utf-8")
-
-
 def canonical_jsonl_bytes(objs: list[Any]) -> bytes:
     """One canonical JSON document per line, trailing newline included."""
     return "".join(canonical_json(o) + "\n" for o in objs).encode("utf-8")

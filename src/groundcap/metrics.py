@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Protocol, Sequence
 
-import numpy as np
 import requests
 
 from .boxes import BoundingBox, iou, normalize_box
@@ -125,7 +126,7 @@ def cider_scores(
     per_video: dict[str, float] = {}
     for video_id in sorted(references):
         hyp_vec, hyp_norm, hyp_len = tfidf(_ngram_counts(tokenize(candidates[video_id])))
-        total = np.zeros(CIDER_NGRAM_MAX)
+        total = [0.0] * CIDER_NGRAM_MAX
         for ref in ref_counts[video_id]:
             ref_vec, ref_norm, ref_len = tfidf(ref)
             gaussian = math.exp(-((hyp_len - ref_len) ** 2) / (2 * CIDER_SIGMA**2))
@@ -136,9 +137,8 @@ def cider_scores(
                 )
                 if hyp_norm[n] != 0 and ref_norm[n] != 0:
                     total[n] += gaussian * dot / (hyp_norm[n] * ref_norm[n])
-        per_video[video_id] = float(np.mean(total) / len(ref_counts[video_id]) * 10.0)
-    corpus = float(np.mean(list(per_video.values())))
-    return corpus, per_video
+        per_video[video_id] = sum(total) / CIDER_NGRAM_MAX / len(ref_counts[video_id]) * 10.0
+    return sum(per_video.values()) / len(per_video), per_video
 
 
 def cider(candidates: dict[str, str], references: dict[str, list[str]]) -> float:
@@ -272,15 +272,25 @@ class EmbeddingSimilarity:
         self.endpoint = endpoint
         self.timeout = timeout
         self._session = requests.Session()
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[str, tuple[float, ...]] = {}
 
-    def _vector(self, text: str) -> np.ndarray:
+    def _vector(self, text: str) -> tuple[float, ...]:
+        """The served vector of ``text``: a non-empty list of finite numbers, no bools."""
         if text not in self._cache:
             response = self._session.post(
                 self.endpoint, json={"texts": [text]}, timeout=self.timeout
             )
             response.raise_for_status()
-            self._cache[text] = np.asarray(response.json()["vectors"][0], dtype=float)
+            vector = response.json()["vectors"][0]
+            # NaN and infinities fail the bound; a NaN similarity would pass
+            # the similarity gate against every phrase
+            if not (
+                isinstance(vector, list)
+                and vector
+                and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector)
+            ):
+                raise ValueError(f"embedding of {text!r} is not a non-empty list of finite numbers")
+            self._cache[text] = tuple(map(float, vector))
         return self._cache[text]
 
     def similarity(self, a: str, b: str) -> float:
@@ -289,10 +299,14 @@ class EmbeddingSimilarity:
         if a == b:
             return 1.0
         va, vb = self._vector(a), self._vector(b)
-        denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
+        if len(va) != len(vb):
+            raise ValueError(
+                f"embeddings of {a!r} and {b!r} differ in length: {len(va)} and {len(vb)}"
+            )
+        denom = math.hypot(*va) * math.hypot(*vb)
         if denom == 0:
             return 0.0
-        return float(min(max(np.dot(va, vb) / denom, 0.0), 1.0))
+        return min(max(sum(x * y for x, y in zip(va, vb)) / denom, 0.0), 1.0)
 
 
 _DEFAULT_BACKEND = LexicalSimilarity()
@@ -454,26 +468,23 @@ def _match_pool(
     return gated, overlaps
 
 
-def _average_precision(ranked_tp: np.ndarray, num_gt: int) -> Optional[float]:
+def _average_precision(ranked_tp: list[bool], num_gt: int) -> Optional[float]:
     """All-point interpolated AP with the precision envelope.
 
     Equals the sum over true positives of the envelope precision at their
-    rank, divided by the number of ground-truth boxes.
+    rank, divided by the number of ground-truth boxes; the sum runs forward,
+    in rank order.
     """
     if num_gt == 0:
         return None
-    if ranked_tp.size == 0:
-        return 0.0
-    tp = np.cumsum(ranked_tp)
-    ranks = np.arange(1, ranked_tp.size + 1)
-    precision = tp / ranks
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    return float(envelope[ranked_tp].sum() / num_gt)
+    precision = [tp / rank for rank, tp in enumerate(accumulate(ranked_tp), start=1)]
+    envelope = list(accumulate(reversed(precision), max))[::-1]
+    return sum(p for p, hit in zip(envelope, ranked_tp) if hit) / num_gt
 
 
-def _ranked_flags(detections: list[_Detection], matched: set[int]) -> np.ndarray:
+def _ranked_flags(detections: list[_Detection], matched: set[int]) -> list[bool]:
     order = sorted(detections, key=lambda d: (-d.confidence, d.seq))
-    return np.array([d.seq in matched for d in order], dtype=bool)
+    return [d.seq in matched for d in order]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import random
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from groundcap import (
@@ -93,7 +92,7 @@ def test_oracle_equivalence_iou():
 def test_oracle_equivalence_ap50():
     # the documented PR fixture: TP, FP, TP over 2 ground-truth boxes
     flags = [True, False, True]
-    value = _average_precision(np.array(flags), 2)
+    value = _average_precision(flags, 2)
     assert value == pytest.approx(0.8333, abs=5e-5)
     assert value == pytest.approx(ap_oracle(flags, 2), abs=1e-12)
     fixtures = [
@@ -115,7 +114,7 @@ def test_oracle_equivalence_ap50():
             flags.append(hit)
         fixtures.append((flags, npos))
     for flags, npos in fixtures:
-        ours = _average_precision(np.array(flags, dtype=bool), npos)
+        ours = _average_precision(flags, npos)
         assert ours == pytest.approx(ap_oracle(flags, npos), abs=1e-12)
     _report("AP50 matches exhaustive PR enumeration on all fixtures incl. 0.8333")
 

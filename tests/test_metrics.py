@@ -15,14 +15,13 @@ from groundcap import (
     meteor_lite,
     parse_tagged_caption,
     phrase_similarity,
+    render_tagged_caption,
     stem,
     tokenize,
 )
 from groundcap.metrics import _Detection, _GtObject, _average_precision, _match_pool, cider_scores
 from conftest import make_annotation, make_corpus
-from oracles import ap_oracle, cider_oracle, grounding_oracle
-
-import numpy as np
+from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
 
 class TestTokenize:
@@ -167,6 +166,10 @@ class TestEmbeddingSimilarity:
             "a cup": [1.0, 0.0, 0.0],
             "a mug": [0.8, 0.6, 0.0],
             "a dog": [0.0, 0.0, 1.0],
+            "a null": [None, 1.0, 0.0],
+            "a nan": [float("nan"), 1.0, 0.0],
+            "a flag": [True, 0.0, 0.0],
+            "a pair": [1.0, 0.0],
         }
 
         class Handler(BaseHTTPRequestHandler):
@@ -201,6 +204,22 @@ class TestEmbeddingSimilarity:
         assert backend.similarity("a cup", "a mug") == pytest.approx(0.8)
         assert backend.similarity("a cup", "a dog") == 0.0
         assert phrase_similarity("a cup", "a mug", backend) == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("text", ["a null", "a nan", "a flag"])
+    def test_vector_of_non_numbers_is_an_error(self, embedding_server, text):
+        # a NaN similarity would pass the similarity gate against every phrase
+        from groundcap.metrics import EmbeddingSimilarity
+
+        backend = EmbeddingSimilarity(embedding_server)
+        with pytest.raises(ValueError, match=f"embedding of '{text}'"):
+            backend.similarity("a cup", text)
+
+    def test_vectors_of_different_lengths_are_an_error(self, embedding_server):
+        from groundcap.metrics import EmbeddingSimilarity
+
+        backend = EmbeddingSimilarity(embedding_server)
+        with pytest.raises(ValueError, match="'a cup' and 'a pair' differ in length"):
+            backend.similarity("a cup", "a pair")
 
     def test_transport_failure_is_an_error(self):
         from groundcap.metrics import EmbeddingSimilarity
@@ -297,18 +316,18 @@ class TestMatchFrame:
 class TestAveragePrecision:
     def test_spec_case(self):
         # ranks: TP, FP, TP over 2 GT boxes
-        flags = np.array([True, False, True])
+        flags = [True, False, True]
         assert _average_precision(flags, 2) == pytest.approx(0.5 * 1.0 + 0.5 * (2 / 3))
         assert _average_precision(flags, 2) == pytest.approx(ap_oracle([True, False, True], 2))
 
     def test_perfect(self):
-        assert _average_precision(np.array([True] * 5), 5) == 1.0
+        assert _average_precision([True] * 5, 5) == 1.0
 
     def test_empty_predictions(self):
-        assert _average_precision(np.array([], dtype=bool), 3) == 0.0
+        assert _average_precision([], 3) == 0.0
 
     def test_zero_gt_undefined(self):
-        assert _average_precision(np.array([True]), 0) is None
+        assert _average_precision([True], 0) is None
 
     def test_random_flag_vectors_match_enumeration(self):
         rng = random.Random(5)
@@ -322,7 +341,7 @@ class TestAveragePrecision:
                 if flag:
                     tp_budget -= 1
                 flags.append(flag)
-            got = _average_precision(np.array(flags, dtype=bool), npos)
+            got = _average_precision(flags, npos)
             assert got == pytest.approx(ap_oracle(flags, npos), abs=1e-12)
 
 
@@ -719,3 +738,46 @@ class TestPooledGroundingOracle:
                 n_gt = sum(frame in track.boxes for track in gt.tracks)
                 pairs += n_pred * n_gt
         assert len(iou_calls) == pairs
+
+
+class TestSummationOrder:
+    def test_report_sums_run_left_to_right(self):
+        # 12 videos: past 8 terms a pairwise sum groups differently from a
+        # running total; on this seed both sums below differ in their last
+        # bits between the two orders, so the test pins the order
+        rng = random.Random(4)
+        gts = [
+            make_annotation(rng, f"sum-{i:02d}", frame_count=rng.randint(2, 4)) for i in range(12)
+        ]
+        preds = []
+        for gt in gts:
+            pred = _noisy_prediction(rng, gt)
+            extra = rng.choice(("slowly", "the cup", "again and again", "near a bowl"))
+            caption = parse_tagged_caption(f"{render_tagged_caption(gt.caption)} {extra}")
+            preds.append(dataclasses.replace(pred, caption=caption))
+        report = evaluate(preds, gts)
+
+        cider_total = 0.0
+        for video_id in sorted(report.per_video):
+            cider_total += report.per_video[video_id]["cider"]
+        assert report.cider == cider_total / len(gts)
+
+        # the frame-level AP of the pooled corpus, from the oracle's matching
+        dets = [d for pred in preds for d in _oracle_boxes(pred)]
+        gt_boxes = [g for gt in gts for g in _oracle_boxes(gt)]
+        gated = _oracle_match(dets, gt_boxes, True, phrase_similarity, 0.5, 0.5)
+        ranked = sorted(range(len(dets)), key=lambda i: (-dets[i]["conf"], i))
+        flags = [i in gated for i in ranked]
+        precision = []
+        hits = 0
+        for rank, flag in enumerate(flags, start=1):
+            hits += flag
+            precision.append(hits / rank)
+        for k in range(len(precision) - 2, -1, -1):
+            precision[k] = max(precision[k], precision[k + 1])
+        ap_total = 0.0
+        for value, flag in zip(precision, flags):
+            if flag:
+                ap_total += value
+        assert sum(flags) > 8
+        assert report.frame_level.ap50 == ap_total / len(gt_boxes)
