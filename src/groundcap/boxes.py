@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 NORMALIZED_EPS = 1e-6
 
+XYWH = tuple[float, float, float, float]  # a box's coordinates without its mode flag
+
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -63,14 +65,21 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     """
     if a.normalized != b.normalized:
         raise ValueError("cannot compute IoU of a normalized and a pixel box")
+    return iou_xywh((a.x, a.y, a.w, a.h), (b.x, b.y, b.w, b.h))
+
+
+def iou_xywh(a: XYWH, b: XYWH) -> float:
+    """:func:`iou` of two ``(x, y, w, h)`` tuples the caller knows share a mode."""
     if a == b:
-        return 1.0 if a.area > 0 else 0.0
-    ix = max(a.x, b.x)
-    iy = max(a.y, b.y)
-    ix2 = min(a.x + a.w, b.x + b.w)
-    iy2 = min(a.y + a.h, b.y + b.h)
+        return 1.0 if a[2] * a[3] > 0 else 0.0
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    ix = max(ax, bx)
+    iy = max(ay, by)
+    ix2 = min(ax + aw, bx + bw)
+    iy2 = min(ay + ah, by + bh)
     inter = max(ix2 - ix, 0.0) * max(iy2 - iy, 0.0)
-    union = a.area + b.area - inter
+    union = aw * ah + bw * bh - inter
     if union <= 0:
         return 0.0
     # rounding can push the ratio a hair past 1; the true value never exceeds it

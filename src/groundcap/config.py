@@ -10,11 +10,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .jsonio import canonical_json
+
+# JSON values each field type takes; an int is a number, a bool is neither
+_JSON_TYPES = {
+    str: ("a string", (str,)),
+    int: ("an integer", (int,)),
+    float: ("a number", (int, float)),
+}
 
 
 @dataclass(frozen=True)
@@ -35,11 +42,23 @@ class PipelineConfig:
     api_key_env: str = "GROUNDCAP_API_KEY"
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+    def from_dict(cls, obj: object) -> "PipelineConfig":
+        """The config of a JSON document; ``ValueError`` naming the key on a bad one."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        hints = get_type_hints(cls)  # field name -> type
+        unknown = set(obj) - hints.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            hint = hints[key]
+            nullable = type(None) in get_args(hint)
+            if value is None and nullable:
+                continue
+            label, accepted = _JSON_TYPES[get_args(hint)[0] if nullable else hint]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                label += " or null" if nullable else ""
+                raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
         return cls(**obj)
 
     @classmethod

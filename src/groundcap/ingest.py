@@ -630,6 +630,7 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
     """The record of a schema-valid plain-JSON annotation; checks its invariants.
 
     Integer fields go through ``int``: the schema lets integral floats pass.
+    Presence flags are taken as they are: the schema has proven them bools.
     """
     try:
         caption = parse_tagged_caption(obj["caption"])
@@ -640,9 +641,8 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
     for item in obj["tracks"]:
         boxes = {}
         for key, coords in item["boxes"].items():
-            x, y, w, h = (float(v) for v in coords)
             try:
-                boxes[int(key)] = BoundingBox(x, y, w, h, normalized=normalized)
+                boxes[int(key)] = BoundingBox(*map(float, coords), normalized=normalized)
             except ValueError as exc:
                 raise RecordValidationError("bad-box", f"frame {key}: {exc}") from exc
         confidence = None
@@ -652,7 +652,7 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
             ObjectTrack(
                 phrase_index=int(item["phrase_index"]),
                 boxes=boxes,
-                presence=tuple(bool(v) for v in item["presence"]),
+                presence=tuple(item["presence"]),
                 confidence=confidence,
             )
         )

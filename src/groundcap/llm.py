@@ -18,15 +18,16 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
 
 from . import prompts
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, TaggedCaption, parse_tagged_caption
 from .records import SvoFrame
 from .svo import render_svo_block
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -147,7 +148,9 @@ class HttpChatClient:
     Request body is ``{model, messages, temperature}`` (plus ``seed`` when
     configured); the response must contain a first choice with
     ``message.content``.  Instances are cheap; each worker thread should own
-    one so the underlying session is not shared.
+    one so the underlying session is not shared.  ``requests`` is loaded
+    when the first client makes its session, so commands that never reach a
+    model do not pay for it.
 
     At temperature 0 decoding is deterministic, so an answer is kept in
     ``memo`` under the digest of its request body and a byte-identical
@@ -161,8 +164,14 @@ class HttpChatClient:
     seed: Optional[int] = 0
     api_key: Optional[str] = None
     timeout: float = 60.0
-    session: requests.Session = field(default_factory=requests.Session, repr=False)
+    session: Optional[requests.Session] = field(default=None, repr=False)
     memo: ResponseMemo = field(default_factory=ResponseMemo, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.session is None:
+            import requests
+
+            self.session = requests.Session()
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         payload: dict = {
@@ -182,6 +191,8 @@ class HttpChatClient:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        import requests
+
         try:
             response = self.session.post(
                 self.endpoint, data=body, headers=headers, timeout=self.timeout

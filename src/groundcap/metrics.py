@@ -22,12 +22,10 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
-import requests
-
-from .boxes import BoundingBox, iou, normalize_box
-from .records import VideoAnnotation
+from .boxes import XYWH, iou_xywh
+from .records import ObjectTrack, VideoAnnotation
 
 CIDER_NGRAM_MAX = 4
 CIDER_SIGMA = 6.0
@@ -262,13 +260,16 @@ class EmbeddingSimilarity:
     """Cosine over vectors from an HTTP embedding endpoint.
 
     The endpoint takes ``POST {"texts": [string]}`` and answers
-    ``{"vectors": [[number]]}``.  Transport failures propagate as errors; a
-    similarity backend that silently degrades would corrupt the metrics.
+    ``{"vectors": [[number]]}``.  A failed request or a malformed answer is a
+    ``ValueError`` naming the text and the endpoint; a similarity backend
+    that silently degrades would corrupt the metrics.
     """
 
     name = "embedding"
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
+        import requests  # only this backend talks HTTP; lexical scoring never loads it
+
         self.endpoint = endpoint
         self.timeout = timeout
         self._session = requests.Session()
@@ -277,11 +278,20 @@ class EmbeddingSimilarity:
     def _vector(self, text: str) -> tuple[float, ...]:
         """The served vector of ``text``: a non-empty list of finite numbers, no bools."""
         if text not in self._cache:
-            response = self._session.post(
-                self.endpoint, json={"texts": [text]}, timeout=self.timeout
-            )
-            response.raise_for_status()
-            vector = response.json()["vectors"][0]
+            import requests
+
+            try:
+                response = self._session.post(
+                    self.endpoint, json={"texts": [text]}, timeout=self.timeout
+                )
+                response.raise_for_status()
+                answer = response.json()
+            except requests.RequestException as exc:  # JSON decode errors too
+                raise ValueError(
+                    f"embedding of {text!r} from {self.endpoint} failed: {exc}"
+                ) from exc
+            vectors = answer.get("vectors") if isinstance(answer, dict) else None
+            vector = vectors[0] if isinstance(vectors, list) and vectors else None
             # NaN and infinities fail the bound; a NaN similarity would pass
             # the similarity gate against every phrase
             if not (
@@ -289,7 +299,10 @@ class EmbeddingSimilarity:
                 and vector
                 and all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector)
             ):
-                raise ValueError(f"embedding of {text!r} is not a non-empty list of finite numbers")
+                raise ValueError(
+                    f"embedding of {text!r} from {self.endpoint} is not a non-empty list "
+                    "of finite numbers"
+                )
             self._cache[text] = tuple(map(float, vector))
         return self._cache[text]
 
@@ -335,7 +348,7 @@ class _SimCache:
 
 def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
     """IoU of every prediction against every ground-truth box of one frame."""
-    return [[iou(p.box, g.box) for g in gts] for p in preds]
+    return [[iou_xywh(p.box, g.box) for g in gts] for p in preds]
 
 
 def _pred_order(preds: Sequence, table: list[list[float]]) -> list[int]:
@@ -387,35 +400,38 @@ def _greedy_assign(
 # Corpus-level grounding metrics
 
 
-@dataclass(frozen=True)
-class _Detection:
+class _Detection(NamedTuple):
     frame: int
-    box: BoundingBox
+    box: XYWH  # as fractions of the frame
     phrase: str
     confidence: float
     seq: int
 
 
-@dataclass(frozen=True)
-class _GtObject:
+class _GtObject(NamedTuple):
     frame: int
-    box: BoundingBox
+    box: XYWH  # as fractions of the frame
     phrase: str
 
 
-def _record_boxes_normalized(record: VideoAnnotation, box: BoundingBox) -> BoundingBox:
-    if box.normalized:
-        return box
-    return normalize_box(box, record.width, record.height)
+def _unit_boxes(record: VideoAnnotation, track: ObjectTrack) -> list[tuple[int, XYWH]]:
+    """``(frame, box)`` of each box of ``track`` in frame order, as fractions of the frame.
+
+    Pixel boxes take the divisions of :func:`~groundcap.boxes.normalize_box`;
+    the record's out-of-frame check has already kept them inside the frame.
+    """
+    boxes = sorted(track.boxes.items())
+    if record.boxes_normalized:
+        return [(t, (b.x, b.y, b.w, b.h)) for t, b in boxes]
+    width, height = record.width, record.height
+    return [(t, (b.x / width, b.y / height, b.w / width, b.h / height)) for t, b in boxes]
 
 
 def _extract_gt(record: VideoAnnotation) -> list[_GtObject]:
     objects = []
     for track in record.tracks:
         phrase = record.caption.phrases[track.phrase_index].text
-        for frame in sorted(track.boxes):
-            box = _record_boxes_normalized(record, track.boxes[frame])
-            objects.append(_GtObject(frame, box, phrase))
+        objects.extend(_GtObject(frame, box, phrase) for frame, box in _unit_boxes(record, track))
     return objects
 
 
@@ -427,8 +443,7 @@ def _extract_preds(record: Optional[VideoAnnotation], seq_start: int = 0) -> lis
     for track in record.tracks:
         phrase = record.caption.phrases[track.phrase_index].text
         confidence = track.confidence or {}
-        for frame in sorted(track.boxes):
-            box = _record_boxes_normalized(record, track.boxes[frame])
+        for frame, box in _unit_boxes(record, track):
             detections.append(_Detection(frame, box, phrase, confidence.get(frame, 1.0), seq))
             seq += 1
     return detections

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -56,6 +55,9 @@ class MockLlmServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        # loaded here so that importing groundcap does not load a server stack
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         self.responses = dict(responses)
         self.default = default
         self.request_count = 0

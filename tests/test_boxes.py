@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groundcap import BoundingBox, denormalize_box, iou, normalize_box
-from oracles import grid_iou
+from groundcap.boxes import iou_xywh
+from oracles import _oracle_iou, grid_iou
 
 
 def test_iou_identity():
@@ -57,6 +58,35 @@ def test_iou_symmetric_and_matches_grid_oracle(a, b):
     box_b = BoundingBox(*map(float, b))
     assert iou(box_a, box_b) == iou(box_b, box_a)
     assert iou(box_a, box_b) == grid_iou(a, b)
+
+
+_side = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 64.0))
+_pixel_box = st.tuples(_side, _side, _side, _side)
+
+
+@st.composite
+def _box_pairs(draw):
+    """Two pixel boxes: any two, equal, or touching along an x or a y edge."""
+    a = draw(_pixel_box)
+    kind = draw(st.sampled_from(["any", "equal", "touching-x", "touching-y"]))
+    if kind == "equal":
+        return a, a
+    b = draw(_pixel_box)
+    if kind == "touching-x":
+        return a, (a[0] + a[2], *b[1:])
+    if kind == "touching-y":
+        return a, (b[0], a[1] + a[3], *b[2:])
+    return a, b
+
+
+@given(_box_pairs(), st.sampled_from([None, (256, 256), (455, 256), (1920, 1080)]))
+def test_tuple_iou_is_boxes_iou_bit_for_bit(pair, frame):
+    a, b = (BoundingBox(*box) for box in pair)
+    if frame is not None:  # the same pair normalized to that frame size
+        a, b = (normalize_box(box, *frame) for box in (a, b))
+    ta, tb = tuple(a.as_list()), tuple(b.as_list())
+    # float.hex tells -0.0 from 0.0
+    assert iou_xywh(ta, tb).hex() == iou(a, b).hex() == _oracle_iou(ta, tb).hex()
 
 
 def test_iou_grid_oracle_thousand_random_boxes():

@@ -236,6 +236,23 @@ class TestEval:
         out = tmp_path / "report.json"
         assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 1
 
+    def test_embedding_endpoint_down_exits_one(self, tmp_path, rng, capsys):
+        # the first phrase is renamed, so its boxes reach the similarity gate
+        obj = json.loads(serialize_video_annotation(make_corpus(rng, 1)[0]))
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(obj) + "\n", "utf-8")
+        obj["caption"] = obj["caption"].replace("<p>a ", "<p>one ", 1)
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps(obj) + "\n", "utf-8")
+        endpoint = "http://127.0.0.1:1/embed"  # nothing listens there
+        code = main(
+            ["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "r.json"),
+             "--similarity", "embedding", "--embedding-endpoint", endpoint]
+        )
+        assert code == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith("error: embedding of 'one ") and f"from {endpoint} failed" in error
+
 
 class TestValidate:
     def test_valid_dataset_exits_zero(self, tmp_path, rng):
@@ -495,6 +512,29 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ("[]", "config must be a JSON object, got list"),
+            (
+                '{"objectness_threshold": "0.5"}',
+                "config key 'objectness_threshold' must be a number, got '0.5'",
+            ),
+            ('{"iou_threshold": 0.5}', "unknown config keys: ['iou_threshold']"),
+        ],
+    )
+    def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+        config = tmp_path / "config.json"
+        config.write_text(document, "utf-8")
+        code = main(
+            ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json"),
+             "--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_input_file_exit_1(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert main(["svo", "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 1
@@ -570,11 +610,25 @@ def test_canonical_json_float_format():
     assert canonical_json({"10": 1, "2": 2}) == '{"2": 2, "10": 1}'
 
 
-def test_cli_runs_without_jsonschema():
+def test_cli_runs_without_jsonschema(tmp_path, rng):
     # jsonschema and numpy are test dependencies only: the CLI checks inputs
-    # and sums the metrics itself
-    code = "import sys, groundcap.cli; print(sorted({'jsonschema', 'numpy'} & set(sys.modules)))"
+    # and sums the metrics itself.  The HTTP stack is loaded only by the
+    # commands that talk to a model or an embedding endpoint.
+    unused = "{'jsonschema', 'numpy', 'requests', 'urllib3', 'http.server'}"
+    code = f"import sys, groundcap.cli; print(sorted({unused} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
     assert result.stdout.strip() == "[]"
+
+    data = tmp_path / "data.jsonl"
+    data.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+    argv = ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json")]
+    code = (
+        f"import sys; from groundcap import cli; status = cli.main({argv!r}); "
+        "print(status, 'requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from groundcap import (
     BoundingBox,
@@ -13,13 +15,22 @@ from groundcap import (
     cider,
     evaluate,
     meteor_lite,
+    normalize_box,
     parse_tagged_caption,
     phrase_similarity,
     render_tagged_caption,
     stem,
     tokenize,
 )
-from groundcap.metrics import _Detection, _GtObject, _average_precision, _match_pool, cider_scores
+from groundcap.metrics import (
+    _Detection,
+    _GtObject,
+    _average_precision,
+    _extract_gt,
+    _extract_preds,
+    _match_pool,
+    cider_scores,
+)
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
@@ -171,15 +182,16 @@ class TestEmbeddingSimilarity:
             "a flag": [True, 0.0, 0.0],
             "a pair": [1.0, 0.0],
         }
+        # answers that are not a vector: no vectors, no "vectors" key, a server error
+        answers = {"a void": (200, {"vectors": []}), "a blank": (200, {}), "a fault": (500, {})}
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802
                 length = int(self.headers.get("Content-Length", "0"))
-                body = jsonlib.loads(self.rfile.read(length))
-                payload = jsonlib.dumps(
-                    {"vectors": [vectors[t] for t in body["texts"]]}
-                ).encode()
-                self.send_response(200)
+                (text,) = jsonlib.loads(self.rfile.read(length))["texts"]
+                status, answer = answers.get(text, (200, {"vectors": [vectors.get(text)]}))
+                payload = jsonlib.dumps(answer).encode()
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
@@ -221,11 +233,30 @@ class TestEmbeddingSimilarity:
         with pytest.raises(ValueError, match="'a cup' and 'a pair' differ in length"):
             backend.similarity("a cup", "a pair")
 
+    @pytest.mark.parametrize("text", ["a void", "a blank"])
+    def test_answer_without_a_vector_is_an_error(self, embedding_server, text):
+        from groundcap.metrics import EmbeddingSimilarity
+
+        backend = EmbeddingSimilarity(embedding_server)
+        message = f"embedding of '{text}' from {re.escape(embedding_server)} is"
+        with pytest.raises(ValueError, match=message):
+            backend.similarity("a cup", text)
+
+    def test_server_error_is_an_error(self, embedding_server):
+        from groundcap.metrics import EmbeddingSimilarity
+
+        backend = EmbeddingSimilarity(embedding_server)
+        message = f"'a fault' from {re.escape(embedding_server)} failed: 500"
+        with pytest.raises(ValueError, match=message):
+            backend.similarity("a cup", "a fault")
+
     def test_transport_failure_is_an_error(self):
         from groundcap.metrics import EmbeddingSimilarity
 
-        backend = EmbeddingSimilarity("http://127.0.0.1:1/embed", timeout=0.2)
-        with pytest.raises(Exception):
+        endpoint = "http://127.0.0.1:1/embed"  # nothing listens there
+        backend = EmbeddingSimilarity(endpoint, timeout=0.2)
+        message = f"embedding of 'a cup' from {re.escape(endpoint)} failed"
+        with pytest.raises(ValueError, match=message):
             backend.similarity("a cup", "a mug")
 
     def test_config_selects_backend(self, embedding_server):
@@ -258,11 +289,11 @@ class TestPhraseSimilarity:
 
 
 def pbox(x, y, w, h, phrase="a cup", conf=1.0, seq=0):
-    return _Detection(0, BoundingBox(x, y, w, h), phrase, conf, seq)
+    return _Detection(0, (x, y, w, h), phrase, conf, seq)
 
 
 def gbox(x, y, w, h, phrase="a cup"):
-    return _GtObject(0, BoundingBox(x, y, w, h), phrase)
+    return _GtObject(0, (x, y, w, h), phrase)
 
 
 def match(preds, gts, iou_thresh=0.5, sim_thresh=0.5):
@@ -290,7 +321,7 @@ class TestMatchFrame:
             preds = [pbox(0, 0, 10, 10, conf=0.9), pbox(1, 1, 10, 10, conf=0.6)]
             if not have_high_first:
                 preds = preds[::-1]
-            preds = [dataclasses.replace(p, seq=i) for i, p in enumerate(preds)]
+            preds = [p._replace(seq=i) for i, p in enumerate(preds)]
             gated, overlaps = match(preds, gts)
             assert len(gated) == 1
             (winner,) = gated
@@ -694,6 +725,34 @@ def _oracle_corpus(rng):
     return preds, gts
 
 
+_fractions = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestExtractedBoxes:
+    @given(
+        st.integers(1, 2000),
+        st.integers(1, 2000),
+        st.lists(st.tuples(_fractions, _fractions, _fractions, _fractions), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_boxes_are_the_fields_of_normalize_box(self, width, height, drawn, normalized):
+        pixel = {}
+        for t, (fx, fy, fw, fh) in enumerate(drawn):
+            x, y = fx * width, fy * height
+            pixel[t] = BoundingBox(x, y, fw * (width - x), fh * (height - y))
+        unit = {t: normalize_box(box, width, height) for t, box in pixel.items()}
+        boxes = unit if normalized else pixel
+        track = ObjectTrack.from_boxes(0, boxes, len(boxes), {t: 0.5 for t in boxes})
+        record = VideoAnnotation(
+            "v", len(boxes), 5.0, width, height, parse_tagged_caption("<p>a cup</p> rests"),
+            (track,), boxes_normalized=normalized,
+        )
+        # float.hex tells -0.0 from 0.0, so this is equality bit for bit
+        want = [tuple(map(float.hex, unit[t].as_list())) for t in sorted(unit)]
+        for extracted in (_extract_gt(record), _extract_preds(record)):
+            assert [tuple(map(float.hex, item.box)) for item in extracted] == want
+
+
 class TestPooledGroundingOracle:
     def test_both_levels_match_pooled_rematch(self):
         rng = random.Random(4242)
@@ -720,11 +779,13 @@ class TestPooledGroundingOracle:
         while not any(g.tracks for g in gts):
             preds, gts = _oracle_corpus(rng)
         pool_calls, iou_calls = [], []
-        real_pool, real_iou = metrics._match_pool, metrics.iou
+        real_pool, real_iou = metrics._match_pool, metrics.iou_xywh
         monkeypatch.setattr(
             metrics, "_match_pool", lambda *a: pool_calls.append(len(a[1])) or real_pool(*a)
         )
-        monkeypatch.setattr(metrics, "iou", lambda a, b: iou_calls.append(1) or real_iou(a, b))
+        monkeypatch.setattr(
+            metrics, "iou_xywh", lambda a, b: iou_calls.append(1) or real_iou(a, b)
+        )
         evaluate(preds, gts)
         # one matching pass per ground-truth video with boxes, over that video alone
         gt_boxes = [sum(len(track.boxes) for track in g.tracks) for g in gts]
