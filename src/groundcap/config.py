@@ -50,16 +50,20 @@ class PipelineConfig:
         unknown = set(obj) - hints.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        values = dict(obj)
         for key, value in obj.items():
             hint = hints[key]
             nullable = type(None) in get_args(hint)
             if value is None and nullable:
                 continue
-            label, accepted = _JSON_TYPES[get_args(hint)[0] if nullable else hint]
+            kind = get_args(hint)[0] if nullable else hint
+            label, accepted = _JSON_TYPES[kind]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 label += " or null" if nullable else ""
                 raise ValueError(f"config key {key!r} must be {label}, got {value!r}")
-        return cls(**obj)
+            if kind is float:  # 0 and 0.0 are one setting, and must hash alike
+                values[key] = float(value)
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":

@@ -18,16 +18,13 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Protocol, Sequence
 
 from . import prompts
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, TaggedCaption, parse_tagged_caption
 from .records import SvoFrame
 from .svo import render_svo_block
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -120,25 +117,146 @@ class ResponseMemo:
     """Completion texts by request digest, least recently used dropped first.
 
     Safe to share between threads; one memo serves every client of a run.
+    A miss is fetched once: a client that claims a key another client is
+    already fetching waits for that fetch, and fetches itself only if it
+    failed, because failures are never stored.
     """
 
     def __init__(self) -> None:
         self._texts: OrderedDict[bytes, str] = OrderedDict()
+        self._fetching: dict[bytes, threading.Event] = {}
         self._lock = threading.Lock()
 
-    def get(self, key: bytes) -> Optional[str]:
-        with self._lock:
-            text = self._texts.get(key)
-            if text is not None:
-                self._texts.move_to_end(key)
-            return text
+    def claim(self, key: bytes) -> Optional[str]:
+        """The text under ``key``, or ``None`` when the caller must fetch it.
 
-    def put(self, key: bytes, text: str) -> None:
+        A caller that gets ``None`` must call :meth:`settle` for ``key``
+        whatever happens, or every later claim of ``key`` waits forever.
+        """
+        while True:
+            with self._lock:
+                text = self._texts.get(key)
+                if text is not None:
+                    self._texts.move_to_end(key)
+                    return text
+                fetch = self._fetching.get(key)
+                if fetch is None:
+                    self._fetching[key] = threading.Event()
+                    return None
+            fetch.wait()
+
+    def settle(self, key: bytes, text: Optional[str]) -> None:
+        """End a claimed fetch: store ``text``, or nothing when it failed."""
         with self._lock:
-            self._texts[key] = text
-            self._texts.move_to_end(key)
-            while len(self._texts) > MEMO_CAPACITY:
-                self._texts.popitem(last=False)
+            if text is not None:
+                self._texts[key] = text
+                self._texts.move_to_end(key)
+                while len(self._texts) > MEMO_CAPACITY:
+                    self._texts.popitem(last=False)
+            fetch = self._fetching.pop(key, None)
+        if fetch is not None:
+            fetch.set()
+
+
+class JsonEndpoint:
+    """One HTTP(S) URL that takes JSON POSTs, over one reused connection.
+
+    The connection is kept while the server keeps it alive and opened again
+    when the server closes it.  A request that fails on a reused connection
+    before any answer arrives (the server dropped an idle keep-alive
+    connection) is sent once more, at once, on a fresh one.  The proxy
+    environment is read here, once; an HTTP proxy gets the absolute URL as
+    the request target and HTTPS is tunnelled through it.  HTTPS is checked
+    against the default ``ssl`` context.  Redirects are not followed.
+    """
+
+    def __init__(self, url: str, timeout: float, headers: Optional[dict[str, str]] = None):
+        # loaded with the first client: http.client costs a process ~35 ms
+        # that commands which never reach an endpoint should not pay
+        import base64
+        import http.client
+        import urllib.request
+        from urllib.parse import unquote, urlsplit
+
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"endpoint must be an http or https URL, got {url!r}")
+        self.url = url
+        self._headers = {"Content-Type": "application/json", **(headers or {})}
+        self._target = parts.path or "/"
+        if parts.query:
+            self._target += "?" + parts.query
+        host, port = parts.hostname, parts.port
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        proxied = bool(proxy) and not urllib.request.proxy_bypass(host)
+        proxy_headers = {}
+        if proxied:
+            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+            if not proxy_parts.hostname:
+                raise ValueError(f"{parts.scheme} proxy must be a URL, got {proxy!r}")
+            if proxy_parts.username:
+                login = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
+                proxy_headers["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(login.encode("utf-8")).decode("ascii")
+                )
+            host, port = proxy_parts.hostname, proxy_parts.port or 80
+        if parts.scheme == "https":
+            import ssl
+
+            self._conn = http.client.HTTPSConnection(
+                host, port, timeout=timeout, context=ssl.create_default_context()
+            )
+            if proxied:
+                self._conn.set_tunnel(parts.hostname, parts.port, headers=proxy_headers)
+        else:
+            self._conn = http.client.HTTPConnection(host, port, timeout=timeout)
+            if proxied:
+                self._target = url
+                self._headers.update(proxy_headers)
+        self._errors = (OSError, http.client.HTTPException)
+
+    def post(self, body: bytes) -> object:
+        """The decoded JSON answer to ``body``.
+
+        Raises:
+            TransportError: on a status outside 2xx (retryable unless a 3xx
+                or a 4xx other than 408 and 429), a connection or protocol
+                failure, or an answer that is not JSON.
+        """
+        reused = self._conn.sock is not None
+        try:
+            try:
+                response = self._exchange(body)
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+                if not reused:
+                    raise
+                self._conn.close()
+                response = self._exchange(body)
+            data = response.read()
+        except self._errors as exc:
+            self._conn.close()
+            raise TransportError(f"POST to {self.url} failed: {exc}") from exc
+        status = response.status
+        if not 200 <= status < 300:
+            message = f"HTTP {status} from {self.url}"
+            if 300 <= status < 400:
+                location = response.getheader("Location")
+                raise TransportError(
+                    f"{message}, redirect to {location} not followed", retryable=False
+                )
+            retryable = not 400 <= status < 500 or status in _RETRYABLE_4XX
+            raise TransportError(message, retryable=retryable)
+        try:
+            return json.loads(data)
+        except ValueError as exc:  # UnicodeDecodeError too
+            raise TransportError(f"answer from {self.url} is not JSON: {exc}") from exc
+
+    def _exchange(self, body: bytes):
+        self._conn.request("POST", self._target, body, self._headers)
+        return self._conn.getresponse()
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 @dataclass
@@ -148,14 +266,13 @@ class HttpChatClient:
     Request body is ``{model, messages, temperature}`` (plus ``seed`` when
     configured); the response must contain a first choice with
     ``message.content``.  Instances are cheap; each worker thread should own
-    one so the underlying session is not shared.  ``requests`` is loaded
-    when the first client makes its session, so commands that never reach a
-    model do not pay for it.
+    one, because each holds one :class:`JsonEndpoint` connection.
 
     At temperature 0 decoding is deterministic, so an answer is kept in
     ``memo`` under the digest of its request body and a byte-identical
     request is answered from there without a round trip.  Clients that share
-    a memo share those answers.
+    a memo share those answers, and a request one of them is already sending
+    is not sent twice.
     """
 
     endpoint: str
@@ -164,14 +281,11 @@ class HttpChatClient:
     seed: Optional[int] = 0
     api_key: Optional[str] = None
     timeout: float = 60.0
-    session: Optional[requests.Session] = field(default=None, repr=False)
     memo: ResponseMemo = field(default_factory=ResponseMemo, repr=False)
 
     def __post_init__(self) -> None:
-        if self.session is None:
-            import requests
-
-            self.session = requests.Session()
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
+        self._endpoint = JsonEndpoint(self.endpoint, self.timeout, headers)
 
     def complete(self, messages: Sequence[ChatMessage]) -> str:
         payload: dict = {
@@ -181,39 +295,31 @@ class HttpChatClient:
         }
         if self.seed is not None:
             payload["seed"] = self.seed
-        # the bytes requests would send for json=payload
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        key = hashlib.sha256(body).digest() if self.temperature == 0 else None
-        if key is not None:
-            text = self.memo.get(key)
-            if text is not None:
-                return text
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        import requests
-
+        if self.temperature != 0:
+            return self._request(body)
+        key = hashlib.sha256(body).digest()
+        text = self.memo.claim(key)
+        if text is not None:
+            return text
         try:
-            response = self.session.post(
-                self.endpoint, data=body, headers=headers, timeout=self.timeout
-            )
-            response.raise_for_status()
-            envelope = response.json()
-        except requests.HTTPError as exc:
-            status = exc.response.status_code
-            retryable = not 400 <= status < 500 or status in _RETRYABLE_4XX
-            raise TransportError(str(exc), retryable=retryable) from exc
-        except (requests.RequestException, ValueError) as exc:
-            raise TransportError(str(exc)) from exc
+            text = self._request(body)
+        finally:
+            self.memo.settle(key, text)
+        return text
+
+    def _request(self, body: bytes) -> str:
+        envelope = self._endpoint.post(body)
         try:
             content = envelope["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion envelope: {envelope!r}") from exc
         if not isinstance(content, str):
             raise TransportError(f"completion content is not text: {content!r}")
-        if key is not None:
-            self.memo.put(key, content)
         return content
+
+    def close(self) -> None:
+        self._endpoint.close()
 
 
 # ---------------------------------------------------------------------------

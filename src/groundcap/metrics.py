@@ -15,6 +15,7 @@ unmatched boxes scoring zero, and confidence 1.0 for score-less predictions.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -25,6 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .boxes import XYWH, iou_xywh
+from .llm import JsonEndpoint, TransportError
 from .records import ObjectTrack, VideoAnnotation
 
 CIDER_NGRAM_MAX = 4
@@ -268,25 +270,17 @@ class EmbeddingSimilarity:
     name = "embedding"
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
-        import requests  # only this backend talks HTTP; lexical scoring never loads it
-
         self.endpoint = endpoint
-        self.timeout = timeout
-        self._session = requests.Session()
+        self._transport = JsonEndpoint(endpoint, timeout)
         self._cache: dict[str, tuple[float, ...]] = {}
 
     def _vector(self, text: str) -> tuple[float, ...]:
         """The served vector of ``text``: a non-empty list of finite numbers, no bools."""
         if text not in self._cache:
-            import requests
-
+            body = json.dumps({"texts": [text]}, allow_nan=False).encode("utf-8")
             try:
-                response = self._session.post(
-                    self.endpoint, json={"texts": [text]}, timeout=self.timeout
-                )
-                response.raise_for_status()
-                answer = response.json()
-            except requests.RequestException as exc:  # JSON decode errors too
+                answer = self._transport.post(body)
+            except TransportError as exc:
                 raise ValueError(
                     f"embedding of {text!r} from {self.endpoint} failed: {exc}"
                 ) from exc

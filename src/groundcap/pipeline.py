@@ -93,7 +93,7 @@ def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
     """Makes HTTP chat clients for ``config``; raises at once when no endpoint is set.
 
     Every client it makes shares one :class:`ResponseMemo`, so at
-    temperature 0 a run sends each distinct request once, unless workers
+    temperature 0 a run sends each distinct request once, even when workers
     miss on it at the same moment.
     """
     if not config.endpoint:
@@ -197,15 +197,18 @@ def map_videos(
     Results, and the warnings logged while working on each item, come back
     in the order of ``items`` regardless of completion order, so batch
     outputs and logs are deterministic.  Each worker thread makes its own
-    client with :func:`http_client_factory` of the config.
+    client with :func:`http_client_factory` of the config, closed when the
+    workers are done.
     """
     client_factory = http_client_factory(config)
     local = threading.local()
+    clients: list[HttpChatClient] = []
     held_records = _HeldRecords()
 
     def worker(item: T) -> tuple[R, list[logging.LogRecord]]:
         if not hasattr(local, "client"):
             local.client = client_factory()
+            clients.append(local.client)
         held = held_records.hold()
         try:
             result = work(item, local.client)
@@ -227,6 +230,8 @@ def map_videos(
     finally:
         for source in _HeldRecords.loggers:
             source.removeFilter(held_records)
+        for client in clients:
+            client.close()
     return results
 
 

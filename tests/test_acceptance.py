@@ -349,8 +349,8 @@ def test_throughput_thousand_video_build(tmp_path):
         elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 60.0, f"bulk build took {elapsed:.1f}s"
-    # 7 distinct requests, each sent at most once per worker
-    assert 7 <= server.request_count <= 7 * 16
+    # 7 distinct requests, each sent once: workers that miss together share one fetch
+    assert server.request_count == 7
     records = read_annotations(out.read_bytes())
     assert len(records) == 1000
     _report(f"throughput: 1000-video build with max_in_flight=16 in {elapsed:.1f}s")

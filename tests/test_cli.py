@@ -4,10 +4,12 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 
+import groundcap.llm as llm
 from groundcap import read_annotations, serialize_video_annotation
 from groundcap.cli import main
 from groundcap.jsonio import canonical_json
@@ -543,7 +545,7 @@ class TestUsageErrors:
         self, tmp_path, stir_input, capsys, monkeypatch
     ):
         posts = []
-        monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: posts.append(a))
+        monkeypatch.setattr(llm.JsonEndpoint, "post", lambda self, body: posts.append(body))
         svo = tmp_path / "svo.jsonl"
         assert main(["svo", "--input", str(stir_input), "--out", str(svo)]) == 0
         capsys.readouterr()
@@ -585,20 +587,22 @@ def test_mock_llm_subcommand_serves_fixtures(tmp_path):
     try:
         deadline = time.time() + 10
         url = "http://127.0.0.1:18457/v1/chat/completions"
-        response = None
+        request = urllib.request.Request(
+            url,
+            data=json.dumps({"messages": [{"role": "user", "content": "hello"}]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        answer = None
         while time.time() < deadline:
             try:
-                response = requests.post(
-                    url,
-                    json={"messages": [{"role": "user", "content": "hello"}]},
-                    timeout=1,
-                )
+                with urllib.request.urlopen(request, timeout=1) as response:
+                    assert response.status == 200
+                    answer = json.loads(response.read())
                 break
-            except requests.ConnectionError:
+            except urllib.error.URLError:
                 time.sleep(0.1)
-        assert response is not None, "mock server never came up"
-        assert response.status_code == 200
-        assert response.json()["choices"][0]["message"]["content"] == "{`CATEGORY': `None'}"
+        assert answer is not None, "mock server never came up"
+        assert answer["choices"][0]["message"]["content"] == "{`CATEGORY': `None'}"
     finally:
         proc.terminate()
         proc.wait(timeout=5)
@@ -614,7 +618,10 @@ def test_cli_runs_without_jsonschema(tmp_path, rng):
     # jsonschema and numpy are test dependencies only: the CLI checks inputs
     # and sums the metrics itself.  The HTTP stack is loaded only by the
     # commands that talk to a model or an embedding endpoint.
-    unused = "{'jsonschema', 'numpy', 'requests', 'urllib3', 'http.server'}"
+    unused = (
+        "{'jsonschema', 'numpy', 'requests', 'urllib3', 'http.server', 'http.client', 'ssl',"
+        " 'urllib.request'}"
+    )
     code = f"import sys, groundcap.cli; print(sorted({unused} & set(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
@@ -626,9 +633,9 @@ def test_cli_runs_without_jsonschema(tmp_path, rng):
     argv = ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json")]
     code = (
         f"import sys; from groundcap import cli; status = cli.main({argv!r}); "
-        "print(status, 'requests' in sys.modules)"
+        f"print(status, sorted({unused} & set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    assert result.stdout.splitlines()[-1] == "0 False"
+    assert result.stdout.splitlines()[-1] == "0 []"

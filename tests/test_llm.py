@@ -1,10 +1,12 @@
+import json
 import random
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
 import groundcap.llm as llm
@@ -278,12 +280,25 @@ class TestRetryPolicy:
          (500, True), (503, True)],
     )
     def test_http_status_decides_retry(self, status, retryable, sleeps):
-        client = HttpChatClient(endpoint="http://x", model="m", session=StatusSession(status))
-        with pytest.raises(ResponseRejection) as excinfo:
-            aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+        with StubServer(lambda n, request: (status, b"{}", {})) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                with pytest.raises(ResponseRejection) as excinfo:
+                    aggregate_video(FRAMES, client, retries=2, backoff=0.5)
         assert excinfo.value.code == "transport"
-        assert client.session.posts == (3 if retryable else 1)
+        assert excinfo.value.message == f"HTTP {status} from {server.url}"
+        assert len(server.lines) == (3 if retryable else 1)
         assert sleeps == ([0.5, 1.0] if retryable else [])
+
+    def test_redirect_is_not_followed(self, sleeps):
+        elsewhere = "http://127.0.0.1:1/v1/chat/completions"
+        with StubServer(lambda n, request: (307, b"", {"Location": elsewhere})) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                with pytest.raises(ResponseRejection) as excinfo:
+                    aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+        assert excinfo.value.code == "transport"
+        assert elsewhere in excinfo.value.message
+        assert len(server.lines) == 1
+        assert sleeps == []
 
     def test_missing_fixture_fails_after_one_request_without_sleeping(self, sleeps):
         with MockLlmServer({}) as server:
@@ -303,20 +318,125 @@ class TestRetryPolicy:
         assert sleeps == [0.5, 1.0]
 
 
-class StatusSession:
-    """Stands in for ``requests.Session``: every POST gets ``status``."""
+def envelope(content: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
 
-    def __init__(self, status: int):
-        self.status = status
-        self.posts = 0
 
-    def post(self, url, **kwargs):
-        self.posts += 1
-        response = requests.Response()
-        response.status_code = self.status
-        response.url = url
-        response._content = b"{}"
-        return response
+def echo(n: int, request: dict) -> tuple[int, bytes, dict]:
+    """Answers each chat request with the content of its last message."""
+    return 200, envelope(request["messages"][-1]["content"]), {}
+
+
+class StubServer:
+    """An HTTP/1.1 server on 127.0.0.1 answering POST number ``n`` with
+    ``answer(n, request) -> (status, body, headers)``.
+
+    It keeps connections alive unless ``drop`` is set, in which case it
+    closes each one after its first answer without saying so.  ``lines``,
+    ``ports`` and ``headers`` hold each request's request line, client port
+    and headers, in arrival order.
+    """
+
+    def __init__(self, answer, drop: bool = False, delay: float = 0.0):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        self.lines: list[str] = []
+        self.ports: list[int] = []
+        self.headers: list[dict] = []
+        lock = threading.Lock()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):  # noqa: N802 - http.server API
+                request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                with lock:
+                    n = len(outer.lines)
+                    outer.lines.append(self.requestline)
+                    outer.ports.append(self.client_address[1])
+                    outer.headers.append(dict(self.headers))
+                status, body, headers = answer(n, request)
+                threading.Event().wait(delay)  # not time.sleep, which tests count
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+                self.close_connection = drop
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+
+    @property
+    def url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}/v1/chat/completions"
+
+    def __enter__(self) -> "StubServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+
+
+class TestConnection:
+    CALLS = [build_stage3_prompt(f"thing {i}", ["a person"]) for i in range(5)]
+
+    def answers(self, client: HttpChatClient) -> list[str]:
+        return [client.complete(messages) for messages in self.CALLS]
+
+    def expected(self) -> list[str]:
+        return [messages[-1].content for messages in self.CALLS]
+
+    def test_kept_alive_connection_is_reused(self):
+        with StubServer(echo) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                assert self.answers(client) == self.expected()
+        assert len(server.lines) == 5
+        assert len(set(server.ports)) == 1
+
+    def test_dropped_connection_is_reopened_without_a_retry(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(llm.time, "sleep", slept.append)
+        with StubServer(echo, drop=True) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                assert self.answers(client) == self.expected()
+        assert len(server.lines) == 5
+        assert len(set(server.ports)) == 5
+        assert slept == []
+
+    def test_proxy_from_the_environment(self, monkeypatch):
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with StubServer(echo) as proxy, StubServer(echo) as target:
+            address = proxy.url.split("/")[2]
+            monkeypatch.setenv("HTTP_PROXY", f"http://us%3Aer:pw@{address}")
+            with closing(HttpChatClient(endpoint=target.url, model="m")) as client:
+                assert client.complete(self.CALLS[0]) == self.expected()[0]
+            assert proxy.lines == [f"POST {target.url} HTTP/1.1"]
+            assert proxy.headers[0]["Proxy-Authorization"] == "Basic dXM6ZXI6cHc="
+            assert target.lines == []
+
+            monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+            with closing(HttpChatClient(endpoint=target.url, model="m")) as client:
+                assert client.complete(self.CALLS[0]) == self.expected()[0]
+            assert len(proxy.lines) == 1
+            assert target.lines == ["POST /v1/chat/completions HTTP/1.1"]
+            assert "Proxy-Authorization" not in target.headers[0]
+
+    def test_endpoint_must_be_an_http_url(self):
+        for endpoint in ("", "127.0.0.1:8080/v1", "ftp://host/v1", "http:///v1"):
+            with pytest.raises(ValueError, match="must be an http or https URL"):
+                HttpChatClient(endpoint=endpoint, model="m")
 
 
 class TestResponseMemo:
@@ -375,10 +495,11 @@ class TestResponseMemo:
             rng = random.Random(seed)
             for _ in range(2000):
                 key = rng.choice(keys)
-                if rng.random() < 0.5:
-                    memo.put(key, key.hex())
+                text = memo.claim(key)
+                if text is None:  # this thread fetches; half of the fetches fail
+                    memo.settle(key, key.hex() if rng.random() < 0.5 else None)
                 else:
-                    assert memo.get(key) in (None, key.hex())
+                    assert text == key.hex()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -388,6 +509,42 @@ class TestResponseMemo:
         finally:
             sys.setswitchinterval(interval)
         assert len(memo._texts) <= 16
+        assert memo._fetching == {}
+
+    def race(self, server: "StubServer") -> list:
+        """Two clients of one memo, released together, each complete MESSAGES once."""
+        memo = llm.ResponseMemo()
+        barrier = threading.Barrier(2)
+
+        def call(_):
+            with closing(HttpChatClient(endpoint=server.url, model="m", memo=memo)) as client:
+                barrier.wait(timeout=10)
+                try:
+                    return client.complete(self.MESSAGES)
+                except TransportError as exc:
+                    return exc
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            return list(pool.map(call, range(2), timeout=30))
+
+    def test_concurrent_misses_send_one_request(self):
+        # the answer is held back so that the second client misses while
+        # the first is still waiting for it
+        with StubServer(echo, delay=0.3) as server:
+            outcomes = self.race(server)
+        assert outcomes == [self.MESSAGES[-1].content] * 2
+        assert len(server.lines) == 1
+
+    def test_waiter_sends_its_own_request_when_the_fetch_fails(self):
+        def fail_first(n, request):
+            return (500, b"{}", {}) if n == 0 else echo(n, request)
+
+        with StubServer(fail_first, delay=0.3) as server:
+            outcomes = self.race(server)
+        failed = [o for o in outcomes if isinstance(o, TransportError)]
+        assert len(failed) == 1 and "HTTP 500" in str(failed[0])
+        assert [o for o in outcomes if o not in failed] == [self.MESSAGES[-1].content]
+        assert len(server.lines) == 2
 
 
 class TestHttpClientWithMockServer:

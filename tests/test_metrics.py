@@ -246,7 +246,7 @@ class TestEmbeddingSimilarity:
         from groundcap.metrics import EmbeddingSimilarity
 
         backend = EmbeddingSimilarity(embedding_server)
-        message = f"'a fault' from {re.escape(embedding_server)} failed: 500"
+        message = f"'a fault' from {re.escape(embedding_server)} failed: HTTP 500 from"
         with pytest.raises(ValueError, match=message):
             backend.similarity("a cup", "a fault")
 
