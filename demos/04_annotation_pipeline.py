@@ -72,7 +72,7 @@ with MockLlmServer(fixtures) as server:
     result = annotate_video(frames, client, PipelineConfig(fps=5.0, backoff=0.0))
     calls = server.request_count
 
-print("status:", result.report.status)
+print("status:", "accepted" if result.annotation is not None else f"rejected {result.reasons}")
 annotation = result.annotation
 print("caption:", annotation.caption.plain)
 for track in annotation.tracks:

@@ -237,7 +237,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     rejected = [r for r in results if r.annotation is None]
     dataset = canonical_jsonl_bytes([annotation_to_dict(r.annotation) for r in accepted])
     rejection_log = canonical_jsonl_bytes(
-        [_with_reasons(r.video_id, r.report.reasons) for r in rejected]
+        [_with_reasons(r.video_id, r.reasons) for r in rejected]
     )
     _write_outputs(
         args,

@@ -41,6 +41,10 @@ class PipelineConfig:
     objectness_threshold: float = 0.5
     api_key_env: str = "GROUNDCAP_API_KEY"
 
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"config key 'retries' must be >= 0, got {self.retries}")
+
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":
         """The config of a JSON document; ``ValueError`` naming the key on a bad one."""

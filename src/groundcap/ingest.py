@@ -21,14 +21,14 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
 from .jsonio import canonical_json
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_record, check_track
 
 
 class SchemaError(ValueError):
@@ -629,8 +629,10 @@ def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotati
 def _build_annotation(obj: dict) -> VideoAnnotation:
     """The record of a schema-valid plain-JSON annotation; checks its invariants.
 
-    Integer fields go through ``int``: the schema lets integral floats pass.
-    Presence flags are taken as they are: the schema has proven them bools.
+    Each track is checked as soon as it is built, so the first broken
+    invariant in file order is the one raised.  Integer fields go through
+    ``int``: the schema lets integral floats pass.  Presence flags are taken
+    as they are: the schema has proven them bools.
     """
     try:
         caption = parse_tagged_caption(obj["caption"])
@@ -648,15 +650,15 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
         confidence = None
         if "confidence" in item:
             confidence = {int(k): float(v) for k, v in item["confidence"].items()}
-        tracks.append(
-            ObjectTrack(
-                phrase_index=int(item["phrase_index"]),
-                boxes=boxes,
-                presence=tuple(item["presence"]),
-                confidence=confidence,
-            )
+        track = ObjectTrack(
+            phrase_index=int(item["phrase_index"]),
+            boxes=boxes,
+            presence=tuple(item["presence"]),
+            confidence=confidence,
         )
-    return VideoAnnotation(
+        check_track(track)
+        tracks.append(track)
+    record = VideoAnnotation(
         video_id=obj["video_id"],
         frame_count=int(obj["frame_count"]),
         fps=float(obj["fps"]),
@@ -666,6 +668,8 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
         tracks=tuple(tracks),
         boxes_normalized=normalized,
     )
+    check_record(record)
+    return record
 
 
 def parse_video_annotation(data: bytes) -> VideoAnnotation:
@@ -710,15 +714,18 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:
     """Read a JSON-lines dataset of annotation records."""
-    annotations = []
+    return [annotation for _line, annotation in _iter_annotations(data)]
+
+
+def _iter_annotations(data: bytes) -> Iterator[tuple[int, VideoAnnotation]]:
+    """``(line_number, record)`` per line; a repeated ``video_id`` is an error."""
     seen: set[str] = set()
     for line, obj in iter_jsonl(data):
         annotation = annotation_from_dict(obj, line=line)
         if annotation.video_id in seen:
             raise SchemaError(f"duplicate video_id {annotation.video_id!r}", line=line)
         seen.add(annotation.video_id)
-        annotations.append(annotation)
-    return annotations
+        yield line, annotation
 
 
 # ---------------------------------------------------------------------------
@@ -738,20 +745,20 @@ def load_predictions(data: bytes, objectness_threshold: float = 0.5) -> list[Vid
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError(f"objectness threshold {objectness_threshold} outside [0, 1]")
-    predictions = []
-    seen: set[str] = set()
-    for line, obj in iter_jsonl(data):
-        annotation = annotation_from_dict(obj, line=line)
-        if annotation.video_id in seen:
-            raise SchemaError(f"duplicate video_id {annotation.video_id!r}", line=line)
-        seen.add(annotation.video_id)
-        predictions.append(_apply_objectness(annotation, objectness_threshold, line))
-    return predictions
+    return [
+        _apply_objectness(annotation, objectness_threshold, line)
+        for line, annotation in _iter_annotations(data)
+    ]
 
 
 def _apply_objectness(
     annotation: VideoAnnotation, threshold: float, line: Optional[int]
 ) -> VideoAnnotation:
+    """``annotation`` without its frames scored below ``threshold``.
+
+    The record is checked already, and keeping a subset of a checked track's
+    frames breaks no invariant, so nothing is checked again.
+    """
     if threshold == 0.0:
         return annotation
     tracks = []
@@ -779,13 +786,4 @@ def _apply_objectness(
                 confidence={t: confidence[t] for t in kept},
             )
         )
-    return VideoAnnotation(
-        video_id=annotation.video_id,
-        frame_count=annotation.frame_count,
-        fps=annotation.fps,
-        width=annotation.width,
-        height=annotation.height,
-        caption=annotation.caption,
-        tracks=tuple(tracks),
-        boxes_normalized=annotation.boxes_normalized,
-    )
+    return replace(annotation, tracks=tuple(tracks))

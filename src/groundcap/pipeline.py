@@ -2,8 +2,9 @@
 
 One video flows: frame captions -> SVO frames -> aggregated caption ->
 phrase assignments -> tracks -> final record.  Every failure mode ends in a
-rejected :class:`ValidationReport` instead of an exception, so a batch over
-N videos always produces accepted + rejected == N.
+:class:`PipelineResult` without an annotation and with its ``(code, message)``
+reasons instead of an exception, so a batch over N videos always produces
+accepted + rejected == N.
 
 :func:`map_videos` is the one batch driver: ``build`` (through
 :func:`run_pipeline`), ``aggregate`` and ``track`` all run their per-video
@@ -32,7 +33,7 @@ from .llm import (
     aggregate_video,
     track_by_language,
 )
-from .records import REJECTED, ValidationReport, VideoAnnotation
+from .records import RecordValidationError, VideoAnnotation
 from .svo import extract_svo, pos_tag
 from .tubes import assemble_tracks, build_record
 
@@ -46,13 +47,11 @@ R = TypeVar("R")
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """One video's outcome: the record, or None and why it was rejected."""
+
     video_id: str
     annotation: Optional[VideoAnnotation]
-    report: ValidationReport
-
-
-def _rejected(video_id: str, code: str, message: str) -> PipelineResult:
-    return PipelineResult(video_id, None, ValidationReport(video_id, REJECTED, ((code, message),)))
+    reasons: tuple[tuple[str, str], ...] = ()
 
 
 def collect_frame_objects(
@@ -120,36 +119,33 @@ def annotate_video(
     video_id = frames[0].video_id
     if any(f.video_id != video_id for f in frames):
         raise ValueError("frames mix multiple videos")
-    sizes = {(f.width, f.height) for f in frames}
-    if len(sizes) > 1:
-        return _rejected(
-            video_id, REJECT_INCONSISTENT_FRAMES, f"frame dimensions vary: {sorted(sizes)}"
-        )
-    width, height = next(iter(sizes))
-    frame_count = max(f.frame_index for f in frames) + 1
-
-    svo_frames = [extract_svo(pos_tag(f.caption), f.frame_index) for f in frames]
     try:
-        aggregated = aggregate_video(
+        sizes = {(f.width, f.height) for f in frames}
+        if len(sizes) > 1:
+            raise RecordValidationError(
+                REJECT_INCONSISTENT_FRAMES, f"frame dimensions vary: {sorted(sizes)}"
+            )
+        width, height = next(iter(sizes))
+        frame_count = max(f.frame_index for f in frames) + 1
+        svo_frames = [extract_svo(pos_tag(f.caption), f.frame_index) for f in frames]
+        caption = aggregate_video(
             svo_frames, client, retries=config.retries, backoff=config.backoff
+        ).caption
+        frame_objects = collect_frame_objects(frames)
+        assignments = track_by_language(
+            frame_objects,
+            caption.phrase_texts,
+            client,
+            retries=config.retries,
+            backoff=config.backoff,
         )
-    except ResponseRejection as exc:
-        return _rejected(video_id, exc.code, exc.message)
-
-    caption = aggregated.caption
-    frame_objects = collect_frame_objects(frames)
-    assignments = track_by_language(
-        frame_objects,
-        caption.phrase_texts,
-        client,
-        retries=config.retries,
-        backoff=config.backoff,
-    )
-    tracks = assemble_tracks(assignments, frame_objects, caption, frame_count)
-    annotation, report = build_record(
-        video_id, frame_count, config.fps, width, height, caption, tracks
-    )
-    return PipelineResult(video_id, annotation, report)
+        tracks = assemble_tracks(assignments, frame_objects, caption, frame_count)
+        annotation = build_record(
+            video_id, frame_count, config.fps, width, height, caption, tracks
+        )
+    except (ResponseRejection, RecordValidationError) as exc:
+        return PipelineResult(video_id, None, ((exc.code, exc.message),))
+    return PipelineResult(video_id, annotation)
 
 
 class _HeldRecords(logging.Filter):

@@ -1,9 +1,10 @@
-"""Video-level record types: object tracks, annotations, SVO frames, reports.
+"""Video-level record types: object tracks, annotations and SVO frames.
 
-All types are immutable after construction and validate their own invariants,
-so a constructed record is always internally consistent.  File-level parsing
-with multi-reason error reports lives in :mod:`groundcap.ingest`; the
-constructors here raise :class:`RecordValidationError` on the first violation.
+Tracks and annotations are plain immutable values.  Ingest (after the schema)
+and :func:`groundcap.tubes.build_record` check each record once, where it
+enters; for a record built by hand, call :func:`check_track` on each track,
+then :func:`check_record`.  Both raise :class:`RecordValidationError` on the
+first violation.
 """
 
 from __future__ import annotations
@@ -46,35 +47,6 @@ class ObjectTrack:
         object.__setattr__(self, "presence", tuple(self.presence))
         if self.confidence is not None:
             object.__setattr__(self, "confidence", MappingProxyType(dict(self.confidence)))
-        if self.phrase_index < 0:
-            raise RecordValidationError("bad-phrase-index", f"negative phrase_index {self.phrase_index}")
-        if not self.boxes:
-            raise RecordValidationError("empty-track", "track has no present frames")
-        frame_count = len(self.presence)
-        for t in self.boxes:
-            if not 0 <= t < frame_count:
-                raise RecordValidationError(
-                    "frame-out-of-range", f"box frame {t} outside [0, {frame_count})"
-                )
-        for t, flag in enumerate(self.presence):
-            if flag != (t in self.boxes):
-                raise RecordValidationError(
-                    "presence-box-mismatch",
-                    f"presence[{t}]={flag} but box {'missing' if flag else 'present'} at that frame",
-                )
-        modes = {b.normalized for b in self.boxes.values()}
-        if len(modes) > 1:
-            raise RecordValidationError("box-mode-mismatch", "track mixes normalized and pixel boxes")
-        if self.confidence is not None:
-            for t, score in self.confidence.items():
-                if t not in self.boxes:
-                    raise RecordValidationError(
-                        "bad-confidence", f"confidence at frame {t} without a box"
-                    )
-                if not 0.0 <= score <= 1.0:
-                    raise RecordValidationError(
-                        "bad-confidence", f"confidence {score} at frame {t} outside [0, 1]"
-                    )
 
     @classmethod
     def from_boxes(
@@ -112,66 +84,90 @@ class VideoAnnotation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
-        if not self.video_id:
-            raise RecordValidationError("bad-video-id", "video_id must be non-empty")
-        if self.frame_count < 1:
-            raise RecordValidationError("bad-frame-count", f"frame_count {self.frame_count} < 1")
-        if self.fps <= 0:
-            raise RecordValidationError("bad-fps", f"fps {self.fps} must be positive")
-        if self.width < 1 or self.height < 1:
-            raise RecordValidationError("bad-dimensions", f"frame size {self.width}x{self.height}")
-        for track in self.tracks:
-            if track.phrase_index >= len(self.caption.phrases):
-                raise RecordValidationError(
-                    "bad-phrase-index",
-                    f"phrase_index {track.phrase_index} but caption has "
-                    f"{len(self.caption.phrases)} phrases",
-                )
-            if track.frame_count != self.frame_count:
-                raise RecordValidationError(
-                    "presence-length",
-                    f"track presence length {track.frame_count} != frame_count {self.frame_count}",
-                )
-            for t, box in track.boxes.items():
-                if box.normalized != self.boxes_normalized:
-                    raise RecordValidationError(
-                        "box-mode-mismatch",
-                        f"box at frame {t} is {'normalized' if box.normalized else 'pixel'} "
-                        f"but record declares boxes_normalized={self.boxes_normalized}",
-                    )
-                if not box.normalized:
-                    if (
-                        box.x < -PIXEL_EPS
-                        or box.y < -PIXEL_EPS
-                        or box.x + box.w > self.width + PIXEL_EPS
-                        or box.y + box.h > self.height + PIXEL_EPS
-                    ):
-                        raise RecordValidationError(
-                            "box-out-of-frame",
-                            f"box {box.as_list()} at frame {t} exceeds {self.width}x{self.height}",
-                        )
-        self._check_duplicate_tracks()
-
-    def _check_duplicate_tracks(self) -> None:
-        # Two tracks for one phrase are allowed (an object can be two tubes),
-        # but an identical box on a shared frame means a duplicated record.
-        by_phrase: dict[int, list[ObjectTrack]] = {}
-        for track in self.tracks:
-            by_phrase.setdefault(track.phrase_index, []).append(track)
-        for phrase_index, group in by_phrase.items():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    shared = group[i].boxes.keys() & group[j].boxes.keys()
-                    for t in shared:
-                        if group[i].boxes[t] == group[j].boxes[t]:
-                            raise RecordValidationError(
-                                "duplicate-track-box",
-                                f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
-                            )
 
     @property
     def duration_seconds(self) -> float:
         return self.frame_count / self.fps
+
+
+def check_track(track: ObjectTrack) -> None:
+    """Raise :class:`RecordValidationError` for the first broken track invariant.
+
+    The track has a box, box frames lie inside the presence vector and agree
+    with its flags, and every confidence belongs to a box.
+    """
+    if not track.boxes:
+        raise RecordValidationError("empty-track", "track has no present frames")
+    frame_count = len(track.presence)
+    for t in track.boxes:
+        if not 0 <= t < frame_count:
+            raise RecordValidationError(
+                "frame-out-of-range", f"box frame {t} outside [0, {frame_count})"
+            )
+    for t, flag in enumerate(track.presence):
+        if flag != (t in track.boxes):
+            raise RecordValidationError(
+                "presence-box-mismatch",
+                f"presence[{t}]={flag} but box {'missing' if flag else 'present'} at that frame",
+            )
+    if track.confidence is not None:
+        for t in track.confidence:
+            if t not in track.boxes:
+                raise RecordValidationError(
+                    "bad-confidence", f"confidence at frame {t} without a box"
+                )
+
+
+def check_record(record: VideoAnnotation) -> None:
+    """Raise :class:`RecordValidationError` for the first broken record invariant.
+
+    Its tracks must have passed :func:`check_track`.  The frame rate is
+    positive, each track names a caption phrase and spans the video, pixel
+    boxes stay inside the frame, and no two tracks of one phrase repeat a box.
+    """
+    if record.fps <= 0:
+        raise RecordValidationError("bad-fps", f"fps {record.fps} must be positive")
+    phrases = len(record.caption.phrases)
+    width, height = record.width, record.height
+    for track in record.tracks:
+        if track.phrase_index >= phrases:
+            raise RecordValidationError(
+                "bad-phrase-index",
+                f"phrase_index {track.phrase_index} but caption has {phrases} phrases",
+            )
+        if track.frame_count != record.frame_count:
+            raise RecordValidationError(
+                "presence-length",
+                f"track presence length {track.frame_count} != frame_count {record.frame_count}",
+            )
+        if record.boxes_normalized:
+            continue
+        for t, box in track.boxes.items():
+            if (
+                box.x < -PIXEL_EPS
+                or box.y < -PIXEL_EPS
+                or box.x + box.w > width + PIXEL_EPS
+                or box.y + box.h > height + PIXEL_EPS
+            ):
+                raise RecordValidationError(
+                    "box-out-of-frame",
+                    f"box {box.as_list()} at frame {t} exceeds {width}x{height}",
+                )
+    # Two tracks for one phrase are allowed (an object can be two tubes),
+    # but an identical box on a shared frame means a duplicated record.
+    by_phrase: dict[int, list[ObjectTrack]] = {}
+    for track in record.tracks:
+        by_phrase.setdefault(track.phrase_index, []).append(track)
+    for phrase_index, group in by_phrase.items():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                shared = group[i].boxes.keys() & group[j].boxes.keys()
+                for t in shared:
+                    if group[i].boxes[t] == group[j].boxes[t]:
+                        raise RecordValidationError(
+                            "duplicate-track-box",
+                            f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
+                        )
 
 
 @dataclass(frozen=True)
@@ -203,31 +199,3 @@ class SvoFrame:
         object.__setattr__(self, "relations", tuple(self.relations))
         if self.frame_index < 0:
             raise ValueError(f"negative frame_index {self.frame_index}")
-
-
-ACCEPTED = "accepted"
-REJECTED = "rejected"
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Accept/reject outcome for one video, with machine-readable reasons."""
-
-    video_id: str
-    status: str
-    reasons: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "reasons", tuple(tuple(r) for r in self.reasons))
-        if self.status not in (ACCEPTED, REJECTED):
-            raise ValueError(f"status must be {ACCEPTED!r} or {REJECTED!r}, got {self.status!r}")
-        if self.status == REJECTED and not self.reasons:
-            raise ValueError("rejected report requires at least one reason")
-
-    @property
-    def accepted(self) -> bool:
-        return self.status == ACCEPTED
-
-    @property
-    def reason_codes(self) -> list[str]:
-        return [code for code, _ in self.reasons]

@@ -14,7 +14,6 @@ import importlib.resources
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .records import SvoFrame, SvoRelation
@@ -52,21 +51,6 @@ class LexiconTagger:
             if pos not in POS_TAGS:
                 raise ValueError(f"lexicon entry {token!r} has unknown tag {pos!r}")
         self._lexicon = dict(lexicon)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "LexiconTagger":
-        lexicon: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    token, pos = line.split("\t")
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: expected token<TAB>POS") from exc
-                lexicon[token.lower()] = pos
-        return cls(lexicon)
 
     def tag(self, sentence: str) -> list[TaggedToken]:
         raw_tokens = _TOKEN_RE.findall(sentence)

@@ -13,14 +13,7 @@ from typing import Optional, Sequence
 from .boxes import BoundingBox
 from .captions import TaggedCaption
 from .llm import PhraseAssignment
-from .records import (
-    ACCEPTED,
-    REJECTED,
-    ObjectTrack,
-    RecordValidationError,
-    ValidationReport,
-    VideoAnnotation,
-)
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_record, check_track
 
 logger = logging.getLogger(__name__)
 
@@ -99,16 +92,15 @@ def build_record(
     height: int,
     caption: TaggedCaption,
     tracks: Sequence[ObjectTrack],
-) -> tuple[Optional[VideoAnnotation], ValidationReport]:
-    """Assemble the final record; accepted iff at least one track survives.
+) -> VideoAnnotation:
+    """Assemble the final record and check it, once, as it leaves the build.
 
-    Invariant violations turn into a rejected report rather than an
-    exception, so one bad video cannot stop a batch.
+    Raises:
+        RecordValidationError: ``no-tracks`` when no track survived, else the
+            first invariant the tracks or the record break.
     """
     if not tracks:
-        return None, ValidationReport(
-            video_id, REJECTED, ((REJECT_NO_TRACKS, "no caption phrase received any box"),)
-        )
+        raise RecordValidationError(REJECT_NO_TRACKS, "no caption phrase received any box")
     ungrounded = set(range(len(caption.phrases))) - {t.phrase_index for t in tracks}
     for index in sorted(ungrounded):
         logger.warning(
@@ -116,17 +108,17 @@ def build_record(
             video_id,
             caption.phrases[index].text,
         )
-    try:
-        annotation = VideoAnnotation(
-            video_id=video_id,
-            frame_count=frame_count,
-            fps=fps,
-            width=width,
-            height=height,
-            caption=caption,
-            tracks=tuple(tracks),
-            boxes_normalized=False,
-        )
-    except RecordValidationError as exc:
-        return None, ValidationReport(video_id, REJECTED, ((exc.code, exc.message),))
-    return annotation, ValidationReport(video_id, ACCEPTED)
+    for track in tracks:
+        check_track(track)
+    annotation = VideoAnnotation(
+        video_id=video_id,
+        frame_count=frame_count,
+        fps=fps,
+        width=width,
+        height=height,
+        caption=caption,
+        tracks=tuple(tracks),
+        boxes_normalized=False,
+    )
+    check_record(annotation)
+    return annotation

@@ -261,6 +261,24 @@ def make_corpus(rng: random.Random, size: int, prefix: str = "vid") -> list[Vide
 
 
 @pytest.fixture
+def record_checks(monkeypatch):
+    """Video ids of the records checked at ingest or build, one per check."""
+    import groundcap.ingest as ingest
+    import groundcap.tubes as tubes
+
+    checked = []
+    real = ingest.check_record
+
+    def counting(record):
+        checked.append(record.video_id)
+        real(record)
+
+    for module in (ingest, tubes):
+        monkeypatch.setattr(module, "check_record", counting)
+    return checked
+
+
+@pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
 

@@ -4,7 +4,10 @@ Everything here deliberately avoids the library's code paths: IoU by
 counting unit grid cells, masks by full decode, CIDEr with dense vectors
 over an enumerated vocabulary, AP by enumerating the PR curve, a
 recursive-descent parser for the rendered SVO block grammar, and a schema
-walker that interprets the schema dict at every node.
+walker that interprets the schema dict at every node.  The one exception is
+the annotation-record reference at the end: it builds the library's plain
+record types, boxes and captions, and checks them the way the record
+constructors did when every construction checked every invariant.
 """
 
 from __future__ import annotations
@@ -395,3 +398,174 @@ def schema_errors(value, schema: dict, path: str = "$") -> Iterator[tuple[str, s
         valid = sum(next(schema_errors(value, sub, path), None) is None for sub in options)
         if valid != 1:
             yield path, f"valid under {valid} of the {len(options)} oneOf schemas, expected 1"
+
+
+# ---------------------------------------------------------------------------
+# Annotation records: the checks the ObjectTrack and VideoAnnotation
+# constructors ran on every construction, and the dict-to-record path and
+# objectness filter that ran them, as they were before records were checked
+# once where they enter
+
+
+def reference_track_check(track) -> None:
+    """The former ``ObjectTrack.__post_init__`` checks, in their order."""
+    from groundcap.records import RecordValidationError
+
+    if track.phrase_index < 0:
+        raise RecordValidationError(
+            "bad-phrase-index", f"negative phrase_index {track.phrase_index}"
+        )
+    if not track.boxes:
+        raise RecordValidationError("empty-track", "track has no present frames")
+    frame_count = len(track.presence)
+    for t in track.boxes:
+        if not 0 <= t < frame_count:
+            raise RecordValidationError(
+                "frame-out-of-range", f"box frame {t} outside [0, {frame_count})"
+            )
+    for t, flag in enumerate(track.presence):
+        if flag != (t in track.boxes):
+            raise RecordValidationError(
+                "presence-box-mismatch",
+                f"presence[{t}]={flag} but box {'missing' if flag else 'present'} at that frame",
+            )
+    modes = {b.normalized for b in track.boxes.values()}
+    if len(modes) > 1:
+        raise RecordValidationError("box-mode-mismatch", "track mixes normalized and pixel boxes")
+    if track.confidence is not None:
+        for t, score in track.confidence.items():
+            if t not in track.boxes:
+                raise RecordValidationError(
+                    "bad-confidence", f"confidence at frame {t} without a box"
+                )
+            if not 0.0 <= score <= 1.0:
+                raise RecordValidationError(
+                    "bad-confidence", f"confidence {score} at frame {t} outside [0, 1]"
+                )
+
+
+def reference_record_check(record) -> None:
+    """The former ``VideoAnnotation.__post_init__`` checks, in their order."""
+    from groundcap.records import PIXEL_EPS, RecordValidationError
+
+    if not record.video_id:
+        raise RecordValidationError("bad-video-id", "video_id must be non-empty")
+    if record.frame_count < 1:
+        raise RecordValidationError("bad-frame-count", f"frame_count {record.frame_count} < 1")
+    if record.fps <= 0:
+        raise RecordValidationError("bad-fps", f"fps {record.fps} must be positive")
+    if record.width < 1 or record.height < 1:
+        raise RecordValidationError("bad-dimensions", f"frame size {record.width}x{record.height}")
+    for track in record.tracks:
+        if track.phrase_index >= len(record.caption.phrases):
+            raise RecordValidationError(
+                "bad-phrase-index",
+                f"phrase_index {track.phrase_index} but caption has "
+                f"{len(record.caption.phrases)} phrases",
+            )
+        if track.frame_count != record.frame_count:
+            raise RecordValidationError(
+                "presence-length",
+                f"track presence length {track.frame_count} != frame_count {record.frame_count}",
+            )
+        for t, box in track.boxes.items():
+            if box.normalized != record.boxes_normalized:
+                raise RecordValidationError(
+                    "box-mode-mismatch",
+                    f"box at frame {t} is {'normalized' if box.normalized else 'pixel'} "
+                    f"but record declares boxes_normalized={record.boxes_normalized}",
+                )
+            if not box.normalized:
+                if (
+                    box.x < -PIXEL_EPS
+                    or box.y < -PIXEL_EPS
+                    or box.x + box.w > record.width + PIXEL_EPS
+                    or box.y + box.h > record.height + PIXEL_EPS
+                ):
+                    raise RecordValidationError(
+                        "box-out-of-frame",
+                        f"box {box.as_list()} at frame {t} exceeds {record.width}x{record.height}",
+                    )
+    by_phrase: dict = {}
+    for track in record.tracks:
+        by_phrase.setdefault(track.phrase_index, []).append(track)
+    for phrase_index, group in by_phrase.items():
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                for t in group[i].boxes.keys() & group[j].boxes.keys():
+                    if group[i].boxes[t] == group[j].boxes[t]:
+                        raise RecordValidationError(
+                            "duplicate-track-box",
+                            f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
+                        )
+
+
+def reference_annotation(obj: dict):
+    """The record of a schema-valid annotation dict, each part checked as it is built."""
+    from groundcap.boxes import BoundingBox
+    from groundcap.captions import MalformedCaptionError, parse_tagged_caption
+    from groundcap.records import ObjectTrack, RecordValidationError, VideoAnnotation
+
+    try:
+        caption = parse_tagged_caption(obj["caption"])
+    except MalformedCaptionError as exc:
+        raise RecordValidationError("caption-malformed", str(exc)) from exc
+    tracks = []
+    for item in obj["tracks"]:
+        boxes = {}
+        for key, coords in item["boxes"].items():
+            try:
+                boxes[int(key)] = BoundingBox(
+                    *map(float, coords), normalized=obj["boxes_normalized"]
+                )
+            except ValueError as exc:
+                raise RecordValidationError("bad-box", f"frame {key}: {exc}") from exc
+        confidence = None
+        if "confidence" in item:
+            confidence = {int(k): float(v) for k, v in item["confidence"].items()}
+        track = ObjectTrack(int(item["phrase_index"]), boxes, tuple(item["presence"]), confidence)
+        reference_track_check(track)
+        tracks.append(track)
+    record = VideoAnnotation(
+        obj["video_id"], int(obj["frame_count"]), float(obj["fps"]), int(obj["width"]),
+        int(obj["height"]), caption, tuple(tracks), obj["boxes_normalized"],
+    )
+    reference_record_check(record)
+    return record
+
+
+def reference_objectness(record, threshold: float):
+    """``record`` without frames scored below ``threshold``, every rebuilt part re-checked.
+
+    Raises ``ValueError``, its message led by the JSON path of the track
+    whose present frame has no score.
+    """
+    from groundcap.records import ObjectTrack, VideoAnnotation
+
+    if threshold == 0.0:
+        return record
+    tracks = []
+    for index, track in enumerate(record.tracks):
+        if track.confidence is None:
+            tracks.append(track)
+            continue
+        missing = sorted(set(track.boxes) - set(track.confidence))
+        if missing:
+            raise ValueError(
+                f"$.tracks[{index}].confidence: track {index} missing confidence for "
+                f"frames {missing} with threshold {threshold}"
+            )
+        kept = {t: box for t, box in track.boxes.items() if track.confidence[t] >= threshold}
+        if kept:
+            kept_track = ObjectTrack.from_boxes(
+                track.phrase_index, kept, record.frame_count,
+                {t: track.confidence[t] for t in kept},
+            )
+            reference_track_check(kept_track)
+            tracks.append(kept_track)
+    filtered = VideoAnnotation(
+        record.video_id, record.frame_count, record.fps, record.width, record.height,
+        record.caption, tuple(tracks), record.boxes_normalized,
+    )
+    reference_record_check(filtered)
+    return filtered

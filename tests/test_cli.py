@@ -523,6 +523,7 @@ class TestUsageErrors:
                 "config key 'objectness_threshold' must be a number, got '0.5'",
             ),
             ('{"iou_threshold": 0.5}', "unknown config keys: ['iou_threshold']"),
+            ('{"retries": -1}', "config key 'retries' must be >= 0, got -1"),
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
@@ -540,6 +541,22 @@ class TestUsageErrors:
     def test_missing_input_file_exit_1(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert main(["svo", "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 1
+
+    def test_negative_retries_flag_exits_1_before_any_request(
+        self, tmp_path, stir_input, capsys, monkeypatch
+    ):
+        posts = []
+        monkeypatch.setattr(llm.JsonEndpoint, "post", lambda self, body: posts.append(body))
+        out = tmp_path / "dataset.jsonl"
+        code = main(
+            ["build", "--input", str(stir_input), "--out", str(out),
+             "--rejected", str(tmp_path / "rejected.jsonl"),
+             "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--retries", "-1"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: config key 'retries' must be >= 0, got -1\n"
+        assert posts == []
+        assert not out.exists()
 
     def test_build_without_endpoint_fails_like_aggregate(
         self, tmp_path, stir_input, capsys, monkeypatch

@@ -1,10 +1,12 @@
+import copy
 import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import groundcap.ingest as ingest
+import groundcap.records as records
 from groundcap import (
     BoundingBox,
     EmptyMaskError,
@@ -24,7 +26,12 @@ from groundcap import (
     validate_annotation_dict,
 )
 from conftest import make_annotation
-from oracles import rle_box_bruteforce
+from oracles import (
+    reference_annotation,
+    reference_objectness,
+    rle_box_bruteforce,
+    schema_errors,
+)
 
 
 def frame_line(**overrides) -> dict:
@@ -481,3 +488,175 @@ class TestLoadPredictions:
         data = prediction_line({0: 0.9}) + (json.dumps(second) + "\n").encode()
         assert len(load_predictions(data)) == 2
         assert schema_passes == ["video_annotation.schema.json"] * 2
+
+    def test_thresholding_checks_each_record_once(self, record_checks):
+        lines = []
+        for i in range(3):
+            record = json.loads(prediction_line({0: 0.9, 1: 0.2, 2: 0.7}))
+            record["video_id"] = f"p{i}"
+            lines.append(json.dumps(record) + "\n")
+        predictions = load_predictions("".join(lines).encode(), objectness_threshold=0.5)
+        assert [p.tracks[0].present_frames for p in predictions] == [[0, 2]] * 3
+        assert record_checks == ["p0", "p1", "p2"]
+
+
+# ---------------------------------------------------------------------------
+# Records are checked once, where they enter; the reference in ``oracles``
+# checks every part as it is built, the way the record constructors did
+
+MUTATIONS = (
+    "presence-flip",
+    "box-past-end",
+    "phrase-past-end",
+    "box-out-of-frame",
+    "negative-size",
+    "duplicate-track",
+    "confidence-without-box",
+    "short-presence",
+    "drop-confidence",
+    "normalize",
+)
+
+
+def mutate(obj: dict, kind: str, pick: int) -> None:
+    """Apply mutation ``kind`` to an annotation dict in place; ``pick`` chooses where."""
+    track = obj["tracks"][pick % len(obj["tracks"])]
+    keys = sorted(track["boxes"], key=int)
+    key = keys[pick % len(keys)]
+    frame_count = obj["frame_count"]
+    if kind == "presence-flip" and track["presence"]:
+        t = pick % len(track["presence"])
+        track["presence"][t] = not track["presence"][t]
+    elif kind == "box-past-end":
+        track["boxes"][str(frame_count + pick % 2)] = [1.0, 1.0, 2.0, 2.0]
+    elif kind == "phrase-past-end":
+        track["phrase_index"] = obj["caption"].count("<p>") + pick % 2
+    elif kind == "box-out-of-frame":
+        x, y, w, h = track["boxes"][key]
+        track["boxes"][key] = [x + obj["width"] - w / 2, y, w, h]
+    elif kind == "negative-size":
+        track["boxes"][key][2] = -2.0
+    elif kind == "duplicate-track":
+        obj["tracks"].append(copy.deepcopy(track))
+    elif kind == "confidence-without-box":
+        track.setdefault("confidence", {})[str(pick % (frame_count + 2))] = 0.5
+    elif kind == "short-presence":
+        track["presence"] = track["presence"][:-1]
+    elif kind == "drop-confidence":
+        track.get("confidence", {}).pop(key, None)
+    elif kind == "normalize" and not obj["boxes_normalized"]:
+        obj["boxes_normalized"] = True
+        width, height = obj["width"], obj["height"]
+        for each in obj["tracks"]:
+            for t, (x, y, w, h) in each["boxes"].items():
+                each["boxes"][t] = [x / width, y / height, w / width, h / height]
+
+
+def mutant(seed: int, with_confidence: bool, mutations) -> dict:
+    record = make_annotation(random.Random(seed), "v", with_confidence=with_confidence)
+    obj = json.loads(serialize_video_annotation(record))
+    for kind, pick in mutations:
+        mutate(obj, kind, pick)
+    return obj
+
+
+def outcome(call):
+    """What ``call()`` gives: its result, or the (code, message) it refused with."""
+    try:
+        return call()
+    except SchemaError as exc:
+        return ("schema", str(exc))
+    except RecordValidationError as exc:
+        return (exc.code, exc.message)
+
+
+def reference_outcome(obj: dict, threshold=None, prefix: str = ""):
+    """The schema plus the reference: the record, or the first (code, message)."""
+    errors = list(schema_errors(obj, ingest.load_schema("video_annotation.schema.json")))
+    if errors:
+        return ("schema", f"{prefix}{errors[0][0]}: {errors[0][1]}")
+    try:
+        record = reference_annotation(obj)
+        return record if threshold is None else reference_objectness(record, threshold)
+    except RecordValidationError as exc:
+        return (exc.code, exc.message)
+    except ValueError as exc:  # a present frame without a score
+        return ("schema", f"{prefix}{exc}")
+
+
+def disagreements(obj: dict) -> list[str]:
+    """The entry points whose outcome on ``obj`` differs from the reference's."""
+    found = []
+    expected = reference_outcome(obj)
+    reasons = validate_annotation_dict(obj)[:1]
+    if reasons != ([expected] if isinstance(expected, tuple) else []):
+        found.append(f"validate_annotation_dict: {reasons} != {expected}")
+    got = outcome(lambda: ingest.annotation_from_dict(obj))
+    if got != expected:
+        found.append(f"annotation_from_dict: {got} != {expected}")
+    line = (json.dumps(obj) + "\n").encode()
+    for threshold in (0.0, 0.5):
+        want = reference_outcome(obj, threshold, prefix="line 1: ")
+        got = outcome(lambda: load_predictions(line, threshold))
+        if got != (want if isinstance(want, tuple) else [want]):
+            found.append(f"load_predictions at {threshold}: {got} != {want}")
+    return found
+
+
+# each mutation and each pair of them, on records with and without confidence maps
+SWEEP = [mutant(seed, seed % 2 == 1, [(kind, seed)]) for seed in range(4) for kind in MUTATIONS] + [
+    mutant(seed, seed % 2 == 1, [(first, seed * 7 + 1), (second, seed * 3)])
+    for seed in range(4, 8)
+    for first in MUTATIONS
+    for second in MUTATIONS
+]
+
+
+class TestRecordChecksMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 2**16)), max_size=3),
+    )
+    def test_entry_points_agree_with_reference(self, seed, with_confidence, mutations):
+        assert disagreements(mutant(seed, with_confidence, mutations)) == []
+
+    def test_sweep_agrees_and_reaches_every_kept_check(self):
+        assert [found for obj in SWEEP for found in disagreements(obj)] == []
+        outcomes = [reference_outcome(obj, 0.5) for obj in SWEEP]
+        codes = {o[0] for o in outcomes if isinstance(o, tuple)}
+        assert codes == {
+            "bad-box",
+            "bad-confidence",
+            "bad-phrase-index",
+            "box-out-of-frame",
+            "duplicate-track-box",
+            "frame-out-of-range",
+            "presence-box-mismatch",
+            "presence-length",
+            "schema",
+        }
+        assert any(not isinstance(o, tuple) for o in outcomes)
+
+    def test_a_dropped_check_is_caught(self, monkeypatch):
+        def without_duplicate_check(record):  # the duplicate check runs last
+            try:
+                records.check_record(record)
+            except RecordValidationError as exc:
+                if exc.code != "duplicate-track-box":
+                    raise
+
+        monkeypatch.setattr(ingest, "check_record", without_duplicate_check)
+        assert any(disagreements(obj) for obj in SWEEP)
+
+    def test_track_checks_after_all_tracks_are_built_are_caught(self, monkeypatch):
+        def late(record):
+            for track in record.tracks:
+                records.check_track(track)
+            records.check_record(record)
+
+        monkeypatch.setattr(ingest, "check_track", lambda track: None)
+        monkeypatch.setattr(ingest, "check_record", late)
+        assert any(disagreements(obj) for obj in SWEEP)
+

@@ -31,6 +31,7 @@ from groundcap.metrics import (
     _match_pool,
     cider_scores,
 )
+from groundcap.records import check_record
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
@@ -705,10 +706,12 @@ def _noisy_prediction(rng, gt):
                 rng.randrange(phrases), {t: box}, gt.frame_count, {t: rng.choice(CONFIDENCES)}
             )
         )
+    prediction = dataclasses.replace(gt, tracks=tuple(tracks))
     try:
-        return dataclasses.replace(gt, tracks=tuple(tracks))
+        check_record(prediction)
     except RecordValidationError:  # a duplicate came out identical to its original
         return dataclasses.replace(gt, tracks=tuple(tracks[:1]))
+    return prediction
 
 
 def _oracle_corpus(rng):

@@ -20,7 +20,7 @@ class TestAnnotateVideo:
     def test_stirring_video_end_to_end(self):
         client = ReplayClient(stirring_fixtures())
         result = annotate_video(stirring_frames(), client, CONFIG)
-        assert result.report.accepted
+        assert result.annotation is not None and result.reasons == ()
         annotation = result.annotation
         assert annotation.caption.plain == "A person is stirring food in a bowl using a spoon"
         assert annotation.caption.phrase_texts == ["A person", "food in a bowl"]
@@ -35,7 +35,7 @@ class TestAnnotateVideo:
     def test_beverage_video_single_track(self):
         client = ReplayClient(beverage_fixtures())
         result = annotate_video(beverage_frames(), client, CONFIG)
-        assert result.report.accepted
+        assert result.annotation is not None and result.reasons == ()
         by_phrase = {t.phrase_index: t for t in result.annotation.tracks}
         beverage_track = by_phrase[1]
         assert beverage_track.present_frames == [0, 1, 2]
@@ -54,8 +54,14 @@ class TestAnnotateVideo:
         fixtures[svo_key] = "I cannot answer."
         client = ReplayClient(fixtures)
         result = annotate_video(stirring_frames(), client, CONFIG.override(retries=1))
-        assert not result.report.accepted
-        assert result.report.reason_codes == ["no-dictionary"]
+        assert result.annotation is None
+        assert [code for code, _ in result.reasons] == ["no-dictionary"]
+
+    def test_nonpositive_fps_rejects_video(self):
+        client = ReplayClient(stirring_fixtures())
+        result = annotate_video(stirring_frames(), client, CONFIG.override(fps=0.0))
+        assert result.annotation is None
+        assert result.reasons == (("bad-fps", "fps 0.0 must be positive"),)
 
     def test_mixed_videos_rejected(self):
         frames = stirring_frames("a") + stirring_frames("b")
@@ -73,8 +79,8 @@ class TestAnnotateVideo:
             objects=frames[1].objects,
         )
         result = annotate_video([frames[0], bad], ReplayClient({}), CONFIG)
-        assert not result.report.accepted
-        assert result.report.reason_codes == ["inconsistent-frames"]
+        assert result.annotation is None
+        assert [code for code, _ in result.reasons] == ["inconsistent-frames"]
 
     def test_deterministic_output(self):
         results = [
@@ -97,9 +103,17 @@ class TestRunPipeline:
             config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=4)
             results = run_pipeline(groundings, config)
         assert [r.video_id for r in results] == sorted(groundings)
-        assert all(r.report.accepted for r in results)
+        assert all(r.annotation is not None for r in results)
         captions = {r.annotation.caption.plain for r in results}
         assert captions == {"A person is stirring food in a bowl using a spoon"}
+
+    def test_build_checks_each_emitted_record_once(self, record_checks):
+        groundings = {f"vid-{i:02d}": stirring_frames(f"vid-{i:02d}") for i in range(3)}
+        with MockLlmServer(stirring_fixtures()) as server:
+            config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=2)
+            results = run_pipeline(groundings, config)
+        assert all(r.annotation is not None for r in results)
+        assert sorted(record_checks) == sorted(groundings)
 
     def test_accepted_plus_rejected_equals_input(self):
         groundings = {}
@@ -117,11 +131,11 @@ class TestRunPipeline:
                 endpoint=server.url, model="mock", max_in_flight=3, retries=1
             )
             results = run_pipeline(groundings, config)
-        accepted = [r for r in results if r.report.accepted]
-        rejected = [r for r in results if not r.report.accepted]
+        accepted = [r for r in results if r.annotation is not None]
+        rejected = [r for r in results if r.annotation is None]
         assert len(accepted) + len(rejected) == 5
         assert [r.video_id for r in rejected] == [broken_id]
-        assert rejected[0].report.reason_codes == ["no-caption-key"]
+        assert [code for code, _ in rejected[0].reasons] == ["no-caption-key"]
 
 
 class TestSharedResponseMemo:
@@ -137,7 +151,7 @@ class TestSharedResponseMemo:
             config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=workers)
             results = run_pipeline(self.GROUNDINGS, config)
             requests_sent = server.request_count
-        assert all(r.report.accepted for r in results)
+        assert all(r.annotation is not None for r in results)
         assert requests_sent == 7
 
     def test_clients_of_one_factory_share_answers(self):

@@ -1,3 +1,7 @@
+import importlib.resources
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from groundcap import SvoFrame, SvoRelation, extract_svo, pos_tag, render_svo_block
@@ -10,6 +14,17 @@ def tags(sentence: str) -> list[str]:
 
 
 class TestPosTag:
+    def test_shipped_lexicon_is_what_the_tool_writes(self, tmp_path, monkeypatch, capsys):
+        tool_path = Path(__file__).resolve().parents[1] / "tools" / "build_lexicon.py"
+        spec = importlib.util.spec_from_file_location("build_lexicon", tool_path)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        monkeypatch.setattr(tool, "OUT", tmp_path / "lexicon.tsv")
+        tool.main()
+        shipped = importlib.resources.files("groundcap.data").joinpath("lexicon.tsv")
+        assert (tmp_path / "lexicon.tsv").read_bytes() == shipped.read_bytes()
+        assert capsys.readouterr().out.startswith("wrote 3200 entries")
+
     def test_holding_a_spoon(self):
         assert tags("a person holding a spoon") == ["DET", "NOUN", "VERB", "DET", "NOUN"]
 

@@ -4,6 +4,7 @@ from groundcap import (
     BoundingBox,
     ObjectTrack,
     PhraseAssignment,
+    RecordValidationError,
     assemble_tracks,
     build_record,
     derive_presence,
@@ -85,37 +86,33 @@ class TestDerivePresence:
 
 class TestBuildRecord:
     def test_no_tracks_rejected(self):
-        annotation, report = build_record("v1", 10, 5.0, 455, 256, CAPTION, [])
-        assert annotation is None
-        assert not report.accepted
-        assert report.reason_codes == ["no-tracks"]
+        with pytest.raises(RecordValidationError) as excinfo:
+            build_record("v1", 10, 5.0, 455, 256, CAPTION, [])
+        assert excinfo.value.code == "no-tracks"
 
     def test_accepted_with_tracks(self):
         tracks = [track_from({0, 1}, 4, 0), track_from({2}, 4, 1)]
-        annotation, report = build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks)
-        assert report.accepted and report.reasons == ()
-        assert annotation is not None and len(annotation.tracks) == 2
+        annotation = build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks)
+        assert len(annotation.tracks) == 2
 
     def test_ungrounded_phrase_kept_with_warning(self, caplog):
         tracks = [track_from({0}, 2, 0)]  # phrase 1 has no boxes
         with caplog.at_level("WARNING"):
-            annotation, report = build_record("v1", 2, 5.0, 455, 256, CAPTION, tracks)
-        assert report.accepted
+            annotation = build_record("v1", 2, 5.0, 455, 256, CAPTION, tracks)
         assert annotation.caption.phrase_texts == ["a woman", "a beverage"]
         assert any("no boxes" in r.message for r in caplog.records)
 
     def test_invariant_violation_becomes_rejection(self):
         bad = track_from({0}, 3, phrase_index=7)  # phrase index out of range
-        annotation, report = build_record("v1", 3, 5.0, 455, 256, CAPTION, [bad])
-        assert annotation is None
-        assert report.reason_codes == ["bad-phrase-index"]
+        with pytest.raises(RecordValidationError) as excinfo:
+            build_record("v1", 3, 5.0, 455, 256, CAPTION, [bad])
+        assert excinfo.value.code == "bad-phrase-index"
 
     def test_acceptance_monotone_under_added_boxes(self):
         base = [track_from({0}, 4, 0)]
-        _, report_before = build_record("v1", 4, 5.0, 455, 256, CAPTION, base)
         richer = [track_from({0, 1}, 4, 0), track_from({3}, 4, 1)]
-        _, report_after = build_record("v1", 4, 5.0, 455, 256, CAPTION, richer)
-        assert report_before.accepted and report_after.accepted
+        for tracks in (base, richer):
+            assert build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks).tracks == tuple(tracks)
 
 
 def test_track_count_never_exceeds_phrase_count(rng):
