@@ -2,8 +2,8 @@
 
 Stage-1 grounding models emit one record per video frame: a caption plus
 located objects.  Objects arrive either with a pixel box or with a
-run-length-encoded binary mask; masks are decoded lazily and reduced to
-their tightest enclosing box.
+run-length-encoded binary mask; each mask is reduced to its tightest
+enclosing box as the record is read.
 """
 
 import json
@@ -40,11 +40,11 @@ data = "\n".join(json.dumps(l) for l in lines).encode()
 
 records = parse_frame_grounding(data)
 print(f"parsed {len(records)} frames of video {records[0].video_id!r}")
-for record in records:
+for record, line in zip(records, lines):  # the lines are already in frame order
     print(f"frame {record.frame_index}: {record.caption!r}")
-    for obj in record.objects:
-        kind = "box" if obj.box is not None else "mask"
-        print(f"  {obj.phrase!r} via {kind} -> box {obj.pixel_box().as_list()}")
+    for obj, item in zip(record.objects, line["objects"]):
+        kind = "box" if "box" in item else "mask"
+        print(f"  {obj.phrase!r} via {kind} -> box {obj.box.as_list()}")
 
 # mask_to_box works straight on the runs, without materializing the grid.
 print("\ndirect mask decode:", mask_to_box(runs, width, height).as_list())

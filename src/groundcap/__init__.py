@@ -20,7 +20,6 @@ from .ingest import (
     EmptyMaskError,
     FrameGrounding,
     FrameObject,
-    RleMask,
     SchemaError,
     load_predictions,
     mask_to_box,
@@ -82,7 +81,6 @@ __all__ = [
     "PipelineConfig",
     "RecordValidationError",
     "ResponseRejection",
-    "RleMask",
     "SchemaError",
     "SvoFrame",
     "SvoRelation",

@@ -17,10 +17,9 @@ import hashlib
 import logging
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Optional, TypeVar
 
 from . import __version__
 from .config import PipelineConfig
@@ -45,6 +44,8 @@ from .stats import dataset_stats
 from .svo import extract_svo, pos_tag
 
 logger = logging.getLogger("groundcap")
+
+T = TypeVar("T")
 
 
 def _digest(data: bytes) -> str:
@@ -81,15 +82,27 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-@contextmanager
-def _stage_record(line: int) -> Iterator[None]:
-    """Reports a malformed record of a stage output file as a SchemaError at ``line``."""
-    try:
-        yield
-    except KeyError as exc:
-        raise SchemaError(f"{exc.args[0]!r} is a required property", line=line) from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(str(exc), line=line) from exc
+def _stage_file(raw: bytes, parse: Callable[[dict], T]) -> dict[str, T]:
+    """``video_id -> parse(record)`` for each record of a stage output file, in file order.
+
+    A malformed record, or a ``video_id`` that is not a string or repeats an earlier
+    one, is a SchemaError naming its line.
+    """
+    parsed: dict[str, T] = {}
+    for line, obj in iter_jsonl(raw):
+        try:
+            value = parse(obj)
+            video_id = obj["video_id"]
+            if not isinstance(video_id, str):
+                raise TypeError(f"'video_id' must be a string, got {video_id!r}")
+            if video_id in parsed:
+                raise ValueError(f"duplicate video_id {video_id!r}")
+            parsed[video_id] = value
+        except KeyError as exc:
+            raise SchemaError(f"{exc.args[0]!r} is a required property", line=line) from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(str(exc), line=line) from exc
+    return parsed
 
 
 def _with_reasons(video_id: str, reasons) -> dict:
@@ -156,14 +169,13 @@ def _cmd_svo(args: argparse.Namespace) -> int:
 def _cmd_aggregate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw = Path(args.input).read_bytes()
-    videos = []
-    for line, obj in iter_jsonl(raw):
-        with _stage_record(line):
-            frames = [
-                SvoFrame(f["frame_index"], tuple(SvoRelation(**r) for r in f["relations"]))
-                for f in obj["frames"]
-            ]
-            videos.append((obj["video_id"], frames))
+    videos = _stage_file(
+        raw,
+        lambda obj: [
+            SvoFrame(f["frame_index"], tuple(SvoRelation(**r) for r in f["relations"]))
+            for f in obj["frames"]
+        ],
+    )
 
     def aggregate(video: tuple[str, list[SvoFrame]], client) -> dict:
         video_id, frames = video
@@ -175,7 +187,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             return _with_reasons(video_id, [(exc.code, exc.message)])
         return {"video_id": video_id, "caption": render_tagged_caption(aggregated.caption)}
 
-    results = map_videos(videos, aggregate, config)
+    results = map_videos(list(videos.items()), aggregate, config)
     captions = [r for r in results if "caption" in r]
     rejections = [r for r in results if "reasons" in r]
     _write_outputs(
@@ -197,10 +209,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     raw_frames = Path(args.input).read_bytes()
     raw_captions = Path(args.captions).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
-    captions = {}
-    for line, obj in iter_jsonl(raw_captions):
-        with _stage_record(line):
-            captions[obj["video_id"]] = parse_tagged_caption(obj["caption"])
+    captions = _stage_file(raw_captions, lambda obj: parse_tagged_caption(obj["caption"]))
     video_ids = sorted(captions)
     for video_id in video_ids:
         if video_id not in by_video:

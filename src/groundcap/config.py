@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -42,8 +43,18 @@ class PipelineConfig:
     api_key_env: str = "GROUNDCAP_API_KEY"
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError(f"config key 'retries' must be >= 0, got {self.retries}")
+        for key, least in (("retries", 0), ("max_in_flight", 1)):
+            value = getattr(self, key)
+            if value < least:
+                raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
+        for key in ("iou_thresh", "sim_thresh", "objectness_threshold"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
+        for key in ("fps", "backoff", "temperature"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"config key {key!r} must be finite, got {value}")
 
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":

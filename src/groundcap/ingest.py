@@ -9,7 +9,7 @@
   in ``$id``, title and description, so predictions are checked against the
   annotation schema).
 
-Masks are kept run-length encoded until a box is actually needed.  All
+Masks are reduced to their pixel boxes as frame records are read.  All
 parsing is pure per record, so files can be processed in parallel.
 """
 
@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
@@ -393,26 +393,7 @@ def _json_record(text: str, line: int) -> dict:
 # RLE masks
 
 
-@dataclass(frozen=True)
-class RleMask:
-    """Row-major binary mask as alternating background/foreground run lengths.
-
-    The first count is background, runs may be zero, and the counts must sum
-    to exactly ``width * height``.
-    """
-
-    counts: tuple[int, ...]
-    width: int
-    height: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-
-    def to_box(self) -> BoundingBox:
-        return mask_to_box(self.counts, self.width, self.height)
-
-
-def mask_to_box(counts: Sequence[int], width: int, height: int) -> BoundingBox:
+def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
     """Tightest pixel-aligned box containing every foreground pixel.
 
     Works directly on the runs without materializing the grid, so masks cost
@@ -460,22 +441,10 @@ def mask_to_box(counts: Sequence[int], width: int, height: int) -> BoundingBox:
 
 @dataclass(frozen=True)
 class FrameObject:
-    """One grounded phrase in a frame, located by a box or a mask."""
+    """One grounded phrase in a frame and its pixel box; None for an empty mask."""
 
     phrase: str
-    box: Optional[BoundingBox] = None
-    mask: Optional[RleMask] = None
-
-    def __post_init__(self) -> None:
-        if (self.box is None) == (self.mask is None):
-            raise ValueError("object must carry exactly one of box or mask")
-
-    def pixel_box(self) -> BoundingBox:
-        """The object's box, converting the mask lazily when needed."""
-        if self.box is not None:
-            return self.box
-        assert self.mask is not None
-        return self.mask.to_box()
+    box: Optional[BoundingBox]
 
 
 @dataclass(frozen=True)
@@ -491,15 +460,13 @@ class FrameGrounding:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objects", tuple(self.objects))
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame_index {self.frame_index}")
 
 
 def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
     """Parse a frame-grounding JSON-lines file.
 
-    Returns records sorted by ``(video_id, frame_index)``.  Masks are kept
-    encoded; duplicate ``(video_id, frame_index)`` pairs are an error.
+    Returns records sorted by ``(video_id, frame_index)``, each mask reduced
+    to its box; duplicate ``(video_id, frame_index)`` pairs are an error.
     """
     records: list[FrameGrounding] = []
     seen: set[tuple[str, int]] = set()
@@ -527,16 +494,14 @@ def _frame_grounding(obj: dict, line: int) -> FrameGrounding:
                 box = BoundingBox(x, y, w, h, normalized=False)
             except ValueError as exc:
                 raise SchemaError(str(exc), line=line, field_path=f"$.objects[{i}].box") from exc
-            objects.append(FrameObject(item["phrase"], box=box))
         else:
-            mask = RleMask(tuple(map(int, item["mask"])), width, height)
-            if sum(mask.counts) != width * height:
-                raise SchemaError(
-                    f"mask runs sum to {sum(mask.counts)}, expected {width * height}",
-                    line=line,
-                    field_path=f"$.objects[{i}].mask",
-                )
-            objects.append(FrameObject(item["phrase"], mask=mask))
+            try:
+                box = mask_to_box(map(int, item["mask"]), width, height)
+            except EmptyMaskError:
+                box = None  # dropped, with a warning, by pipeline.collect_frame_objects
+            except SchemaError as exc:  # the runs do not sum to width * height
+                raise SchemaError(str(exc), line=line, field_path=f"$.objects[{i}].mask") from exc
+        objects.append(FrameObject(item["phrase"], box))
     return FrameGrounding(
         video_id=obj["video_id"],
         frame_index=int(obj["frame_index"]),

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import llm, tubes
 from .boxes import BoundingBox
 from .config import PipelineConfig
-from .ingest import EmptyMaskError, FrameGrounding
+from .ingest import FrameGrounding
 from .llm import (
     ChatClient,
     HttpChatClient,
@@ -59,15 +59,13 @@ def collect_frame_objects(
 ) -> list[tuple[int, str, BoundingBox]]:
     """Flatten frame objects to (frame_index, phrase, pixel box) triples.
 
-    Masks are converted to boxes here; empty masks and boxes that vanish
+    Objects whose mask was empty (``box is None``) and boxes that vanish
     when clamped to the frame are dropped with a warning.
     """
     objects: list[tuple[int, str, BoundingBox]] = []
     for frame in frames:
         for obj in frame.objects:
-            try:
-                box = obj.pixel_box()
-            except EmptyMaskError:
+            if obj.box is None:
                 logger.warning(
                     "video %s frame %d: phrase %r has an empty mask, dropped",
                     frame.video_id,
@@ -75,7 +73,7 @@ def collect_frame_objects(
                     obj.phrase,
                 )
                 continue
-            box = box.clamped(frame.width, frame.height)
+            box = obj.box.clamped(frame.width, frame.height)
             if box.area == 0:
                 logger.warning(
                     "video %s frame %d: box for %r vanished after clamping, dropped",
@@ -219,7 +217,7 @@ def map_videos(
     for source in _HeldRecords.loggers:
         source.addFilter(held_records)
     try:
-        with ThreadPoolExecutor(max_workers=max(1, config.max_in_flight)) as pool:
+        with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
             for result, held in pool.map(worker, items):
                 _handle(held)
                 results.append(result)

@@ -466,6 +466,7 @@ class TestMalformedStageInput:
         [
             ([{"video_id": "v1"}], "line 1: 'frames' is a required property"),
             ([{"frames": []}], "line 1: 'video_id' is a required property"),
+            ([{"video_id": 5, "frames": []}], "line 1: 'video_id' must be a string, got 5"),
             (
                 [
                     {"video_id": "v0", "frames": []},
@@ -488,6 +489,28 @@ class TestMalformedStageInput:
         argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
         error = self.run_failing(argv, tmp_path, server, capsys)
         assert error == "error: line 1: 'caption' is a required property"
+
+    def test_aggregate_refuses_a_repeated_video(self, tmp_path, server, capsys):
+        svo = tmp_path / "svo.jsonl"
+        records = [{"video_id": v, "frames": []} for v in ("v0", "v1", "v0")]
+        svo.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == "error: line 3: duplicate video_id 'v0'"
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_track_refuses_a_repeated_video(self, tmp_path, stir_input, server, capsys):
+        captions = tmp_path / "captions.jsonl"
+        records = [
+            {"video_id": "vid-stir", "caption": "<p>A person</p> is stirring"},
+            {"video_id": "vid-bev", "caption": "<p>A woman</p> is drinking"},
+            {"video_id": "vid-stir", "caption": "<p>A cook</p> is stirring"},
+        ]
+        captions.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == "error: line 3: duplicate video_id 'vid-stir'"
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_track_checks_every_video_before_any_request(self, tmp_path, stir_input, server):
         captions = tmp_path / "captions.jsonl"
@@ -524,6 +547,10 @@ class TestUsageErrors:
             ),
             ('{"iou_threshold": 0.5}', "unknown config keys: ['iou_threshold']"),
             ('{"retries": -1}', "config key 'retries' must be >= 0, got -1"),
+            ('{"iou_thresh": 2}', "config key 'iou_thresh' must be in [0, 1], got 2.0"),
+            ('{"sim_thresh": NaN}', "config key 'sim_thresh' must be in [0, 1], got nan"),
+            ('{"backoff": Infinity}', "config key 'backoff' must be finite, got inf"),
+            ('{"max_in_flight": 0}', "config key 'max_in_flight' must be >= 1, got 0"),
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
@@ -557,6 +584,52 @@ class TestUsageErrors:
         assert capsys.readouterr().err == "error: config key 'retries' must be >= 0, got -1\n"
         assert posts == []
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iou-thresh", "2"], "config key 'iou_thresh' must be in [0, 1], got 2.0"),
+            (["--iou-thresh", "nan"], "config key 'iou_thresh' must be in [0, 1], got nan"),
+            (["--sim-thresh", "-1"], "config key 'sim_thresh' must be in [0, 1], got -1.0"),
+            (
+                ["--objectness-threshold", "1.5"],
+                "config key 'objectness_threshold' must be in [0, 1], got 1.5",
+            ),
+        ],
+    )
+    def test_eval_threshold_flag_exits_1_before_reading_input(
+        self, tmp_path, capsys, flags, message
+    ):
+        missing = str(tmp_path / "missing.jsonl")  # reading it would fail with another error
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", missing, "--gt", missing, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-in-flight", "-3"], "config key 'max_in_flight' must be >= 1, got -3"),
+            (["--max-in-flight", "0"], "config key 'max_in_flight' must be >= 1, got 0"),
+            (["--fps", "inf"], "config key 'fps' must be finite, got inf"),
+            (["--temperature", "nan"], "config key 'temperature' must be finite, got nan"),
+        ],
+    )
+    def test_build_config_flag_exits_1_before_any_request(
+        self, tmp_path, stir_input, capsys, monkeypatch, flags, message
+    ):
+        posts = []
+        monkeypatch.setattr(llm.JsonEndpoint, "post", lambda self, body: posts.append(body))
+        out = tmp_path / "dataset.jsonl"
+        code = main(
+            ["build", "--input", str(stir_input), "--out", str(out),
+             "--rejected", str(tmp_path / "rejected.jsonl"),
+             "--endpoint", "http://127.0.0.1:9/v1/chat/completions", *flags]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert posts == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.jsonl"]
 
     def test_build_without_endpoint_fails_like_aggregate(
         self, tmp_path, stir_input, capsys, monkeypatch

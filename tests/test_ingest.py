@@ -12,7 +12,6 @@ from groundcap import (
     EmptyMaskError,
     ObjectTrack,
     RecordValidationError,
-    RleMask,
     SchemaError,
     VideoAnnotation,
     evaluate,
@@ -117,9 +116,8 @@ class TestParseFrameGrounding:
         )
         record = parse_frame_grounding(to_jsonl([floats]))[0]
         assert record == parse_frame_grounding(to_jsonl([ints]))[0]
-        mask = record.objects[0].mask
-        values = [record.frame_index, record.width, record.height, *mask.counts]
-        assert all(type(v) is int for v in values)
+        assert all(type(v) is int for v in (record.frame_index, record.width, record.height))
+        assert record.objects[0].box == mask_to_box([12, 6, 12], 10, 3) == BoundingBox(2, 1, 6, 1)
 
     def test_infinite_mask_count_names_line_and_field(self):
         line = frame_line(objects=[{"phrase": "a cup", "mask": [100, float("inf"), 6]}])
@@ -141,11 +139,15 @@ class TestParseFrameGrounding:
             parse_frame_grounding(to_jsonl([frame_line(objects=[first, second])]))
         assert excinfo.value.field_path == field_path
 
-    def test_masks_stay_encoded(self):
-        line = frame_line(objects=[{"phrase": "a cup", "mask": [100, 6, 455 * 256 - 106]}])
-        record = parse_frame_grounding(to_jsonl([line]))[0]
-        assert record.objects[0].mask == RleMask((100, 6, 455 * 256 - 106), 455, 256)
-        assert record.objects[0].box is None
+    def test_masks_become_boxes_and_empty_masks_none(self):
+        runs = [100, 6, 455 * 256 - 106]
+        line = frame_line(
+            objects=[{"phrase": "a cup", "mask": runs}, {"phrase": "a bowl", "mask": [455 * 256]}]
+        )
+        cup, bowl = parse_frame_grounding(to_jsonl([line]))[0].objects
+        assert (cup.phrase, cup.box) == ("a cup", mask_to_box(runs, 455, 256))
+        assert cup.box == BoundingBox(100, 0, 6, 1)
+        assert (bowl.phrase, bowl.box) == ("a bowl", None)
 
 
 class TestMaskToBox:
