@@ -466,7 +466,6 @@ class TestMalformedStageInput:
         [
             ([{"video_id": "v1"}], "line 1: 'frames' is a required property"),
             ([{"frames": []}], "line 1: 'video_id' is a required property"),
-            ([{"video_id": 5, "frames": []}], "line 1: 'video_id' must be a string, got 5"),
             (
                 [
                     {"video_id": "v0", "frames": []},
@@ -474,6 +473,7 @@ class TestMalformedStageInput:
                 ],
                 "line 2: 'relations' is a required property",
             ),
+            ([{"video_id": 5, "frames": []}], "line 1: 'video_id' must be a string, got 5"),
         ],
     )
     def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):
