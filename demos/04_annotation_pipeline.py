@@ -8,6 +8,8 @@ deterministically.  This script builds the fixture map, starts the server,
 and annotates one video end to end.
 """
 
+from contextlib import closing
+
 from groundcap import (
     BoundingBox,
     FrameGrounding,
@@ -68,8 +70,8 @@ for phrase, category in classification.items():
 
 with MockLlmServer(fixtures) as server:
     print("mock endpoint:", server.url)
-    client = HttpChatClient(endpoint=server.url, model="demo-model")
-    result = annotate_video(frames, client, PipelineConfig(fps=5.0, backoff=0.0))
+    with closing(HttpChatClient(endpoint=server.url, model="demo-model")) as client:
+        result = annotate_video(frames, client, PipelineConfig(fps=5.0, backoff=0.0))
     calls = server.request_count
 
 print("status:", "accepted" if result.annotation is not None else f"rejected {result.reasons}")

@@ -296,6 +296,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     raw = Path(args.input).read_bytes()
     reports = []
     failures = 0
@@ -311,7 +312,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.out:
         _write_outputs(
             args,
-            _load_config(args),
+            config,
             {args.input: raw},
             {args.out: canonical_jsonl_bytes(reports)},
             {"videos": len(reports), "accepted": len(reports) - failures, "rejected": failures},

@@ -23,6 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate, compress, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
@@ -397,39 +398,41 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
     """Tightest pixel-aligned box containing every foreground pixel.
 
     Works directly on the runs without materializing the grid, so masks cost
-    O(number of runs) regardless of frame size.
+    O(number of runs) regardless of frame size.  The runs are reduced in a
+    fixed number of C-level passes, with no Python step per run:
+    ``accumulate`` gives each run's end, slices and ``compress`` keep the
+    non-empty foreground runs (the odd ones), y comes from the first and last
+    of those, and x from their columns unless some run spans rows.
 
     Raises:
         EmptyMaskError: when the mask has no foreground pixels.
-        SchemaError: when the runs do not sum to ``width * height``.
+        SchemaError: on a negative run (the first one is named), or when the
+            runs do not sum to ``width * height``.
     """
     if width < 1 or height < 1:
         raise SchemaError(f"mask dimensions must be >= 1, got {width}x{height}")
-    pos = 0
-    foreground = False
-    min_x, min_y = width, height
-    max_x, max_y = -1, -1
-    for run in counts:
-        if run < 0:
-            raise SchemaError(f"negative run length {run}")
-        if foreground and run > 0:
-            start, end = pos, pos + run - 1
-            row_a, row_b = start // width, end // width
-            min_y = min(min_y, row_a)
-            max_y = max(max_y, row_b)
-            if row_a == row_b:
-                min_x = min(min_x, start % width)
-                max_x = max(max_x, end % width)
-            else:
-                # runs spanning rows touch both frame edges
-                min_x = 0
-                max_x = width - 1
-        pos += run
-        foreground = not foreground
-    if pos != width * height:
-        raise SchemaError(f"mask runs sum to {pos}, expected {width * height}")
-    if max_x < 0:
+    runs = list(counts)
+    if min(runs, default=0) < 0:
+        raise SchemaError(f"negative run length {next(run for run in runs if run < 0)}")
+    ends = list(accumulate(runs))  # one past the last pixel of each run
+    total = ends[-1] if ends else 0
+    if total != width * height:
+        raise SchemaError(f"mask runs sum to {total}, expected {width * height}")
+    # foreground runs are the odd ones, each starting where the run before ends
+    lengths = runs[1::2]
+    firsts = list(compress(ends[0::2], lengths))
+    if not firsts:
         raise EmptyMaskError("mask has no foreground pixels")
+    lasts = list(map(operator.sub, compress(ends[1::2], lengths), repeat(1)))
+    min_y, max_y = firsts[0] // width, lasts[-1] // width
+    first_cols = list(map(operator.mod, firsts, repeat(width)))
+    last_cols = list(map(operator.mod, lasts, repeat(width)))
+    # a run spans rows when it is longer than a row or ends in a column left
+    # of the one it starts in; such a run touches both frame edges
+    if max(lengths) > width or any(map(operator.gt, first_cols, last_cols)):
+        min_x, max_x = 0, width - 1
+    else:
+        min_x, max_x = min(first_cols), max(last_cols)
     return BoundingBox(
         float(min_x), float(min_y), float(max_x - min_x + 1), float(max_y - min_y + 1)
     )

@@ -5,6 +5,12 @@ A fixtures document maps the SHA-256 of a request's messages (computed with
 to the text the endpoint should answer with.  Unknown requests get the
 optional default response or a 404, which the client surfaces as a
 transport error.
+
+The server speaks HTTP/1.1 and keeps each client's connection alive, like a
+real chat endpoint, so a client pays one TCP handshake and the server one
+thread per connection, not per request.  Each answer leaves in one write
+with Nagle's algorithm off, so no answer waits on a delayed ACK.  An
+HTTP/1.0 request is answered and its connection closed.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ class MockLlmServer:
     """Threaded HTTP server answering chat-completion POSTs from fixtures.
 
     Use as a context manager in tests; ``url`` is the endpoint to point the
-    client at.  The request counter helps assert memoization behavior.
+    client at.  ``request_count`` counts the requests it answered, which
+    helps assert memoization behavior.  :meth:`stop` ends the connections
+    clients still hold open, and their handler threads with them.
     """
 
     def __init__(
@@ -62,15 +70,23 @@ class MockLlmServer:
         self.default = default
         self.request_count = 0
         self._lock = threading.Lock()
+        self._connections: set = set()  # accepted, and their handler not yet ended
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body are buffered into one write, sent at once
+            wbufsize = -1
+            disable_nagle_algorithm = True
+
             def do_POST(self) -> None:  # noqa: N802 - http.server API
-                length = int(self.headers.get("Content-Length", "0"))
                 try:
+                    length = int(self.headers.get("Content-Length", "0"))
                     body = json.loads(self.rfile.read(length).decode("utf-8"))
                     key = request_hash(body["messages"])
                 except (ValueError, KeyError, TypeError):
+                    # the body may be unread, so the connection cannot go on
+                    self.close_connection = True
                     self._reply(400, {"error": "malformed request"})
                     return
                 with outer._lock:
@@ -86,13 +102,32 @@ class MockLlmServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                if self.close_connection:  # an HTTP/1.0 request or a malformed one
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(data)
 
             def log_message(self, *args) -> None:  # silence per-request noise
                 pass
 
-        self._server = ThreadingHTTPServer((host, port), Handler)
+        class Server(ThreadingHTTPServer):
+            # server_close() joins the handler threads, once stop() has
+            # ended the connections they serve
+            daemon_threads = False
+
+            def process_request(self, request, client_address) -> None:
+                # registered before serve_forever() can return, so that
+                # stop() sees every accepted connection
+                with outer._lock:
+                    outer._connections.add(request)
+                super().process_request(request, client_address)
+
+            def shutdown_request(self, request) -> None:
+                with outer._lock:
+                    outer._connections.discard(request)
+                super().shutdown_request(request)
+
+        self._server = Server((host, port), Handler)
         self._thread: Optional[threading.Thread] = None
 
     @property
@@ -106,11 +141,20 @@ class MockLlmServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        import socket
+
         if self._thread is not None:
+            self._server.shutdown()
             self._thread.join(timeout=2)
             self._thread = None
+        with self._lock:
+            held = list(self._connections)
+        for connection in held:
+            try:  # the handler sees the end of its stream and returns
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:  # its handler closed it meanwhile
+                pass
+        self._server.server_close()
 
     def __enter__(self) -> "MockLlmServer":
         return self.start()

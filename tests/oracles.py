@@ -4,10 +4,11 @@ Everything here deliberately avoids the library's code paths: IoU by
 counting unit grid cells, masks by full decode, CIDEr with dense vectors
 over an enumerated vocabulary, AP by enumerating the PR curve, a
 recursive-descent parser for the rendered SVO block grammar, and a schema
-walker that interprets the schema dict at every node.  The one exception is
-the annotation-record reference at the end: it builds the library's plain
-record types, boxes and captions, and checks them the way the record
-constructors did when every construction checked every invariant.
+walker that interprets the schema dict at every node.  Two references use
+library types: the former per-run mask loop raises the library's errors, and
+the annotation-record reference at the end builds the library's plain record
+types, boxes and captions, and checks them the way the record constructors
+did when every construction checked every invariant.
 """
 
 from __future__ import annotations
@@ -49,6 +50,42 @@ def rle_box_bruteforce(counts, width: int, height: int):
         float(ys.max() - ys.min() + 1),
     )
 
+
+
+def reference_mask_to_box(counts, width: int, height: int):
+    """The former ``mask_to_box``: one Python step per run, errors in its order."""
+    from groundcap import BoundingBox
+    from groundcap.ingest import EmptyMaskError, SchemaError
+
+    if width < 1 or height < 1:
+        raise SchemaError(f"mask dimensions must be >= 1, got {width}x{height}")
+    pos = 0
+    foreground = False
+    min_x, min_y = width, height
+    max_x, max_y = -1, -1
+    for run in counts:
+        if run < 0:
+            raise SchemaError(f"negative run length {run}")
+        if foreground and run > 0:
+            start, end = pos, pos + run - 1
+            row_a, row_b = start // width, end // width
+            min_y = min(min_y, row_a)
+            max_y = max(max_y, row_b)
+            if row_a == row_b:
+                min_x = min(min_x, start % width)
+                max_x = max(max_x, end % width)
+            else:
+                min_x = 0
+                max_x = width - 1
+        pos += run
+        foreground = not foreground
+    if pos != width * height:
+        raise SchemaError(f"mask runs sum to {pos}, expected {width * height}")
+    if max_x < 0:
+        raise EmptyMaskError("mask has no foreground pixels")
+    return BoundingBox(
+        float(min_x), float(min_y), float(max_x - min_x + 1), float(max_y - min_y + 1)
+    )
 
 def _tokenize(text: str) -> list[str]:
     return re.findall(r"\w+|[^\w\s]", text.lower())

@@ -273,6 +273,16 @@ class TestValidate:
         assert main(["validate", "--input", str(path)]) == 1
         assert "box-out-of-frame" in capsys.readouterr().out
 
+    def test_bad_config_is_an_error_without_out(self, tmp_path, rng, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"retries": -1}), "utf-8")
+        assert main(["validate", "--input", str(path), "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config key 'retries' must be >= 0, got -1\n"
+        assert captured.out == ""
+
 
 class TestStats:
     def test_stats_report_written(self, tmp_path, rng):

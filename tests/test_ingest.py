@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import groundcap.ingest as ingest
 import groundcap.records as records
@@ -27,6 +27,7 @@ from groundcap import (
 from conftest import make_annotation
 from oracles import (
     reference_annotation,
+    reference_mask_to_box,
     reference_objectness,
     rle_box_bruteforce,
     schema_errors,
@@ -150,6 +151,35 @@ class TestParseFrameGrounding:
         assert (bowl.phrase, bowl.box) == ("a bowl", None)
 
 
+
+@st.composite
+def rle_masks(draw) -> tuple[list[int], int, int, bool]:
+    """``(runs, width, height, well_formed)``: runs that cover the frame, with
+    zero-length runs anywhere, then perhaps broken by negative runs, a run
+    made longer or shorter, or runs cut off the end."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    total = width * height
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=12)))
+    runs = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    flaw = draw(st.sampled_from(["none", "negative", "resized", "cut"]))
+    if flaw == "negative":
+        for _ in range(draw(st.integers(1, 2))):
+            runs[draw(st.integers(0, len(runs) - 1))] = draw(st.integers(-5, -1))
+    elif flaw == "resized":
+        runs[draw(st.integers(0, len(runs) - 1))] += draw(st.integers(-3, 3).filter(bool))
+    elif flaw == "cut":
+        runs = runs[: draw(st.integers(0, len(runs) - 1))]
+    return runs, width, height, flaw == "none"
+
+
+def mask_outcome(function, runs, width, height):
+    """``("box", [x, y, w, h])`` or ``(error type, message)`` of one call."""
+    try:
+        return "box", function(runs, width, height).as_list()
+    except (SchemaError, EmptyMaskError) as exc:
+        return type(exc), str(exc)
+
+
 class TestMaskToBox:
     def test_all_foreground(self):
         assert mask_to_box([0, 48], 8, 6) == BoundingBox(0, 0, 8, 6)
@@ -205,6 +235,28 @@ class TestMaskToBox:
                 mask_to_box(runs, width, height)
         else:
             assert mask_to_box(runs, width, height).as_list() == list(expected)
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(rle_masks())
+    @example(([2, 0, 3, 4, 0], 3, 3, True))  # zero-length runs inside and at the end
+    @example(([1, 3, 5], 1, 9, True))  # one column: every longer run spans rows
+    @example(([2, 3, 4], 9, 1, True))  # one row
+    @example(([2, 5, 2], 3, 3, True))  # a run spanning rows
+    @example(([3, -1, 2, -4], 2, 2, False))  # the first negative run is named
+    @example(([-1, 5], 1, 1, False))  # a negative run is named before the total
+    @example(([], 2, 2, False))
+    def test_matches_the_per_run_loop(self, mask):
+        runs, width, height, well_formed = mask
+        outcome = mask_outcome(mask_to_box, runs, width, height)
+        assert outcome == mask_outcome(reference_mask_to_box, runs, width, height)
+        assert outcome == mask_outcome(mask_to_box, iter(runs), width, height)
+        if well_formed:
+            expected = rle_box_bruteforce(runs, width, height)
+            if expected is None:
+                assert outcome == (EmptyMaskError, "mask has no foreground pixels")
+            else:
+                assert outcome == ("box", list(expected))
 
 
 def minimal_annotation() -> VideoAnnotation:

@@ -1,10 +1,14 @@
+import http.client
 import json
 import random
 import re
+import socket
+import socketserver
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, strategies as st
@@ -302,8 +306,8 @@ class TestRetryPolicy:
 
     def test_missing_fixture_fails_after_one_request_without_sleeping(self, sleeps):
         with MockLlmServer({}) as server:
-            client = HttpChatClient(endpoint=server.url, model="test-model")
-            assignments = track_by_language([obj(0, "a thing")], ["a person"], client)
+            with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
+                assignments = track_by_language([obj(0, "a thing")], ["a person"], client)
             assert server.request_count == 1
         assert assignments[0].assigned is None
         assert sleeps == []
@@ -445,8 +449,8 @@ class TestResponseMemo:
     def test_repeat_is_answered_from_memory(self):
         fixtures = {request_hash(self.MESSAGES): category_response("a woman")}
         with MockLlmServer(fixtures) as server:
-            client = HttpChatClient(endpoint=server.url, model="test-model")
-            answers = [client.complete(self.MESSAGES) for _ in range(3)]
+            with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
+                answers = [client.complete(self.MESSAGES) for _ in range(3)]
             assert server.request_count == 1
         assert answers == [category_response("a woman")] * 3
 
@@ -454,37 +458,38 @@ class TestResponseMemo:
         with MockLlmServer({}, default=category_response(None)) as server:
             memo = llm.ResponseMemo()
             for model in ("m1", "m2"):
-                HttpChatClient(endpoint=server.url, model=model, memo=memo).complete(self.MESSAGES)
+                with closing(HttpChatClient(endpoint=server.url, model=model, memo=memo)) as client:
+                    client.complete(self.MESSAGES)
             assert server.request_count == 2
 
     def test_nonzero_temperature_always_reaches_the_endpoint(self):
         with MockLlmServer({}, default=category_response(None)) as server:
-            client = HttpChatClient(endpoint=server.url, model="m", temperature=0.7)
-            for _ in range(3):
-                client.complete(self.MESSAGES)
+            with closing(HttpChatClient(endpoint=server.url, model="m", temperature=0.7)) as client:
+                for _ in range(3):
+                    client.complete(self.MESSAGES)
             assert server.request_count == 3
 
     def test_failed_call_is_not_remembered(self):
         with MockLlmServer({}) as server:
-            client = HttpChatClient(endpoint=server.url, model="m")
-            with pytest.raises(TransportError):
-                client.complete(self.MESSAGES)
-            server.responses[request_hash(self.MESSAGES)] = category_response("a woman")
-            assert client.complete(self.MESSAGES) == category_response("a woman")
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                with pytest.raises(TransportError):
+                    client.complete(self.MESSAGES)
+                server.responses[request_hash(self.MESSAGES)] = category_response("a woman")
+                assert client.complete(self.MESSAGES) == category_response("a woman")
             assert server.request_count == 2
 
     def test_least_recently_used_answer_is_dropped(self, monkeypatch):
         monkeypatch.setattr(llm, "MEMO_CAPACITY", 2)
         a, b, c = (build_stage3_prompt(p, ["a woman"]) for p in ("a", "b", "c"))
         with MockLlmServer({}, default=category_response(None)) as server:
-            client = HttpChatClient(endpoint=server.url, model="m")
-            for messages in (a, b, a, c):  # c evicts b, used less recently than a
-                client.complete(messages)
-            assert server.request_count == 3
-            client.complete(a)
-            assert server.request_count == 3
-            client.complete(b)
-            assert server.request_count == 4
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                for messages in (a, b, a, c):  # c evicts b, used less recently than a
+                    client.complete(messages)
+                assert server.request_count == 3
+                client.complete(a)
+                assert server.request_count == 3
+                client.complete(b)
+                assert server.request_count == 4
 
     def test_threads_share_one_memo_safely(self, monkeypatch):
         monkeypatch.setattr(llm, "MEMO_CAPACITY", 16)
@@ -552,20 +557,20 @@ class TestHttpClientWithMockServer:
         messages = build_stage3_prompt("person", ["a woman", "her hair"])
         fixtures = {request_hash(messages): category_response("a woman")}
         with MockLlmServer(fixtures) as server:
-            client = HttpChatClient(endpoint=server.url, model="test-model")
-            assert client.complete(messages) == category_response("a woman")
+            with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
+                assert client.complete(messages) == category_response("a woman")
             assert server.request_count == 1
 
     def test_unknown_request_is_transport_error(self):
         with MockLlmServer({}) as server:
-            client = HttpChatClient(endpoint=server.url, model="test-model")
-            with pytest.raises(TransportError):
-                client.complete(build_stage3_prompt("person", ["a woman"]))
+            with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
+                with pytest.raises(TransportError):
+                    client.complete(build_stage3_prompt("person", ["a woman"]))
 
     def test_default_response_served(self):
         with MockLlmServer({}, default="{`CATEGORY': `None'}") as server:
-            client = HttpChatClient(endpoint=server.url, model="test-model")
-            assert client.complete(build_stage3_prompt("x", ["y"])) == "{`CATEGORY': `None'}"
+            with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
+                assert client.complete(build_stage3_prompt("x", ["y"])) == "{`CATEGORY': `None'}"
 
     def test_unreachable_endpoint_is_transport_error(self):
         client = HttpChatClient(
@@ -573,6 +578,77 @@ class TestHttpClientWithMockServer:
         )
         with pytest.raises(TransportError):
             client.complete(build_stage3_prompt("x", ["y"]))
+
+
+class TestMockServerConnections:
+    CALLS = TestConnection.CALLS
+
+    @pytest.fixture
+    def accepted(self, monkeypatch) -> list[int]:
+        """Client port of each connection a server accepts, in order."""
+        ports = []
+        accept = socketserver.ThreadingMixIn.process_request
+
+        def process_request(server, request, client_address):
+            ports.append(client_address[1])
+            accept(server, request, client_address)
+
+        monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", process_request)
+        return ports
+
+    @staticmethod
+    def exchange(sock: socket.socket, version: str, body: bytes) -> http.client.HTTPResponse:
+        """One POST written by hand on ``sock``, and its read answer."""
+        head = f"POST /v1/chat/completions {version}\r\nContent-Length: {len(body)}\r\n\r\n"
+        sock.sendall(head.encode("ascii") + body)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        response.body = response.read()
+        return response
+
+    def test_one_connection_serves_a_client(self, accepted):
+        fixtures = {request_hash(m): f"answer {i}" for i, m in enumerate(self.CALLS)}
+        with MockLlmServer(fixtures) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                answers = [client.complete(messages) for messages in self.CALLS]
+            assert server.request_count == 5
+        assert answers == [f"answer {i}" for i in range(5)]
+        assert len(accepted) == 1
+
+    def test_http_1_0_request_is_answered_then_closed(self, accepted):
+        body = json.dumps({"messages": [m.as_dict() for m in self.CALLS[0]]}).encode()
+        with MockLlmServer({request_hash(self.CALLS[0]): "yes"}) as server:
+            address = urlsplit(server.url)
+            with socket.create_connection((address.hostname, address.port), timeout=10) as sock:
+                for version in ("HTTP/1.1", "HTTP/1.0"):  # the first leaves it open
+                    response = self.exchange(sock, version, body)
+                    assert (response.status, response.body) == (200, envelope("yes"))
+                    assert response.will_close == (version == "HTTP/1.0")
+                assert sock.recv(1) == b""
+            assert server.request_count == 2
+        assert len(accepted) == 1
+
+    def test_malformed_request_closes_its_connection(self):
+        with MockLlmServer({}, default="yes") as server:
+            address = urlsplit(server.url)
+            with socket.create_connection((address.hostname, address.port), timeout=10) as sock:
+                response = self.exchange(sock, "HTTP/1.1", b"{not json")
+                assert (response.status, response.will_close) == (400, True)
+                assert json.loads(response.body) == {"error": "malformed request"}
+                assert sock.recv(1) == b""
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                assert client.complete(self.CALLS[0]) == "yes"
+            assert server.request_count == 1
+
+    def test_stop_ends_the_connections_clients_still_hold(self):
+        before = set(threading.enumerate())
+        server = MockLlmServer({}, default="yes").start()
+        with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+            assert client.complete(self.CALLS[0]) == "yes"
+            server.stop()
+            assert set(threading.enumerate()) == before
+            with pytest.raises(TransportError):
+                client.complete(self.CALLS[1])
 
 
 def test_request_hash_ignores_message_object_type():

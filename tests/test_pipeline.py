@@ -1,3 +1,5 @@
+from contextlib import closing
+
 import pytest
 
 from groundcap import MockLlmServer, PipelineConfig, annotate_video, run_pipeline
@@ -160,9 +162,11 @@ class TestSharedResponseMemo:
             config = CONFIG.override(endpoint=server.url, model="mock")
             make = http_client_factory(config)
             for client in (make(), make()):
-                annotate_video(frames, client, config)
+                with closing(client):
+                    annotate_video(frames, client, config)
             assert server.request_count == 7
-            annotate_video(frames, http_client_factory(config)(), config)
+            with closing(http_client_factory(config)()) as client:
+                annotate_video(frames, client, config)
             assert server.request_count == 14
 
 
