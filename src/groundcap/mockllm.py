@@ -102,7 +102,7 @@ class MockLlmServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
-                if self.close_connection:  # an HTTP/1.0 request or a malformed one
+                if self.close_connection:  # HTTP/1.0, asked for, or a malformed request
                     self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(data)

@@ -597,14 +597,13 @@ class TestMockServerConnections:
         return ports
 
     @staticmethod
-    def exchange(sock: socket.socket, version: str, body: bytes) -> http.client.HTTPResponse:
-        """One POST written by hand on ``sock``, and its read answer."""
+    def exchange(sock: socket.socket, version: str, body: bytes):
+        """One POST written by hand on ``sock``: its response and answer body."""
         head = f"POST /v1/chat/completions {version}\r\nContent-Length: {len(body)}\r\n\r\n"
         sock.sendall(head.encode("ascii") + body)
         response = http.client.HTTPResponse(sock)
         response.begin()
-        response.body = response.read()
-        return response
+        return response, response.read()
 
     def test_one_connection_serves_a_client(self, accepted):
         fixtures = {request_hash(m): f"answer {i}" for i, m in enumerate(self.CALLS)}
@@ -621,8 +620,8 @@ class TestMockServerConnections:
             address = urlsplit(server.url)
             with socket.create_connection((address.hostname, address.port), timeout=10) as sock:
                 for version in ("HTTP/1.1", "HTTP/1.0"):  # the first leaves it open
-                    response = self.exchange(sock, version, body)
-                    assert (response.status, response.body) == (200, envelope("yes"))
+                    response, answer = self.exchange(sock, version, body)
+                    assert (response.status, answer) == (200, envelope("yes"))
                     assert response.will_close == (version == "HTTP/1.0")
                 assert sock.recv(1) == b""
             assert server.request_count == 2
@@ -632,9 +631,9 @@ class TestMockServerConnections:
         with MockLlmServer({}, default="yes") as server:
             address = urlsplit(server.url)
             with socket.create_connection((address.hostname, address.port), timeout=10) as sock:
-                response = self.exchange(sock, "HTTP/1.1", b"{not json")
+                response, answer = self.exchange(sock, "HTTP/1.1", b"{not json")
                 assert (response.status, response.will_close) == (400, True)
-                assert json.loads(response.body) == {"error": "malformed request"}
+                assert json.loads(answer) == {"error": "malformed request"}
                 assert sock.recv(1) == b""
             with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
                 assert client.complete(self.CALLS[0]) == "yes"
@@ -646,7 +645,7 @@ class TestMockServerConnections:
         with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
             assert client.complete(self.CALLS[0]) == "yes"
             server.stop()
-            assert set(threading.enumerate()) == before
+            assert not set(threading.enumerate()) - before
             with pytest.raises(TransportError):
                 client.complete(self.CALLS[1])
 
