@@ -9,6 +9,7 @@ mixed-mode arithmetic can be rejected instead of silently producing garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 NORMALIZED_EPS = 1e-6
 
@@ -26,17 +27,9 @@ class BoundingBox:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if self.w < 0 or self.h < 0:
-            raise ValueError(f"box has negative size: w={self.w}, h={self.h}")
-        if self.normalized:
-            if not (-NORMALIZED_EPS <= self.x and -NORMALIZED_EPS <= self.y):
-                raise ValueError(f"normalized box origin out of range: ({self.x}, {self.y})")
-            if self.x > 1 + NORMALIZED_EPS or self.y > 1 + NORMALIZED_EPS:
-                raise ValueError(f"normalized box origin out of range: ({self.x}, {self.y})")
-            if self.x + self.w > 1 + NORMALIZED_EPS or self.y + self.h > 1 + NORMALIZED_EPS:
-                raise ValueError(
-                    f"normalized box exceeds unit square: x+w={self.x + self.w}, y+h={self.y + self.h}"
-                )
+        fault = box_fault(self.x, self.y, self.w, self.h, self.normalized)
+        if fault is not None:
+            raise ValueError(fault)
 
     @property
     def area(self) -> float:
@@ -54,6 +47,22 @@ class BoundingBox:
         x2 = min(max(self.x + self.w, 0.0), width)
         y2 = min(max(self.y + self.h, 0.0), height)
         return BoundingBox(x, y, max(x2 - x, 0.0), max(y2 - y, 0.0), normalized=False)
+
+
+def box_fault(x: float, y: float, w: float, h: float, normalized: bool) -> Optional[str]:
+    """Why box ``[x, y, w, h]`` is invalid in its mode, or None when it is valid.
+
+    The frame is not known here, so a pixel box is not checked against it.
+    """
+    if w < 0 or h < 0:
+        return f"box has negative size: w={w}, h={h}"
+    if normalized:
+        low, high = -NORMALIZED_EPS, 1 + NORMALIZED_EPS
+        if not (low <= x <= high and low <= y <= high):  # NaN fails too
+            return f"normalized box origin out of range: ({x}, {y})"
+        if x + w > high or y + h > high:
+            return f"normalized box exceeds unit square: x+w={x + w}, y+h={y + h}"
+    return None
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

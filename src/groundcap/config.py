@@ -25,6 +25,14 @@ _JSON_TYPES = {
 }
 
 
+def check_fractions(config: object, *keys: str) -> None:
+    """``ValueError`` naming the first of ``keys`` whose value in ``config`` is outside [0, 1]."""
+    for key in keys:
+        value = getattr(config, key)
+        if not 0.0 <= value <= 1.0:  # NaN fails too
+            raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     endpoint: str = ""
@@ -47,14 +55,13 @@ class PipelineConfig:
             value = getattr(self, key)
             if value < least:
                 raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
-        for key in ("iou_thresh", "sim_thresh", "objectness_threshold"):
-            value = getattr(self, key)
-            if not 0.0 <= value <= 1.0:  # NaN fails too
-                raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
+        check_fractions(self, "iou_thresh", "sim_thresh", "objectness_threshold")
         for key in ("fps", "backoff", "temperature"):
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ValueError(f"config key {key!r} must be finite, got {value}")
+        if self.fps <= 0:
+            raise ValueError(f"config key 'fps' must be > 0, got {self.fps}")
 
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":

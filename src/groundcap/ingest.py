@@ -21,15 +21,15 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
-from .captions import MalformedCaptionError, parse_tagged_caption, render_tagged_caption
+from .captions import TaggedCaption, render_tagged_caption
 from .jsonio import canonical_json
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_record, check_track
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_annotation
 
 
 class SchemaError(ValueError):
@@ -374,9 +374,18 @@ def _check_schema(obj: dict, schema_name: str, line: Optional[int]) -> None:
 
 def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, parsed_object)`` for non-blank lines; 1-based."""
-    for i, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
+    for i, raw in enumerate(_decode(data, 1).split("\n"), start=1):
         if raw.strip():
             yield i, _json_record(raw, i)
+
+
+def _decode(data: bytes, line: int) -> str:
+    """``data``, from line ``line`` on, as UTF-8; a bad byte is a SchemaError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line += data.count(b"\n", 0, exc.start)
+        raise SchemaError(f"invalid UTF-8: {exc.reason}", line=line) from exc
 
 
 def _json_record(text: str, line: int) -> dict:
@@ -535,7 +544,7 @@ def stream_frame_groundings(lines: Iterable[bytes]) -> Iterator[tuple[str, list[
     frames: set[int] = set()  # frame indices of the current video
     finished: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
+        text = _decode(raw, line_no) if isinstance(raw, bytes) else raw
         if not text.strip():
             continue
         record = _frame_grounding(_json_record(text, line_no), line_no)
@@ -591,44 +600,48 @@ def annotation_to_dict(annotation: VideoAnnotation) -> dict:
 def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotation:
     """Build a validated :class:`VideoAnnotation` from its plain-JSON form."""
     _check_schema(obj, "video_annotation.schema.json", line)
-    return _build_annotation(obj)
+    return _build_annotation(obj, check_annotation(obj))
 
 
-def _build_annotation(obj: dict) -> VideoAnnotation:
-    """The record of a schema-valid plain-JSON annotation; checks its invariants.
+def _build_annotation(
+    obj: dict, caption: TaggedCaption, threshold: float = 0.0, line: Optional[int] = None
+) -> VideoAnnotation:
+    """The record of a checked plain-JSON annotation, thinned as :func:`load_predictions` says.
 
-    Each track is checked as soon as it is built, so the first broken
-    invariant in file order is the one raised.  Integer fields go through
-    ``int``: the schema lets integral floats pass.  Presence flags are taken
-    as they are: the schema has proven them bools.
+    Nothing is checked again: a subset of a checked track's frames breaks no
+    invariant.  Integer fields go through ``int``, as the schema lets
+    integral floats pass.
     """
-    try:
-        caption = parse_tagged_caption(obj["caption"])
-    except MalformedCaptionError as exc:
-        raise RecordValidationError("caption-malformed", str(exc)) from exc
+    frame_count = int(obj["frame_count"])
     normalized = obj["boxes_normalized"]
     tracks = []
-    for item in obj["tracks"]:
-        boxes = {}
-        for key, coords in item["boxes"].items():
-            try:
-                boxes[int(key)] = BoundingBox(*map(float, coords), normalized=normalized)
-            except ValueError as exc:
-                raise RecordValidationError("bad-box", f"frame {key}: {exc}") from exc
+    for index, item in enumerate(obj["tracks"]):
+        boxes = {
+            int(key): BoundingBox(*map(float, coords), normalized=normalized)
+            for key, coords in item["boxes"].items()
+        }
+        presence = tuple(item["presence"])
         confidence = None
         if "confidence" in item:
             confidence = {int(k): float(v) for k, v in item["confidence"].items()}
-        track = ObjectTrack(
-            phrase_index=int(item["phrase_index"]),
-            boxes=boxes,
-            presence=tuple(item["presence"]),
-            confidence=confidence,
-        )
-        check_track(track)
-        tracks.append(track)
-    record = VideoAnnotation(
+            if threshold > 0.0:
+                missing = sorted(set(boxes) - set(confidence))
+                if missing:
+                    raise SchemaError(
+                        f"track {index} missing confidence for frames {missing} "
+                        f"with threshold {threshold}",
+                        line=line,
+                        field_path=f"$.tracks[{index}].confidence",
+                    )
+                boxes = {t: box for t, box in boxes.items() if confidence[t] >= threshold}
+                if not boxes:
+                    continue
+                confidence = {t: confidence[t] for t in boxes}
+                presence = tuple(t in boxes for t in range(frame_count))
+        tracks.append(ObjectTrack(int(item["phrase_index"]), boxes, presence, confidence))
+    return VideoAnnotation(
         video_id=obj["video_id"],
-        frame_count=int(obj["frame_count"]),
+        frame_count=frame_count,
         fps=float(obj["fps"]),
         width=int(obj["width"]),
         height=int(obj["height"]),
@@ -636,8 +649,6 @@ def _build_annotation(obj: dict) -> VideoAnnotation:
         tracks=tuple(tracks),
         boxes_normalized=normalized,
     )
-    check_record(record)
-    return record
 
 
 def parse_video_annotation(data: bytes) -> VideoAnnotation:
@@ -667,14 +678,14 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
     Covers the machine-checkable acceptance rules: the caption must parse,
     phrase spans index it correctly, boxes stay inside the declared frame,
-    and presence flags agree with the stored boxes.
+    and presence flags agree with the stored boxes.  No record is built.
     """
     errors = _input_schema("video_annotation.schema.json")(obj)[:10]
     reasons = [("schema", f"{field_path}: {message}") for field_path, message in errors]
     if reasons:
         return reasons
     try:
-        _build_annotation(obj)
+        check_annotation(obj)
     except RecordValidationError as exc:
         reasons.append((exc.code, exc.message))
     return reasons
@@ -682,18 +693,22 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:
     """Read a JSON-lines dataset of annotation records."""
-    return [annotation for _line, annotation in _iter_annotations(data)]
+    return list(_iter_annotations(data))
 
 
-def _iter_annotations(data: bytes) -> Iterator[tuple[int, VideoAnnotation]]:
-    """``(line_number, record)`` per line; a repeated ``video_id`` is an error."""
+def _iter_annotations(data: bytes, threshold: float = 0.0) -> Iterator[VideoAnnotation]:
+    """Each line's record, built with :func:`_build_annotation` at ``threshold``.
+
+    A repeated ``video_id`` is an error, raised before a missing confidence.
+    """
     seen: set[str] = set()
     for line, obj in iter_jsonl(data):
-        annotation = annotation_from_dict(obj, line=line)
-        if annotation.video_id in seen:
-            raise SchemaError(f"duplicate video_id {annotation.video_id!r}", line=line)
-        seen.add(annotation.video_id)
-        yield line, annotation
+        _check_schema(obj, "video_annotation.schema.json", line)
+        caption = check_annotation(obj)
+        if obj["video_id"] in seen:
+            raise SchemaError(f"duplicate video_id {obj['video_id']!r}", line=line)
+        seen.add(obj["video_id"])
+        yield _build_annotation(obj, caption, threshold, line)
 
 
 # ---------------------------------------------------------------------------
@@ -713,45 +728,4 @@ def load_predictions(data: bytes, objectness_threshold: float = 0.5) -> list[Vid
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError(f"objectness threshold {objectness_threshold} outside [0, 1]")
-    return [
-        _apply_objectness(annotation, objectness_threshold, line)
-        for line, annotation in _iter_annotations(data)
-    ]
-
-
-def _apply_objectness(
-    annotation: VideoAnnotation, threshold: float, line: Optional[int]
-) -> VideoAnnotation:
-    """``annotation`` without its frames scored below ``threshold``.
-
-    The record is checked already, and keeping a subset of a checked track's
-    frames breaks no invariant, so nothing is checked again.
-    """
-    if threshold == 0.0:
-        return annotation
-    tracks = []
-    for index, track in enumerate(annotation.tracks):
-        if track.confidence is None:
-            tracks.append(track)  # score-less track: confidence 1.0 everywhere
-            continue
-        confidence = dict(track.confidence)
-        missing = sorted(set(track.boxes) - set(confidence))
-        if missing:
-            raise SchemaError(
-                f"track {index} missing confidence for frames {missing} "
-                f"with threshold {threshold}",
-                line=line,
-                field_path=f"$.tracks[{index}].confidence",
-            )
-        kept = {t: box for t, box in track.boxes.items() if confidence[t] >= threshold}
-        if not kept:
-            continue
-        tracks.append(
-            ObjectTrack.from_boxes(
-                track.phrase_index,
-                kept,
-                annotation.frame_count,
-                confidence={t: confidence[t] for t in kept},
-            )
-        )
-    return replace(annotation, tracks=tuple(tracks))
+    return list(_iter_annotations(data, objectness_threshold))

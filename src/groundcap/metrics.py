@@ -26,6 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .boxes import XYWH, iou_xywh
+from .config import check_fractions
 from .llm import JsonEndpoint, TransportError
 from .records import ObjectTrack, VideoAnnotation
 
@@ -516,6 +517,9 @@ class EvalConfig:
     sim_thresh: float = DEFAULT_SIM_THRESH
     similarity: str = "lexical"
     embedding_endpoint: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_fractions(self, "iou_thresh", "sim_thresh")
 
     def backend(self) -> SimilarityBackend:
         if self.similarity == "lexical":

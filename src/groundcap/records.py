@@ -1,20 +1,22 @@
 """Video-level record types: object tracks, annotations and SVO frames.
 
-Tracks and annotations are plain immutable values.  Ingest (after the schema)
-and :func:`groundcap.tubes.build_record` check each record once, where it
-enters; for a record built by hand, call :func:`check_track` on each track,
-then :func:`check_record`.  Both raise :class:`RecordValidationError` on the
-first violation.
+Tracks and annotations are plain immutable values.  Their invariants are
+checked on the plain-JSON form, once, where a record enters: ingest runs
+:func:`check_annotation` after the schema, and
+:func:`groundcap.tubes.build_record` runs it on ``annotation_to_dict`` of the
+record it emits; check a record built by hand the same way.  It raises
+:class:`RecordValidationError` on the first violation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping, Optional
 
-from .boxes import BoundingBox
-from .captions import TaggedCaption
+from .boxes import BoundingBox, box_fault
+from .captions import MalformedCaptionError, TaggedCaption, parse_tagged_caption
 
 PIXEL_EPS = 1e-6
 
@@ -90,84 +92,86 @@ class VideoAnnotation:
         return self.frame_count / self.fps
 
 
-def check_track(track: ObjectTrack) -> None:
-    """Raise :class:`RecordValidationError` for the first broken track invariant.
+def check_annotation(obj: dict) -> TaggedCaption:
+    """The parsed caption of schema-valid plain-JSON annotation ``obj``, whose invariants hold.
 
-    The track has a box, box frames lie inside the presence vector and agree
-    with its flags, and every confidence belongs to a box.
+    Else :class:`RecordValidationError` for the first broken one: the caption
+    parses; each track in turn has valid boxes, at least one, inside its
+    presence vector and agreeing with its flags, and a box for each
+    confidence; then each track names a caption phrase and spans the video,
+    pixel boxes stay inside the frame, and no two tracks of one phrase
+    repeat a box.
     """
-    if not track.boxes:
-        raise RecordValidationError("empty-track", "track has no present frames")
-    frame_count = len(track.presence)
-    for t in track.boxes:
-        if not 0 <= t < frame_count:
-            raise RecordValidationError(
-                "frame-out-of-range", f"box frame {t} outside [0, {frame_count})"
-            )
-    for t, flag in enumerate(track.presence):
-        if flag != (t in track.boxes):
-            raise RecordValidationError(
-                "presence-box-mismatch",
-                f"presence[{t}]={flag} but box {'missing' if flag else 'present'} at that frame",
-            )
-    if track.confidence is not None:
-        for t in track.confidence:
-            if t not in track.boxes:
+    try:
+        caption = parse_tagged_caption(obj["caption"])
+    except MalformedCaptionError as exc:
+        raise RecordValidationError("caption-malformed", str(exc)) from exc
+    normalized = obj["boxes_normalized"]
+    boxes_of = []  # per track: frame -> (x, y, w, h)
+    for item in obj["tracks"]:
+        boxes = {}
+        for key, coords in item["boxes"].items():
+            box = tuple(map(float, coords))
+            fault = box_fault(*box, normalized)
+            if fault is not None:
+                raise RecordValidationError("bad-box", f"frame {key}: {fault}")
+            boxes[int(key)] = box
+        if not boxes:
+            raise RecordValidationError("empty-track", "track has no present frames")
+        presence = item["presence"]
+        for t in boxes:
+            if t >= len(presence):
+                raise RecordValidationError(
+                    "frame-out-of-range", f"box frame {t} outside [0, {len(presence)})"
+                )
+        for t, flag in enumerate(presence):
+            if flag != (t in boxes):
+                raise RecordValidationError(
+                    "presence-box-mismatch",
+                    f"presence[{t}]={flag} but box "
+                    f"{'missing' if flag else 'present'} at that frame",
+                )
+        for t in map(int, item.get("confidence", ())):
+            if t not in boxes:
                 raise RecordValidationError(
                     "bad-confidence", f"confidence at frame {t} without a box"
                 )
-
-
-def check_record(record: VideoAnnotation) -> None:
-    """Raise :class:`RecordValidationError` for the first broken record invariant.
-
-    Its tracks must have passed :func:`check_track`.  The frame rate is
-    positive, each track names a caption phrase and spans the video, pixel
-    boxes stay inside the frame, and no two tracks of one phrase repeat a box.
-    """
-    if record.fps <= 0:
-        raise RecordValidationError("bad-fps", f"fps {record.fps} must be positive")
-    phrases = len(record.caption.phrases)
-    width, height = record.width, record.height
-    for track in record.tracks:
-        if track.phrase_index >= phrases:
+        boxes_of.append(boxes)
+    phrases = len(caption.phrases)
+    frame_count, width, height = int(obj["frame_count"]), int(obj["width"]), int(obj["height"])
+    right, bottom = width + PIXEL_EPS, height + PIXEL_EPS
+    by_phrase: dict[int, list[dict]] = {}  # phrase index -> the boxes of each of its tracks
+    for item, boxes in zip(obj["tracks"], boxes_of):
+        phrase_index = int(item["phrase_index"])
+        if phrase_index >= phrases:
             raise RecordValidationError(
                 "bad-phrase-index",
-                f"phrase_index {track.phrase_index} but caption has {phrases} phrases",
+                f"phrase_index {phrase_index} but caption has {phrases} phrases",
             )
-        if track.frame_count != record.frame_count:
+        if len(item["presence"]) != frame_count:
             raise RecordValidationError(
                 "presence-length",
-                f"track presence length {track.frame_count} != frame_count {record.frame_count}",
+                f"track presence length {len(item['presence'])} != frame_count {frame_count}",
             )
-        if record.boxes_normalized:
-            continue
-        for t, box in track.boxes.items():
-            if (
-                box.x < -PIXEL_EPS
-                or box.y < -PIXEL_EPS
-                or box.x + box.w > width + PIXEL_EPS
-                or box.y + box.h > height + PIXEL_EPS
-            ):
-                raise RecordValidationError(
-                    "box-out-of-frame",
-                    f"box {box.as_list()} at frame {t} exceeds {width}x{height}",
-                )
+        if not normalized:
+            for t, (x, y, w, h) in boxes.items():
+                if x < -PIXEL_EPS or y < -PIXEL_EPS or x + w > right or y + h > bottom:
+                    raise RecordValidationError(
+                        "box-out-of-frame",
+                        f"box {[x, y, w, h]} at frame {t} exceeds {width}x{height}",
+                    )
+        by_phrase.setdefault(phrase_index, []).append(boxes)
     # Two tracks for one phrase are allowed (an object can be two tubes),
     # but an identical box on a shared frame means a duplicated record.
-    by_phrase: dict[int, list[ObjectTrack]] = {}
-    for track in record.tracks:
-        by_phrase.setdefault(track.phrase_index, []).append(track)
     for phrase_index, group in by_phrase.items():
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                shared = group[i].boxes.keys() & group[j].boxes.keys()
-                for t in shared:
-                    if group[i].boxes[t] == group[j].boxes[t]:
-                        raise RecordValidationError(
-                            "duplicate-track-box",
-                            f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
-                        )
+        for first, second in combinations(group, 2):
+            for t in first.keys() & second.keys():
+                if first[t] == second[t]:
+                    raise RecordValidationError(
+                        "duplicate-track-box",
+                        f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
+                    )
+    return caption
 
 
 @dataclass(frozen=True)

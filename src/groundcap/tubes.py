@@ -13,7 +13,8 @@ from typing import Optional, Sequence
 from .boxes import BoundingBox
 from .captions import TaggedCaption
 from .llm import PhraseAssignment
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_record, check_track
+from .ingest import annotation_to_dict
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_annotation
 
 logger = logging.getLogger(__name__)
 
@@ -108,8 +109,6 @@ def build_record(
             video_id,
             caption.phrases[index].text,
         )
-    for track in tracks:
-        check_track(track)
     annotation = VideoAnnotation(
         video_id=video_id,
         frame_count=frame_count,
@@ -120,5 +119,5 @@ def build_record(
         tracks=tuple(tracks),
         boxes_normalized=False,
     )
-    check_record(annotation)
+    check_annotation(annotation_to_dict(annotation))
     return annotation

@@ -267,14 +267,14 @@ def record_checks(monkeypatch):
     import groundcap.tubes as tubes
 
     checked = []
-    real = ingest.check_record
+    real = ingest.check_annotation
 
-    def counting(record):
-        checked.append(record.video_id)
-        real(record)
+    def counting(obj):
+        checked.append(obj["video_id"])
+        return real(obj)
 
     for module in (ingest, tubes):
-        monkeypatch.setattr(module, "check_record", counting)
+        monkeypatch.setattr(module, "check_annotation", counting)
     return checked
 
 

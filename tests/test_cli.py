@@ -561,6 +561,8 @@ class TestUsageErrors:
             ('{"sim_thresh": NaN}', "config key 'sim_thresh' must be in [0, 1], got nan"),
             ('{"backoff": Infinity}', "config key 'backoff' must be finite, got inf"),
             ('{"max_in_flight": 0}', "config key 'max_in_flight' must be >= 1, got 0"),
+            ('{"fps": 0}', "config key 'fps' must be > 0, got 0.0"),
+            ('{"fps": -1}', "config key 'fps' must be > 0, got -1.0"),
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
@@ -623,6 +625,8 @@ class TestUsageErrors:
             (["--max-in-flight", "0"], "config key 'max_in_flight' must be >= 1, got 0"),
             (["--fps", "inf"], "config key 'fps' must be finite, got inf"),
             (["--temperature", "nan"], "config key 'temperature' must be finite, got nan"),
+            (["--fps", "0"], "config key 'fps' must be > 0, got 0.0"),
+            (["--fps", "-1"], "config key 'fps' must be > 0, got -1.0"),
         ],
     )
     def test_build_config_flag_exits_1_before_any_request(

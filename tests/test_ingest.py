@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import groundcap.ingest as ingest
 import groundcap.records as records
+from groundcap.boxes import box_fault
 from groundcap import (
     BoundingBox,
     EmptyMaskError,
@@ -403,6 +404,20 @@ class TestStreamFrameGroundings:
             list(ingest.stream_frame_groundings(lines))
         assert excinfo.value.line == 2
 
+    def test_invalid_utf8_names_the_streamed_line(self):
+        lines = to_jsonl([frame_line()]).splitlines() + [b"", b'{"caption": "caf\xff"}']
+        with pytest.raises(SchemaError, match="^line 3: invalid UTF-8: invalid start byte$"):
+            list(ingest.stream_frame_groundings(lines))
+
+
+@pytest.mark.parametrize(
+    "read", [read_annotations, load_predictions, parse_frame_grounding, ingest.iter_jsonl]
+)
+def test_invalid_utf8_names_the_line(read, rng):
+    data = serialize_video_annotation(make_annotation(rng, "v")) + b"\n\n\xff\n"
+    with pytest.raises(SchemaError, match="^line 3: invalid UTF-8: invalid start byte$"):
+        list(read(data))
+
 
 @pytest.fixture
 def schema_passes(monkeypatch):
@@ -694,23 +709,25 @@ class TestRecordChecksMatchReference:
         assert any(not isinstance(o, tuple) for o in outcomes)
 
     def test_a_dropped_check_is_caught(self, monkeypatch):
-        def without_duplicate_check(record):  # the duplicate check runs last
+        def without_duplicate_check(obj):  # the duplicate check runs last
             try:
-                records.check_record(record)
+                return records.check_annotation(obj)
             except RecordValidationError as exc:
                 if exc.code != "duplicate-track-box":
                     raise
+                return parse_tagged_caption(obj["caption"])
 
-        monkeypatch.setattr(ingest, "check_record", without_duplicate_check)
+        monkeypatch.setattr(ingest, "check_annotation", without_duplicate_check)
         assert any(disagreements(obj) for obj in SWEEP)
 
     def test_track_checks_after_all_tracks_are_built_are_caught(self, monkeypatch):
-        def late(record):
-            for track in record.tracks:
-                records.check_track(track)
-            records.check_record(record)
+        def late(obj):  # every track's boxes first, as if all tracks were built before any check
+            for item in obj["tracks"]:
+                for key, coords in item["boxes"].items():
+                    fault = box_fault(*map(float, coords), obj["boxes_normalized"])
+                    if fault is not None:
+                        raise RecordValidationError("bad-box", f"frame {key}: {fault}")
+            return records.check_annotation(obj)
 
-        monkeypatch.setattr(ingest, "check_track", lambda track: None)
-        monkeypatch.setattr(ingest, "check_record", late)
+        monkeypatch.setattr(ingest, "check_annotation", late)
         assert any(disagreements(obj) for obj in SWEEP)
-

@@ -31,7 +31,8 @@ from groundcap.metrics import (
     _match_pool,
     cider_scores,
 )
-from groundcap.records import check_record
+from groundcap.ingest import annotation_to_dict
+from groundcap.records import check_annotation
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
@@ -566,6 +567,22 @@ class TestEvaluate:
         k = len(tokenize(gt[0].caption.plain))
         assert report.meteor == pytest.approx(1 - 0.5 / k**3)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("iou_thresh", 2.0),
+            ("iou_thresh", -0.5),
+            ("sim_thresh", float("nan")),
+            ("sim_thresh", 1.5),
+        ],
+    )
+    def test_threshold_outside_unit_interval_refused(self, key, value):
+        # a NaN similarity threshold made every phrase pair similar, and an
+        # IoU threshold of 2 scored every detection a miss
+        message = rf"^config key '{key}' must be in \[0, 1\], got {value}$"
+        with pytest.raises(ValueError, match=message):
+            EvalConfig(**{key: value})
+
     def test_unknown_pred_video_rejected(self):
         gt = [simple_gt("a")]
         stray = simple_gt("zzz")
@@ -708,7 +725,7 @@ def _noisy_prediction(rng, gt):
         )
     prediction = dataclasses.replace(gt, tracks=tuple(tracks))
     try:
-        check_record(prediction)
+        check_annotation(annotation_to_dict(prediction))
     except RecordValidationError:  # a duplicate came out identical to its original
         return dataclasses.replace(gt, tracks=tuple(tracks[:1]))
     return prediction

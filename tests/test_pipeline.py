@@ -59,11 +59,10 @@ class TestAnnotateVideo:
         assert result.annotation is None
         assert [code for code, _ in result.reasons] == ["no-dictionary"]
 
-    def test_nonpositive_fps_rejects_video(self):
-        client = ReplayClient(stirring_fixtures())
-        result = annotate_video(stirring_frames(), client, CONFIG.override(fps=0.0))
-        assert result.annotation is None
-        assert result.reasons == (("bad-fps", "fps 0.0 must be positive"),)
+    @pytest.mark.parametrize("fps", [0.0, -1.0])
+    def test_nonpositive_fps_refused_by_config(self, fps):
+        with pytest.raises(ValueError, match=rf"^config key 'fps' must be > 0, got {fps}$"):
+            CONFIG.override(fps=fps)
 
     def test_mixed_videos_rejected(self):
         frames = stirring_frames("a") + stirring_frames("b")
