@@ -9,8 +9,8 @@ CIDEr-D and a METEOR reduced to its exact+stem unigram core.
 
 from groundcap import (
     BoundingBox,
-    EvalConfig,
     ObjectTrack,
+    PipelineConfig,
     VideoAnnotation,
     evaluate,
     parse_tagged_caption,
@@ -55,7 +55,7 @@ pred = [
     )
 ]
 
-report = evaluate(pred, gt, EvalConfig(iou_thresh=0.5, sim_thresh=0.5))
+report = evaluate(pred, gt, PipelineConfig(iou_thresh=0.5, sim_thresh=0.5))
 print("frame level :", report.frame_level.as_dict())
 print("video level :", report.video_level.as_dict())
 print(f"meteor {report.meteor:.4f}   cider {report.cider:.4f}")

@@ -42,7 +42,6 @@ from .llm import (
     track_by_language,
 )
 from .metrics import (
-    EvalConfig,
     cider,
     evaluate,
     meteor_lite,
@@ -69,7 +68,6 @@ __all__ = [
     "BoundingBox",
     "ChatMessage",
     "EmptyMaskError",
-    "EvalConfig",
     "FrameGrounding",
     "FrameObject",
     "HttpChatClient",

@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict, fields
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
 from . import __version__
-from .config import PipelineConfig
+from .config import SIMILARITY_BACKENDS, PipelineConfig
 from .ingest import (
     SchemaError,
     annotation_to_dict,
@@ -36,7 +38,7 @@ from .ingest import (
 from .captions import parse_tagged_caption, render_tagged_caption
 from .jsonio import canonical_json, canonical_jsonl_bytes
 from .llm import ResponseRejection, aggregate_video, track_by_language
-from .metrics import EvalConfig, evaluate
+from .metrics import evaluate
 from .mockllm import serve_fixtures
 from .pipeline import collect_frame_objects, map_videos, run_pipeline
 from .records import SvoFrame, SvoRelation
@@ -59,9 +61,12 @@ def _write_outputs(
     outputs: dict[str, bytes],
     counts: dict[str, int],
 ) -> None:
-    """Write each output file, then ``<out>.manifest.json`` (or ``--manifest``)."""
-    for path, data in outputs.items():
-        Path(path).write_bytes(data)
+    """Write each output file, then ``<out>.manifest.json`` (or ``--manifest``).
+
+    Every file is first written to a temporary file beside it, and only when
+    all are written are they moved into place, the manifest last; a failed
+    write leaves the old files as they were and no temporary file behind.
+    """
     manifest = {
         "command": args.command,
         "tool_version": __version__,
@@ -70,8 +75,22 @@ def _write_outputs(
         "outputs": {name: _digest(data) for name, data in outputs.items()},
         "counts": counts,
     }
-    manifest_path = Path(args.manifest or f"{args.out}.manifest.json")
-    manifest_path.write_bytes(canonical_json(manifest).encode("utf-8") + b"\n")
+    manifest_path = args.manifest or f"{args.out}.manifest.json"
+    files = [*outputs.items(), (manifest_path, canonical_json(manifest).encode("utf-8") + b"\n")]
+    staged: dict[str, str] = {}  # temporary file -> target
+    try:
+        for index, (path, data) in enumerate(files):
+            if os.path.isdir(path):  # refused here, as os.replace would only after earlier moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            temporary = f"{path}.{os.getpid()}-{index}.tmp"
+            with open(temporary, "xb") as file:  # created under the umask, as the target was
+                staged[temporary] = path
+                file.write(data)
+        for temporary, path in staged.items():
+            os.replace(temporary, path)
+    finally:
+        for temporary in staged:
+            Path(temporary).unlink(missing_ok=True)  # gone already once moved
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -180,9 +199,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     def aggregate(video: tuple[str, list[SvoFrame]], client) -> dict:
         video_id, frames = video
         try:
-            aggregated = aggregate_video(
-                frames, client, retries=config.retries, backoff=config.backoff
-            )
+            aggregated = aggregate_video(frames, client, config)
         except ResponseRejection as exc:
             return _with_reasons(video_id, [(exc.code, exc.message)])
         return {"video_id": video_id, "caption": render_tagged_caption(aggregated.caption)}
@@ -216,13 +233,8 @@ def _cmd_track(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: no frame groundings for video {video_id!r}")
 
     def track(video_id: str, client) -> dict:
-        assignments = track_by_language(
-            collect_frame_objects(by_video[video_id]),
-            captions[video_id].phrase_texts,
-            client,
-            retries=config.retries,
-            backoff=config.backoff,
-        )
+        objects = collect_frame_objects(by_video[video_id])
+        assignments = track_by_language(objects, captions[video_id].phrase_texts, client, config)
         return {"video_id": video_id, "assignments": [asdict(a) for a in assignments]}
 
     outputs = map_videos(video_ids, track, config)
@@ -268,16 +280,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     raw_gt = Path(args.gt).read_bytes()
     preds = load_predictions(raw_pred, objectness_threshold=config.objectness_threshold)
     gts = read_annotations(raw_gt)
-    report = evaluate(
-        preds,
-        gts,
-        EvalConfig(
-            iou_thresh=config.iou_thresh,
-            sim_thresh=config.sim_thresh,
-            similarity=config.similarity,
-            embedding_endpoint=config.embedding_endpoint,
-        ),
-    )
+    report = evaluate(preds, gts, config)
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
     _write_outputs(
         args,
@@ -335,7 +338,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_mock_llm(args: argparse.Namespace) -> int:
-    server = serve_fixtures(args.fixtures, host=args.host, port=args.port)
+    server = serve_fixtures(args.fixtures, args.host, args.port)
     print(f"mock chat endpoint at {server.url} (Ctrl+C to stop)", flush=True)
     try:
         while True:
@@ -413,11 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--iou-thresh", dest="iou_thresh", type=float)
     p.add_argument("--sim-thresh", dest="sim_thresh", type=float)
-    p.add_argument("--similarity", choices=["lexical", "embedding"])
+    p.add_argument("--similarity", choices=SIMILARITY_BACKENDS)
     p.add_argument("--embedding-endpoint", dest="embedding_endpoint")
     p.add_argument(
         "--objectness-threshold", dest="objectness_threshold", type=float,
-        help="temporal objectness cutoff applied to predictions (default 0.5)",
+        help="temporal objectness cutoff applied to predictions "
+        f"(default {PipelineConfig.objectness_threshold})",
     )
     _add_config_flags(p)
     p.set_defaults(func=_cmd_eval)
@@ -449,7 +453,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:  # SchemaError and RecordValidationError too
+    except (ValueError, OSError) as exc:  # SchemaError and RecordValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

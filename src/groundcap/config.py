@@ -1,8 +1,11 @@
-"""Run configuration: one frozen document drives a whole dataset build.
+"""Run configuration: one frozen document drives every command.
 
-The config file is JSON with the field names below; command-line flags
-override individual values.  The auth token is never part of the file, it
-comes from the environment variable named by ``api_key_env``.
+:class:`PipelineConfig` is the one place where a setting is named, given its
+default and checked; the stage drivers, ``evaluate`` and ``load_predictions``
+read their settings from it.  The config file is JSON with the field names
+below; command-line flags override individual values.  The auth token is
+never part of the file, it comes from the environment variable named by
+``api_key_env``.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ _JSON_TYPES = {
     float: ("a number", (int, float)),
 }
 
-
-def check_fractions(config: object, *keys: str) -> None:
-    """``ValueError`` naming the first of ``keys`` whose value in ``config`` is outside [0, 1]."""
-    for key in keys:
-        value = getattr(config, key)
-        if not 0.0 <= value <= 1.0:  # NaN fails too
-            raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
+# the phrase similarity backends ``similarity`` may name
+SIMILARITY_BACKENDS = ("lexical", "embedding")
 
 
 @dataclass(frozen=True)
@@ -55,13 +53,23 @@ class PipelineConfig:
             value = getattr(self, key)
             if value < least:
                 raise ValueError(f"config key {key!r} must be >= {least}, got {value}")
-        check_fractions(self, "iou_thresh", "sim_thresh", "objectness_threshold")
+        for key in ("iou_thresh", "sim_thresh", "objectness_threshold"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
         for key in ("fps", "backoff", "temperature"):
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ValueError(f"config key {key!r} must be finite, got {value}")
         if self.fps <= 0:
             raise ValueError(f"config key 'fps' must be > 0, got {self.fps}")
+        # an embedding endpoint may still come from a flag, so it is checked
+        # where the backend is made
+        if self.similarity not in SIMILARITY_BACKENDS:
+            raise ValueError(
+                f"config key 'similarity' must be one of {list(SIMILARITY_BACKENDS)}, "
+                f"got {self.similarity!r}"
+            )
 
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
 from .captions import TaggedCaption, render_tagged_caption
+from .config import PipelineConfig
 from .jsonio import canonical_json
 from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_annotation
 
@@ -715,7 +716,9 @@ def _iter_annotations(data: bytes, threshold: float = 0.0) -> Iterator[VideoAnno
 # Predictions
 
 
-def load_predictions(data: bytes, objectness_threshold: float = 0.5) -> list[VideoAnnotation]:
+def load_predictions(
+    data: bytes, objectness_threshold: float = PipelineConfig.objectness_threshold
+) -> list[VideoAnnotation]:
     """Read prediction records and apply the temporal objectness threshold.
 
     Frames whose confidence falls below the threshold are removed from their

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Protocol, Sequence
 from . import prompts
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, TaggedCaption, parse_tagged_caption
+from .config import PipelineConfig
 from .records import SvoFrame
 from .svo import render_svo_block
 
@@ -455,25 +456,24 @@ def _call_with_retries(
     client: ChatClient,
     messages: Sequence[ChatMessage],
     parse,
-    retries: int,
-    backoff: float,
+    config: PipelineConfig,
 ):
-    """Run request+parse up to ``retries`` extra times before giving up.
+    """Run request+parse up to ``config.retries`` extra times before giving up.
 
     Transport failures back off exponentially, and one that cannot be
     retried is raised at once; parse failures re-prompt immediately.  The
     final failure's reason code is raised.
     """
     last: ResponseRejection | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(config.retries + 1):
         try:
             return parse(client.complete(messages))
         except TransportError as exc:
             last = ResponseRejection(REJECT_TRANSPORT, str(exc))
             if not exc.retryable:
                 raise last from exc
-            if attempt < retries and backoff > 0:
-                time.sleep(backoff * (2**attempt))
+            if attempt < config.retries and config.backoff > 0:
+                time.sleep(config.backoff * (2**attempt))
         except ResponseRejection as exc:
             last = exc
     assert last is not None
@@ -483,8 +483,7 @@ def _call_with_retries(
 def aggregate_video(
     frames: Iterable[SvoFrame],
     client: ChatClient,
-    retries: int = 2,
-    backoff: float = 0.5,
+    config: PipelineConfig = PipelineConfig(),
 ) -> AggregatedCaption:
     """Stage 2: one round trip turning a video's SVO frames into a caption.
 
@@ -493,15 +492,14 @@ def aggregate_video(
             last failure (``transport`` after network exhaustion).
     """
     messages = build_stage2_prompt(render_svo_block(frames))
-    return _call_with_retries(client, messages, parse_stage2_response, retries, backoff)
+    return _call_with_retries(client, messages, parse_stage2_response, config)
 
 
 def track_by_language(
     frame_objects: Sequence[tuple[int, str, BoundingBox]],
     video_phrases: Sequence[str],
     client: ChatClient,
-    retries: int = 2,
-    backoff: float = 0.5,
+    config: PipelineConfig = PipelineConfig(),
 ) -> list[PhraseAssignment]:
     """Stage 3: classify every frame-level phrase into a video-level phrase.
 
@@ -516,7 +514,7 @@ def track_by_language(
     assignments = []
     for frame_index, phrase, _box in frame_objects:
         if phrase not in memo:
-            memo[phrase] = _classify_phrase(phrase, video_phrases, client, retries, backoff)
+            memo[phrase] = _classify_phrase(phrase, video_phrases, client, config)
         assignments.append(PhraseAssignment(frame_index, phrase, memo[phrase]))
     return assignments
 
@@ -525,8 +523,7 @@ def _classify_phrase(
     phrase: str,
     video_phrases: Sequence[str],
     client: ChatClient,
-    retries: int,
-    backoff: float,
+    config: PipelineConfig,
 ) -> Optional[str]:
     if phrase in video_phrases:
         return phrase
@@ -536,8 +533,7 @@ def _classify_phrase(
             client,
             messages,
             lambda text: parse_stage3_response(text, video_phrases),
-            retries,
-            backoff,
+            config,
         )
     except ResponseRejection as exc:
         logger.warning("phrase %r dropped to None-class: %s (%s)", phrase, exc.message, exc.code)

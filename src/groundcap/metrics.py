@@ -11,6 +11,8 @@ The parts the task leaves open are pinned here and echoed into every report:
 greedy one-to-one matching in confidence order, all-point interpolated AP
 with a precision envelope, mIoU averaged over ground-truth boxes with
 unmatched boxes scoring zero, and confidence 1.0 for score-less predictions.
+The IoU and similarity thresholds and the phrase similarity backend are read
+from the run's :class:`~groundcap.config.PipelineConfig`, which checks them.
 """
 
 from __future__ import annotations
@@ -26,14 +28,12 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .boxes import XYWH, iou_xywh
-from .config import check_fractions
+from .config import PipelineConfig
 from .llm import JsonEndpoint, TransportError
 from .records import ObjectTrack, VideoAnnotation
 
 CIDER_NGRAM_MAX = 4
 CIDER_SIGMA = 6.0
-DEFAULT_IOU_THRESH = 0.5
-DEFAULT_SIM_THRESH = 0.5
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -320,6 +320,15 @@ class EmbeddingSimilarity:
 _DEFAULT_BACKEND = LexicalSimilarity()
 
 
+def similarity_backend(config: PipelineConfig) -> SimilarityBackend:
+    """The backend ``config.similarity`` names; the embedding one needs an endpoint."""
+    if config.similarity == "lexical":
+        return LexicalSimilarity()
+    if not config.embedding_endpoint:
+        raise ValueError("embedding similarity requires an endpoint")
+    return EmbeddingSimilarity(config.embedding_endpoint)
+
+
 def phrase_similarity(a: str, b: str, backend: SimilarityBackend | None = None) -> float:
     """Similarity of two phrases in [0, 1] under the chosen backend."""
     return (backend or _DEFAULT_BACKEND).similarity(a, b)
@@ -512,26 +521,6 @@ class LevelScores:
 
 
 @dataclass(frozen=True)
-class EvalConfig:
-    iou_thresh: float = DEFAULT_IOU_THRESH
-    sim_thresh: float = DEFAULT_SIM_THRESH
-    similarity: str = "lexical"
-    embedding_endpoint: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        check_fractions(self, "iou_thresh", "sim_thresh")
-
-    def backend(self) -> SimilarityBackend:
-        if self.similarity == "lexical":
-            return LexicalSimilarity()
-        if self.similarity == "embedding":
-            if not self.embedding_endpoint:
-                raise ValueError("embedding similarity requires an endpoint")
-            return EmbeddingSimilarity(self.embedding_endpoint)
-        raise ValueError(f"unknown similarity backend {self.similarity!r}")
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     frame_level: LevelScores
     video_level: LevelScores
@@ -568,7 +557,7 @@ def _grounding_scores(
 def evaluate(
     pred_records: Sequence[VideoAnnotation],
     gt_records: Sequence[VideoAnnotation],
-    config: EvalConfig = EvalConfig(),
+    config: PipelineConfig = PipelineConfig(),
 ) -> MetricsReport:
     """Score predictions against ground truth; all metrics, both settings.
 
@@ -590,7 +579,7 @@ def evaluate(
             raise ValueError(f"duplicate prediction for video {record.video_id!r}")
         pred_by_id[record.video_id] = record
 
-    backend = config.backend()
+    backend = similarity_backend(config)
     sim = _SimCache(backend)
     video_ids = sorted(gt_by_id)
 

@@ -39,12 +39,21 @@ def request_hash(messages: Sequence[MessageLike]) -> str:
 
 
 def load_fixtures(path: str | Path) -> tuple[dict[str, str], Optional[str]]:
-    """Read a fixtures file: ``{"responses": {hash: text}, "default": text?}``."""
+    """Read a fixtures file: ``{"responses": {hash: text}, "default": text?}``.
+
+    Anything else is a ``ValueError`` naming the key, raised before a server
+    could answer with it.
+    """
     obj = json.loads(Path(path).read_text("utf-8"))
+    if not isinstance(obj, dict):
+        raise ValueError(f"fixtures must be a JSON object, got {type(obj).__name__}")
     responses = obj.get("responses", {})
-    if not isinstance(responses, dict):
-        raise ValueError("fixtures 'responses' must be an object")
-    return dict(responses), obj.get("default")
+    if not isinstance(responses, dict) or not all(isinstance(t, str) for t in responses.values()):
+        raise ValueError("fixtures 'responses' must map strings to strings")
+    default = obj.get("default")
+    if "default" in obj and not isinstance(default, str):
+        raise ValueError(f"fixtures 'default' must be a string, got {default!r}")
+    return responses, default
 
 
 class MockLlmServer:
@@ -163,7 +172,7 @@ class MockLlmServer:
         self.stop()
 
 
-def serve_fixtures(path: str | Path, host: str = "127.0.0.1", port: int = 8191) -> MockLlmServer:
+def serve_fixtures(path: str | Path, host: str, port: int) -> MockLlmServer:
     """Start a fixture server for the CLI; caller is responsible for stop()."""
     responses, default = load_fixtures(path)
     return MockLlmServer(responses, default=default, host=host, port=port).start()

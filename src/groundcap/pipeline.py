@@ -126,17 +126,9 @@ def annotate_video(
         width, height = next(iter(sizes))
         frame_count = max(f.frame_index for f in frames) + 1
         svo_frames = [extract_svo(pos_tag(f.caption), f.frame_index) for f in frames]
-        caption = aggregate_video(
-            svo_frames, client, retries=config.retries, backoff=config.backoff
-        ).caption
+        caption = aggregate_video(svo_frames, client, config).caption
         frame_objects = collect_frame_objects(frames)
-        assignments = track_by_language(
-            frame_objects,
-            caption.phrase_texts,
-            client,
-            retries=config.retries,
-            backoff=config.backoff,
-        )
+        assignments = track_by_language(frame_objects, caption.phrase_texts, client, config)
         tracks = assemble_tracks(assignments, frame_objects, caption, frame_count)
         annotation = build_record(
             video_id, frame_count, config.fps, width, height, caption, tracks

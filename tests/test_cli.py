@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import groundcap.llm as llm
 from groundcap import read_annotations, serialize_video_annotation
 from groundcap.cli import main
 from groundcap.jsonio import canonical_json
+from groundcap.mockllm import load_fixtures
 from conftest import (
     beverage_fixtures,
     beverage_frames,
@@ -50,6 +52,11 @@ def stir_input(tmp_path):
     path = tmp_path / "frames.jsonl"
     path.write_text(frames_jsonl(stirring_frames() + beverage_frames()), "utf-8")
     return path
+
+
+UNKNOWN_SIMILARITY = (
+    "config key 'similarity' must be one of ['lexical', 'embedding'], got 'nonsense'"
+)
 
 
 def write_config(tmp_path, server, **extra):
@@ -149,6 +156,36 @@ class TestBuild:
         log = json.loads(rejected.read_text())
         assert log["video_id"] == "broken"
         assert log["reasons"][0]["code"] == "no-dictionary"
+
+    def test_failed_write_keeps_the_old_files(self, tmp_path, stir_input, capsys):
+        out = tmp_path / "dataset.jsonl"
+        manifest = tmp_path / "dataset.jsonl.manifest.json"
+        out.write_bytes(b"old dataset\n")
+        manifest.write_bytes(b"old manifest\n")
+        with MockLlmServer({**stirring_fixtures(), **beverage_fixtures()}) as server:
+            config = write_config(tmp_path, server)
+            command = [
+                "build", "--input", str(stir_input), "--out", str(out), "--config", str(config)
+            ]
+            missing = tmp_path / "missing" / "rejected.jsonl"
+            assert main([*command, "--rejected", str(missing)]) == 1
+            error = capsys.readouterr().err.splitlines()[-1]
+            assert error.startswith("error: [Errno 2] No such file or directory")
+            assert out.read_bytes() == b"old dataset\n"
+            assert manifest.read_bytes() == b"old manifest\n"
+            names = ["config.json", "dataset.jsonl", "dataset.jsonl.manifest.json", "frames.jsonl"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+            umask = os.umask(0o027)
+            try:  # the files are created under the umask, as a plain open() would
+                assert main([*command, "--rejected", str(tmp_path / "rejected.jsonl")]) == 0
+            finally:
+                os.umask(umask)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, "rejected.jsonl"])
+        assert read_annotations(out.read_bytes())
+        assert json.loads(manifest.read_bytes())["command"] == "build"
+        for name in ("dataset.jsonl", "dataset.jsonl.manifest.json", "rejected.jsonl"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o640
 
     def test_multi_worker_stderr_is_the_same_every_run(self, tmp_path):
         frames_path = tmp_path / "frames.jsonl"
@@ -282,6 +319,20 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.err == "error: config key 'retries' must be >= 0, got -1\n"
         assert captured.out == ""
+
+    def test_manifest_path_that_is_a_directory_keeps_the_old_report(self, tmp_path, rng, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+        report = tmp_path / "report.jsonl"
+        report.write_bytes(b"old report\n")
+        manifest = tmp_path / "manifest"
+        manifest.mkdir()
+        argv = ["validate", "--input", str(path), "--out", str(report), "--manifest", str(manifest)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(manifest)!r}\n"
+        assert report.read_bytes() == b"old report\n"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["data.jsonl", "manifest", "report.jsonl"]
 
 
 class TestStats:
@@ -563,6 +614,7 @@ class TestUsageErrors:
             ('{"max_in_flight": 0}', "config key 'max_in_flight' must be >= 1, got 0"),
             ('{"fps": 0}', "config key 'fps' must be > 0, got 0.0"),
             ('{"fps": -1}', "config key 'fps' must be > 0, got -1.0"),
+            ('{"similarity": "nonsense"}', UNKNOWN_SIMILARITY),
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
@@ -580,6 +632,37 @@ class TestUsageErrors:
     def test_missing_input_file_exit_1(self, tmp_path):
         out = tmp_path / "x.jsonl"
         assert main(["svo", "--input", str(tmp_path / "nope.jsonl"), "--out", str(out)]) == 1
+
+    def test_directory_as_input_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "stats.json"
+        assert main(["stats", "--input", str(tmp_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_similarity_refused_by_a_command_that_does_not_use_it(
+        self, tmp_path, stir_input, capsys
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"similarity": "nonsense"}), "utf-8")
+        out = tmp_path / "ingested.jsonl"
+        code = main(
+            ["ingest", "--input", str(stir_input), "--out", str(out), "--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
+        assert not out.exists()
+
+    def test_eval_unknown_similarity_exits_1_before_reading_input(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"similarity": "nonsense"}), "utf-8")
+        missing = str(tmp_path / "missing.jsonl")  # reading it would fail with another error
+        out = tmp_path / "report.json"
+        code = main(
+            ["eval", "--pred", missing, "--gt", missing, "--out", str(out), "--config", str(config)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_negative_retries_flag_exits_1_before_any_request(
         self, tmp_path, stir_input, capsys, monkeypatch
@@ -711,6 +794,26 @@ def test_mock_llm_subcommand_serves_fixtures(tmp_path):
         proc.terminate()
         proc.wait(timeout=5)
         proc.stdout.close()
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("[]", "fixtures must be a JSON object, got list"),
+        ('{"responses": []}', "fixtures 'responses' must map strings to strings"),
+        ('{"responses": {"abc": 7}}', "fixtures 'responses' must map strings to strings"),
+        ('{"default": 7}', "fixtures 'default' must be a string, got 7"),
+        ('{"default": null}', "fixtures 'default' must be a string, got None"),
+    ],
+)
+def test_mock_llm_refuses_malformed_fixtures(tmp_path, capsys, document, message):
+    fixtures_path = tmp_path / "fixtures.json"
+    fixtures_path.write_text(document, "utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_fixtures(fixtures_path)
+    # refused before it serves anything, so the command returns
+    assert main(["mock-llm", "--fixtures", str(fixtures_path), "--port", "0"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_canonical_json_float_format():

@@ -18,6 +18,7 @@ from groundcap import (
     BoundingBox,
     HttpChatClient,
     MockLlmServer,
+    PipelineConfig,
     ResponseRejection,
     SvoFrame,
     SvoRelation,
@@ -209,20 +210,20 @@ class TestAggregateVideo:
     def test_garbage_thrice_with_two_retries_rejects(self):
         client = ScriptedClient(["nope", "nope", "nope"])
         with pytest.raises(ResponseRejection) as excinfo:
-            aggregate_video(FRAMES, client, retries=2, backoff=0.0)
+            aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.0))
         assert excinfo.value.code == "no-dictionary"
         assert len(client.calls) == 3
 
     def test_fail_once_then_succeed(self):
         client = ScriptedClient(["garbage", FIG_RESPONSE_1])
-        result = aggregate_video(FRAMES, client, retries=2, backoff=0.0)
+        result = aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.0))
         assert result.caption.phrase_texts == ["A person", "food in a bowl"]
         assert len(client.calls) == 2
 
     def test_transport_exhaustion_rejects_with_transport_code(self):
         client = ScriptedClient([TransportError("down")] * 3)
         with pytest.raises(ResponseRejection) as excinfo:
-            aggregate_video(FRAMES, client, retries=2, backoff=0.0)
+            aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.0))
         assert excinfo.value.code == "transport"
 
 
@@ -265,7 +266,7 @@ class TestTrackByLanguage:
         client = ScriptedClient(["eh?"] * 3)
         with caplog.at_level("WARNING"):
             assignments = track_by_language(
-                [obj(0, "a thing")], ["a person"], client, retries=2, backoff=0.0
+                [obj(0, "a thing")], ["a person"], client, PipelineConfig(retries=2, backoff=0.0)
             )
         assert assignments[0].assigned is None
         assert any("None-class" in r.message for r in caplog.records)
@@ -287,7 +288,7 @@ class TestRetryPolicy:
         with StubServer(lambda n, request: (status, b"{}", {})) as server:
             with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
                 with pytest.raises(ResponseRejection) as excinfo:
-                    aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+                    aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.5))
         assert excinfo.value.code == "transport"
         assert excinfo.value.message == f"HTTP {status} from {server.url}"
         assert len(server.lines) == (3 if retryable else 1)
@@ -298,7 +299,7 @@ class TestRetryPolicy:
         with StubServer(lambda n, request: (307, b"", {"Location": elsewhere})) as server:
             with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
                 with pytest.raises(ResponseRejection) as excinfo:
-                    aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+                    aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.5))
         assert excinfo.value.code == "transport"
         assert elsewhere in excinfo.value.message
         assert len(server.lines) == 1
@@ -317,7 +318,7 @@ class TestRetryPolicy:
             endpoint="http://127.0.0.1:1/v1/chat/completions", model="m", timeout=0.2
         )
         with pytest.raises(ResponseRejection) as excinfo:
-            aggregate_video(FRAMES, client, retries=2, backoff=0.5)
+            aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.5))
         assert excinfo.value.code == "transport"
         assert sleeps == [0.5, 1.0]
 

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from groundcap import (
     BoundingBox,
-    EvalConfig,
     ObjectTrack,
+    PipelineConfig,
     RecordValidationError,
     VideoAnnotation,
     cider,
@@ -30,6 +30,7 @@ from groundcap.metrics import (
     _extract_preds,
     _match_pool,
     cider_scores,
+    similarity_backend,
 )
 from groundcap.ingest import annotation_to_dict
 from groundcap.records import check_annotation
@@ -262,12 +263,12 @@ class TestEmbeddingSimilarity:
             backend.similarity("a cup", "a mug")
 
     def test_config_selects_backend(self, embedding_server):
-        config = EvalConfig(similarity="embedding", embedding_endpoint=embedding_server)
-        assert config.backend().name == "embedding"
+        config = PipelineConfig(similarity="embedding", embedding_endpoint=embedding_server)
+        assert similarity_backend(config).name == "embedding"
         with pytest.raises(ValueError):
-            EvalConfig(similarity="embedding").backend()
+            similarity_backend(PipelineConfig(similarity="embedding"))
         with pytest.raises(ValueError):
-            EvalConfig(similarity="nonsense").backend()
+            similarity_backend(PipelineConfig(similarity="nonsense"))
 
 
 class TestPhraseSimilarity:
@@ -581,7 +582,7 @@ class TestEvaluate:
         # IoU threshold of 2 scored every detection a miss
         message = rf"^config key '{key}' must be in \[0, 1\], got {value}$"
         with pytest.raises(ValueError, match=message):
-            EvalConfig(**{key: value})
+            PipelineConfig(**{key: value})
 
     def test_unknown_pred_video_rejected(self):
         gt = [simple_gt("a")]
@@ -642,7 +643,7 @@ class TestEvaluate:
 
     def test_report_shape_and_config_echo(self):
         gt = [simple_gt("a")]
-        report = evaluate(gt, gt, EvalConfig(sim_thresh=0.7))
+        report = evaluate(gt, gt, PipelineConfig(sim_thresh=0.7))
         payload = report.as_dict()
         assert payload["config"]["sim_thresh"] == 0.7
         assert payload["config"]["similarity_backend"] == "lexical"
