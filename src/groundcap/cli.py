@@ -83,9 +83,12 @@ def _write_outputs(
             if os.path.isdir(path):  # refused here, as os.replace would only after earlier moves
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             temporary = f"{path}.{os.getpid()}-{index}.tmp"
-            with open(temporary, "xb") as file:  # created under the umask, as the target was
-                staged[temporary] = path
-                file.write(data)
+            try:
+                with open(temporary, "xb") as file:  # created under the umask, as the target was
+                    staged[temporary] = path
+                    file.write(data)
+            except OSError as exc:  # name the file asked for, not its temporary
+                raise OSError(exc.errno, exc.strerror, path) from exc
         for temporary, path in staged.items():
             os.replace(temporary, path)
     finally:

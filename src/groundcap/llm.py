@@ -452,6 +452,10 @@ def parse_stage3_response(text: str, categories: Sequence[str]) -> Optional[str]
 # Stage drivers with retries
 
 
+# the longest wait between two attempts, however many retries are allowed
+MAX_BACKOFF_S = 60.0
+
+
 def _call_with_retries(
     client: ChatClient,
     messages: Sequence[ChatMessage],
@@ -460,11 +464,13 @@ def _call_with_retries(
 ):
     """Run request+parse up to ``config.retries`` extra times before giving up.
 
-    Transport failures back off exponentially, and one that cannot be
-    retried is raised at once; parse failures re-prompt immediately.  The
-    final failure's reason code is raised.
+    Transport failures back off exponentially, each wait capped at
+    ``MAX_BACKOFF_S``, and one that cannot be retried is raised at once;
+    parse failures re-prompt immediately.  The final failure's reason code
+    is raised.
     """
     last: ResponseRejection | None = None
+    delay = config.backoff  # doubles with each attempt, to infinity rather than overflow
     for attempt in range(config.retries + 1):
         try:
             return parse(client.complete(messages))
@@ -472,10 +478,11 @@ def _call_with_retries(
             last = ResponseRejection(REJECT_TRANSPORT, str(exc))
             if not exc.retryable:
                 raise last from exc
-            if attempt < config.retries and config.backoff > 0:
-                time.sleep(config.backoff * (2**attempt))
+            if attempt < config.retries and delay > 0:
+                time.sleep(min(delay, MAX_BACKOFF_S))
         except ResponseRejection as exc:
             last = exc
+        delay *= 2.0
     assert last is not None
     raise last
 

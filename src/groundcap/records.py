@@ -184,12 +184,21 @@ class SvoRelation:
     adpositions: tuple[tuple[str, str], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "adpositions", tuple(tuple(p) for p in self.adpositions))
+        for key in ("subject", "verb", "object"):
+            value = getattr(self, key)
+            if not isinstance(value, str) and (key != "object" or value is not None):
+                raise TypeError(f"relation {key} must be a string, got {value!r}")
         if not self.subject or not self.verb:
             raise ValueError("relation subject and verb must be non-empty")
-        for adposition, obj in self.adpositions:
-            if not adposition or not obj:
+        adpositions = tuple(self.adpositions)
+        for pair in adpositions:
+            # a list or tuple, as a two-letter string would unpack too
+            is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
+            if not is_pair or not all(isinstance(member, str) for member in pair):
+                raise TypeError(f"adposition must be a pair of strings, got {pair!r}")
+            if not all(pair):
                 raise ValueError("adposition pairs must have non-empty members")
+        object.__setattr__(self, "adpositions", tuple(tuple(p) for p in adpositions))
 
 
 @dataclass(frozen=True)
@@ -201,5 +210,7 @@ class SvoFrame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relations", tuple(self.relations))
+        if isinstance(self.frame_index, bool) or not isinstance(self.frame_index, int):
+            raise TypeError(f"frame_index must be an integer, got {self.frame_index!r}")
         if self.frame_index < 0:
             raise ValueError(f"negative frame_index {self.frame_index}")

@@ -4,17 +4,19 @@ Frame captions are short declarative sentences, so a deterministic
 lexicon-plus-suffix tagger and shallow pattern matching are enough to pull
 out the relations the caption-aggregation prompt needs; no statistical
 tagger or dependency parser is involved, which keeps runs reproducible.
-The extracted relations render to the bracketed, backtick-quoted block
-format the aggregation prompt expects.
+The shipped lexicon (``data/lexicon.tsv``) is read and its tags checked
+once, on first use; every tag the tagger gives comes from it or from a
+literal here, so tokens are not checked again.  The extracted relations
+render to the bracketed, backtick-quoted block format the aggregation
+prompt expects.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .records import SvoFrame, SvoRelation
 
@@ -22,104 +24,77 @@ POS_TAGS = frozenset({"NOUN", "PROPN", "VERB", "AUX", "ADP", "DET", "ADJ", "PRON
 
 _TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*|\d+(?:\.\d+)?|[^\sA-Za-z\d]")
 _SENTENCE_BREAKS = {".", "!", "?", ";"}
+_NOUN_TAGS = ("NOUN", "PROPN")
+_VERB_TAGS = ("AUX", "VERB")
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     """A surface token with its coarse part-of-speech tag."""
 
     text: str
     pos: str
 
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("token text must be non-empty")
-        if self.pos not in POS_TAGS:
-            raise ValueError(f"unknown POS tag {self.pos!r}")
-
-
-class LexiconTagger:
-    """Deterministic tagger: lexicon lookup, suffix fallbacks, context repair.
-
-    The lexicon maps lowercase tokens to tags (see ``data/lexicon.tsv``, one
-    ``token<TAB>POS`` per line).  Unknown tokens fall back to suffix rules
-    and finally to NOUN, which is the right default for caption objects.
-    """
-
-    def __init__(self, lexicon: Mapping[str, str]):
-        for token, pos in lexicon.items():
-            if pos not in POS_TAGS:
-                raise ValueError(f"lexicon entry {token!r} has unknown tag {pos!r}")
-        self._lexicon = dict(lexicon)
-
-    def tag(self, sentence: str) -> list[TaggedToken]:
-        raw_tokens = _TOKEN_RE.findall(sentence)
-        tagged = [
-            TaggedToken(text, self._lookup(text, position))
-            for position, text in enumerate(raw_tokens)
-        ]
-        return self._repair(tagged)
-
-    def _lookup(self, text: str, position: int) -> str:
-        lowered = text.lower()
-        if lowered in self._lexicon:
-            return self._lexicon[lowered]
-        if not text[0].isalpha():
-            return "OTHER"
-        if position > 0 and text[0].isupper():
-            return "PROPN"
-        if lowered.endswith("ing") and len(lowered) > 4:
-            return "VERB"
-        if lowered.endswith("ed") and len(lowered) > 3:
-            return "VERB"
-        if lowered.endswith("ly") and len(lowered) > 3:
-            return "OTHER"
-        if lowered.endswith("s") and not lowered.endswith("ss"):
-            base = self._strip_plural(lowered)
-            if base is not None:
-                return self._lexicon[base]
-        return "NOUN"
-
-    def _strip_plural(self, lowered: str) -> str | None:
-        for candidate in (lowered[:-1], lowered[:-2], lowered[:-3] + "y"):
-            if candidate and candidate in self._lexicon:
-                return candidate
-        return None
-
-    @staticmethod
-    def _repair(tokens: list[TaggedToken]) -> list[TaggedToken]:
-        repaired = list(tokens)
-        for i, token in enumerate(repaired):
-            prev_pos = repaired[i - 1].pos if i > 0 else None
-            next_pos = repaired[i + 1].pos if i + 1 < len(repaired) else None
-            # "a cutting board": verb reading between a determiner and a noun
-            # is a compound modifier.
-            if token.pos == "VERB" and prev_pos in ("DET", "ADJ") and next_pos in ("NOUN", "PROPN"):
-                repaired[i] = TaggedToken(token.text, "NOUN")
-            # "is painting": noun reading of an -ing form after an auxiliary
-            # is a progressive verb.
-            elif token.pos == "NOUN" and prev_pos == "AUX" and token.text.lower().endswith("ing"):
-                repaired[i] = TaggedToken(token.text, "VERB")
-        return repaired
-
 
 @lru_cache(maxsize=1)
-def default_tagger() -> LexiconTagger:
-    """The tagger backed by the shipped lexicon."""
+def _lexicon() -> dict[str, str]:
+    """The shipped lexicon, lowercase token -> tag (one ``token<TAB>POS`` per line)."""
     lexicon: dict[str, str] = {}
     text = importlib.resources.files("groundcap.data").joinpath("lexicon.tsv").read_text("utf-8")
     for line in text.splitlines():
         if line:
             token, pos = line.split("\t")
+            if pos not in POS_TAGS:
+                raise ValueError(f"lexicon entry {token!r} has unknown tag {pos!r}")
             lexicon[token.lower()] = pos
-    return LexiconTagger(lexicon)
+    return lexicon
 
 
-def pos_tag(sentence: str, tagger: LexiconTagger | None = None) -> list[TaggedToken]:
-    """Tag one caption sentence; empty input gives an empty list."""
-    if not sentence.strip():
-        return []
-    return (tagger or default_tagger()).tag(sentence)
+def pos_tag(sentence: str) -> list[TaggedToken]:
+    """Tag one caption sentence; empty input gives an empty list.
+
+    Each token is looked up in the lexicon, then falls back to suffix rules
+    and finally to NOUN, the right default for caption objects; a
+    left-to-right pass then repairs two context errors.
+    """
+    lexicon = _lexicon()
+    tokens = [
+        TaggedToken(text, _lookup(lexicon, text, position))
+        for position, text in enumerate(_TOKEN_RE.findall(sentence))
+    ]
+    for i, token in enumerate(tokens):
+        prev_pos = tokens[i - 1].pos if i > 0 else None
+        next_pos = tokens[i + 1].pos if i + 1 < len(tokens) else None
+        # "a cutting board": verb reading between a determiner and a noun
+        # is a compound modifier.
+        if token.pos == "VERB" and prev_pos in ("DET", "ADJ") and next_pos in _NOUN_TAGS:
+            tokens[i] = TaggedToken(token.text, "NOUN")
+        # "is painting": noun reading of an -ing form after an auxiliary
+        # is a progressive verb.
+        elif token.pos == "NOUN" and prev_pos == "AUX" and token.text.lower().endswith("ing"):
+            tokens[i] = TaggedToken(token.text, "VERB")
+    return tokens
+
+
+def _lookup(lexicon: dict[str, str], text: str, position: int) -> str:
+    lowered = text.lower()
+    if lowered in lexicon:
+        return lexicon[lowered]
+    if not text[0].isalpha():
+        return "OTHER"
+    if position > 0 and text[0].isupper():
+        return "PROPN"
+    if lowered.endswith("ing") and len(lowered) > 4:
+        return "VERB"
+    if lowered.endswith("ed") and len(lowered) > 3:
+        return "VERB"
+    if lowered.endswith("ly") and len(lowered) > 3:
+        return "OTHER"
+    if lowered.endswith("s") and not lowered.endswith("ss"):
+        # the plural's singular: drop "s", "es", or "ies" -> "y"
+        for base in (lowered[:-1], lowered[:-2], lowered[:-3] + "y"):
+            if base and base in lexicon:
+                return lexicon[base]
+    return "NOUN"
 
 
 def extract_svo(tokens: Sequence[TaggedToken], frame_index: int) -> SvoFrame:
@@ -133,19 +108,23 @@ def extract_svo(tokens: Sequence[TaggedToken], frame_index: int) -> SvoFrame:
     """
     relations: list[SvoRelation] = []
     for sentence in _split_sentences(tokens):
-        noun_runs = _noun_runs(sentence)
-        verb_groups = _verb_groups(sentence)
-        if not verb_groups or not noun_runs:
+        noun_runs = _runs(sentence, _NOUN_TAGS)
+        if not noun_runs:
             continue
-        for g, (group_start, group_end, verb_text) in enumerate(verb_groups):
-            subject = next(
-                (head for start, end, head in noun_runs if end <= group_start), None
-            )
-            if subject is None:
+        # noun-phrase start -> (end, head text)
+        heads = {s: (e, " ".join(t.text for t in sentence[s:e])) for s, e in noun_runs}
+        subject_start = noun_runs[0][0]
+        verb_groups = _runs(sentence, _VERB_TAGS)
+        window_ends = [start for start, _ in verb_groups[1:]] + [len(sentence)]
+        for (start, end), window_end in zip(verb_groups, window_ends):
+            if subject_start > start:
                 continue
-            window_end = verb_groups[g + 1][0] if g + 1 < len(verb_groups) else len(sentence)
-            obj, adpositions = _scan_window(sentence, noun_runs, group_end, window_end)
-            relations.append(SvoRelation(subject, verb_text, obj, tuple(adpositions)))
+            # the last full verb; a run of bare auxiliaries keeps the copula
+            # itself ("the spoon is in the bowl" -> "is")
+            verbs = [t.text for t in sentence[start:end] if t.pos == "VERB"]
+            verb = verbs[-1] if verbs else sentence[start].text
+            obj, adpositions = _scan_window(sentence, heads, end, window_end)
+            relations.append(SvoRelation(heads[subject_start][1], verb, obj, adpositions))
     return SvoFrame(frame_index, tuple(relations))
 
 
@@ -164,51 +143,28 @@ def _split_sentences(tokens: Sequence[TaggedToken]) -> list[list[TaggedToken]]:
     return sentences
 
 
-def _noun_runs(sentence: Sequence[TaggedToken]) -> list[tuple[int, int, str]]:
-    """Maximal NOUN/PROPN runs as (start, end, joined head text)."""
+def _runs(sentence: Sequence[TaggedToken], tags: tuple[str, ...]) -> list[tuple[int, int]]:
+    """Maximal runs of tokens tagged one of ``tags``, as (start, end)."""
     runs = []
-    i = 0
-    while i < len(sentence):
-        if sentence[i].pos in ("NOUN", "PROPN"):
-            j = i
-            while j < len(sentence) and sentence[j].pos in ("NOUN", "PROPN"):
-                j += 1
-            runs.append((i, j, " ".join(t.text for t in sentence[i:j])))
-            i = j
-        else:
-            i += 1
+    start = None
+    for i, token in enumerate(sentence):
+        if token.pos in tags:
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i))
+            start = None
+    if start is not None:
+        runs.append((start, len(sentence)))
     return runs
-
-
-def _verb_groups(sentence: Sequence[TaggedToken]) -> list[tuple[int, int, str]]:
-    """Maximal AUX/VERB runs as (start, end, verb text).
-
-    The verb is the last full VERB in the run; a run of bare auxiliaries
-    keeps the copula itself ("the spoon is in the bowl" -> "is").
-    """
-    groups = []
-    i = 0
-    while i < len(sentence):
-        if sentence[i].pos in ("AUX", "VERB"):
-            j = i
-            while j < len(sentence) and sentence[j].pos in ("AUX", "VERB"):
-                j += 1
-            verbs = [t.text for t in sentence[i:j] if t.pos == "VERB"]
-            text = verbs[-1] if verbs else sentence[i].text
-            groups.append((i, j, text))
-            i = j
-        else:
-            i += 1
-    return groups
 
 
 def _scan_window(
     sentence: Sequence[TaggedToken],
-    noun_runs: list[tuple[int, int, str]],
+    heads: dict[int, tuple[int, str]],
     start: int,
     end: int,
-) -> tuple[str | None, list[tuple[str, str]]]:
-    run_by_start = {s: (e, head) for s, e, head in noun_runs}
+) -> tuple[str | None, tuple[tuple[str, str], ...]]:
     obj: str | None = None
     adpositions: list[tuple[str, str]] = []
     pending_adp: str | None = None
@@ -218,8 +174,8 @@ def _scan_window(
         if token.pos == "ADP":
             pending_adp = token.text
             i += 1
-        elif i in run_by_start:
-            run_end, head = run_by_start[i]
+        elif i in heads:
+            run_end, head = heads[i]
             if pending_adp is not None:
                 adpositions.append((pending_adp, head))
                 pending_adp = None
@@ -231,7 +187,7 @@ def _scan_window(
         else:
             pending_adp = None
             i += 1
-    return obj, adpositions
+    return obj, tuple(adpositions)
 
 
 def _render_relation(relation: SvoRelation) -> str:

@@ -170,7 +170,7 @@ class TestBuild:
             missing = tmp_path / "missing" / "rejected.jsonl"
             assert main([*command, "--rejected", str(missing)]) == 1
             error = capsys.readouterr().err.splitlines()[-1]
-            assert error.startswith("error: [Errno 2] No such file or directory")
+            assert error == f"error: [Errno 2] No such file or directory: '{missing}'"
             assert out.read_bytes() == b"old dataset\n"
             assert manifest.read_bytes() == b"old manifest\n"
             names = ["config.json", "dataset.jsonl", "dataset.jsonl.manifest.json", "frames.jsonl"]
@@ -508,6 +508,12 @@ class TestStageWorkers:
         assert [re.search(r"vid-\d", w) is not None for w in warnings].count(True) == 10
 
 
+def svo_record(frame_index=0, **relation) -> dict:
+    """One ``svo`` output record whose one relation has ``relation``'s keys replaced."""
+    relation = {"subject": "cook", "verb": "stirs", "object": None, "adpositions": [], **relation}
+    return {"video_id": "v1", "frames": [{"frame_index": frame_index, "relations": [relation]}]}
+
+
 class TestMalformedStageInput:
     @pytest.fixture
     def server(self):
@@ -535,6 +541,26 @@ class TestMalformedStageInput:
                 "line 2: 'relations' is a required property",
             ),
             ([{"video_id": 5, "frames": []}], "line 1: 'video_id' must be a string, got 5"),
+            ([svo_record(frame_index=1.5)], "line 1: frame_index must be an integer, got 1.5"),
+            ([svo_record(frame_index=True)], "line 1: frame_index must be an integer, got True"),
+            (
+                [svo_record(subject=["a", "cook"])],
+                "line 1: relation subject must be a string, got ['a', 'cook']",
+            ),
+            ([svo_record(verb=7)], "line 1: relation verb must be a string, got 7"),
+            ([svo_record(object={})], "line 1: relation object must be a string, got {}"),
+            (
+                [svo_record(adpositions=["in"])],
+                "line 1: adposition must be a pair of strings, got 'in'",
+            ),
+            (
+                [svo_record(adpositions=[["in", "bowl", "x"]])],
+                "line 1: adposition must be a pair of strings, got ['in', 'bowl', 'x']",
+            ),
+            (
+                [svo_record(adpositions=[["in", 3]])],
+                "line 1: adposition must be a pair of strings, got ['in', 3]",
+            ),
         ],
     )
     def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):

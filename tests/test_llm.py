@@ -322,6 +322,14 @@ class TestRetryPolicy:
         assert excinfo.value.code == "transport"
         assert sleeps == [0.5, 1.0]
 
+    def test_backoff_is_capped(self, sleeps):
+        retries = 1100  # 0.5 * 2**1100 s does not fit a float
+        client = ScriptedClient([TransportError("down")] * (retries + 1))
+        with pytest.raises(ResponseRejection):
+            aggregate_video(FRAMES, client, PipelineConfig(retries=retries, backoff=0.5))
+        assert sleeps[:9] == [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
+        assert sleeps[9:] == [llm.MAX_BACKOFF_S] * (retries - 9)
+
 
 def envelope(content: str) -> bytes:
     return json.dumps({"choices": [{"message": {"content": content}}]}).encode()
