@@ -307,7 +307,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     reports = []
     failures = 0
     for line, obj in iter_jsonl(raw):
-        video_id = obj.get("video_id", f"line-{line}")
+        video_id = obj.get("video_id")
+        video_id = video_id if isinstance(video_id, str) and video_id else f"line-{line}"
         reasons = validate_annotation_dict(obj)
         status = "rejected" if reasons else "accepted"
         if reasons:

@@ -9,21 +9,22 @@
   in ``$id``, title and description, so predictions are checked against the
   annotation schema).
 
-Masks are reduced to their pixel boxes as frame records are read.  All
-parsing is pure per record, so files can be processed in parallel.
+Records are checked by hand-written walkers of their schemas, which give JSON
+Schema's errors in its order, with two tightenings: numbers are finite
+doubles, and frame keys match whole.  Masks are reduced to their pixel boxes
+as frame records are read.  All parsing is pure per record, so files can be
+processed in parallel.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 import json
 import math
 import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
@@ -52,71 +53,14 @@ class EmptyMaskError(ValueError):
     """An RLE mask decodes to zero foreground pixels."""
 
 
-@lru_cache(maxsize=None)
-def load_schema(name: str) -> dict:
-    """Load one of the shipped JSON schemas by file name."""
-    text = importlib.resources.files("groundcap.schemas").joinpath(name).read_text("utf-8")
-    return json.loads(text)
-
-
-# The keywords the compiled checkers handle; the input schemas may use no
-# others besides the annotations, which they ignore.
-_KEYWORDS = frozenset(
-    {
-        "type",
-        "required",
-        "properties",
-        "additionalProperties",
-        "patternProperties",
-        "items",
-        "minItems",
-        "maxItems",
-        "minimum",
-        "maximum",
-        "exclusiveMinimum",
-        "minLength",
-        "oneOf",
-    }
-)
-_ANNOTATIONS = frozenset({"$schema", "$id", "title", "description"})
-
 _DOUBLE_MAX = sys.float_info.max
+_FRAME_KEY = re.compile("0|[1-9][0-9]*").fullmatch  # a key of boxes or confidence
 
 
 def _is_number(value) -> bool:
     """A JSON number that fits a double: NaN, infinities and huge ints do not."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and -_DOUBLE_MAX <= value <= _DOUBLE_MAX
-    )
-
-
-def _is_integer(value) -> bool:
-    return _is_number(value) and (isinstance(value, int) or value.is_integer())
-
-
-_TYPES = {  # JSON Schema type -> (Python classes, further test, description in messages)
-    "object": (dict, None, "an object"),
-    "array": (list, None, "an array"),
-    "string": (str, None, "a string"),
-    "boolean": (bool, None, "a boolean"),
-    "number": ((int, float), _is_number, "a finite number"),
-    "integer": ((int, float), _is_integer, "an integer"),
-}
-
-# (keyword, whether a number fails it, message), in the order they are checked
-_BOUNDS = (
-    ("minimum", operator.lt, "{!r} is less than the minimum of {}"),
-    ("maximum", operator.gt, "{!r} is greater than the maximum of {}"),
-    ("exclusiveMinimum", operator.le, "{!r} is not greater than {}"),
-)
-
-# A checker returns None for a valid value, else ``(path, message)`` for each
-# violation in walk order, the path relative to the checked value; a parent
-# puts its own segment in front as the errors travel up.
-_Errors = Optional[list[tuple[str, str]]]
-_Checker = Callable[[object], _Errors]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and -_DOUBLE_MAX <= value <= _DOUBLE_MAX
 
 
 def _show(value) -> str:
@@ -128,249 +72,157 @@ def _show(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _nested(errors: _Errors, found: list[tuple[str, str]], segment: str) -> list[tuple[str, str]]:
-    """``errors`` followed by a child's ``found``, moved under ``segment``."""
-    moved = [(segment + path, message) for path, message in found]
-    return moved if errors is None else errors + moved
+# A check yields ``(path, message)`` per fault in walk order, the path relative to the
+# value; a parent puts its own segment in front, so a valid value builds no path string.
+_Check = Callable[[object], Iterator[tuple[str, str]]]
+
+_SCALAR_TYPES = {  # type -> (test, description in messages)
+    "number": (_is_number, "a finite number"),
+    "integer": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
-def _compile(schema) -> _Checker:
-    """The checker for ``schema``; ``ValueError`` on anything it does not handle.
+def _scalar(kind: str, minimum=None, maximum=None, exclusive_minimum=None, min_length=None):
+    """The check of one number, integer, string or boolean: type, then bounds, then length."""
+    test, expected = _SCALAR_TYPES[kind]
 
-    Keywords mean what JSON Schema 2020-12 says and apply by the type of the
-    value, with two tightenings: numbers must be finite doubles, and a
-    ``patternProperties`` key must match its pattern whole (ECMA-262 ``$``,
-    which Python's ``re.search`` would let match before a trailing newline).
-    Each keyword's arguments are read here, once, so checking a value looks
-    nothing up in the schema.
+    def check(value) -> Iterator[tuple[str, str]]:
+        if not test(value):
+            yield "", f"expected {expected}, got {_show(value)}"
+            return
+        if minimum is not None and value < minimum:
+            yield "", f"{value!r} is less than the minimum of {minimum}"
+        if maximum is not None and value > maximum:
+            yield "", f"{value!r} is greater than the maximum of {maximum}"
+        if exclusive_minimum is not None and value <= exclusive_minimum:
+            yield "", f"{value!r} is not greater than {exclusive_minimum}"
+        if min_length is not None and len(value) < min_length:
+            yield "", f"shorter than {min_length} characters"
+
+    return check
+
+
+def _all_pass(value: list, kinds: set, floor) -> bool:
+    """Whether, by C-level builtins, every item has a type in ``kinds`` (bool is its own type
+    here) and, given a ``floor``, is a number in [floor, the largest double], not NaN."""
+    seen = set(map(type, value))
+    if not seen <= kinds or floor is None or not value:
+        return seen <= kinds
+    in_range = floor <= min(value) and max(value) <= _DOUBLE_MAX
+    return in_range and not (float in seen and any(map(math.isnan, value)))
+
+
+def _array(items: _Check, min_items=0, max_items=None, kinds=None, floor=None) -> _Check:
+    """The check of an array: its length, then each item, unless :func:`_all_pass` with
+    ``kinds`` and ``floor`` finds they all pass."""
+
+    def check(value) -> Iterator[tuple[str, str]]:
+        if not isinstance(value, list):
+            yield "", f"expected an array, got {_show(value)}"
+            return
+        if len(value) < min_items:
+            yield "", f"has {len(value)} items, fewer than {min_items}"
+        if max_items is not None and len(value) > max_items:
+            yield "", f"has {len(value)} items, more than {max_items}"
+        if kinds is None or not _all_pass(value, kinds, floor):
+            for i, item in enumerate(value):
+                for path, message in items(item):
+                    yield f"[{i}]{path}", message
+
+    return check
+
+
+def _closed(fields: dict, required=None, frame_key=None, one_of=()) -> _Check:
+    """The check of an object: missing ``required`` keys (every field by default), then each
+    key in turn as a field, as a frame key under ``frame_key``, or unexpected, then ``one_of``.
     """
-    if not isinstance(schema, dict):
-        raise ValueError(f"unsupported schema {schema!r}: only object schemas are checked")
-    unknown = set(schema) - _KEYWORDS - _ANNOTATIONS
-    if unknown:
-        raise ValueError(f"unsupported schema keywords {sorted(unknown)}")
-    kind = schema.get("type")
-    if kind is not None and kind not in tuple(_TYPES):
-        raise ValueError(f"unsupported schema type {kind!r}")
-    if schema.get("additionalProperties", False) is not False:
-        raise ValueError("only additionalProperties: false is supported")
-    by_value = {  # what applies to a value of each kind (a boolean has no keywords)
-        "number": _number_checker(schema),
-        "object": _object_checker(schema),
-        "array": _array_checker(schema),
-        "string": _string_checker(schema),
-    }
-    one_of = _one_of_checker(schema)
-    if kind is None:
-        return _then(_by_value_type(by_value), one_of) or (lambda value: None)
-    body = _then(by_value.get("number" if kind == "integer" else kind), one_of)
-    classes, further, expected = _TYPES[kind]
+    required = tuple(fields) if required is None else required
 
-    def typed(value) -> _Errors:
-        if not isinstance(value, classes) or (further is not None and not further(value)):
-            return [("", f"expected {expected}, got {_show(value)}")]
-        return body(value) if body is not None else None
-
-    return typed
-
-
-def _then(first: Optional[_Checker], second: Optional[_Checker]) -> Optional[_Checker]:
-    """Both checks in order; None when neither has anything to check."""
-    if first is None or second is None:
-        return first or second
-
-    def both(value) -> _Errors:
-        errors, more = first(value), second(value)
-        return errors + more if errors and more else errors or more
-
-    return both
-
-
-def _by_value_type(by_value: dict[str, Optional[_Checker]]) -> Optional[_Checker]:
-    """For a schema without ``type``: the checks that apply to the value's kind."""
-    if not any(by_value.values()):
-        return None
-
-    def check(value) -> _Errors:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            body = by_value["number"]
-        elif isinstance(value, dict):
-            body = by_value["object"]
-        elif isinstance(value, list):
-            body = by_value["array"]
-        elif isinstance(value, str):
-            body = by_value["string"]
-        else:
-            return None
-        return body(value) if body is not None else None
-
-    return check
-
-
-def _number_checker(schema: dict) -> Optional[_Checker]:
-    bounds = [(fails, schema[word], text) for word, fails, text in _BOUNDS if word in schema]
-    if not bounds:
-        return None
-
-    def check(value) -> _Errors:
-        errors = None
-        for fails, limit, text in bounds:
-            if fails(value, limit):
-                errors = (errors or []) + [("", text.format(value, limit))]
-        return errors
-
-    return check
-
-
-def _object_checker(schema: dict) -> Optional[_Checker]:
-    required = tuple(schema.get("required", ()))
-    properties = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
-    patterns = [
-        (re.compile(pattern).fullmatch, _compile(sub))
-        for pattern, sub in schema.get("patternProperties", {}).items()
-    ]
-    closed = "additionalProperties" in schema
-    walk = bool(properties or patterns or closed)
-    if not (required or walk):
-        return None
-
-    def check(value) -> _Errors:
-        errors = None
+    def check(value) -> Iterator[tuple[str, str]]:
+        if not isinstance(value, dict):
+            yield "", f"expected an object, got {_show(value)}"
+            return
         for name in required:
             if name not in value:
-                errors = (errors or []) + [("", f"{name!r} is a required property")]
-        if not walk:
-            return errors
+                yield "", f"{name!r} is a required property"
         for key, item in value.items():
-            sub = properties.get(key)
-            known = sub is not None
-            if known:
-                found = sub(item)
-                if found:
-                    errors = _nested(errors, found, f".{key}")
-            for fullmatch, sub in patterns:
-                if fullmatch(key):
-                    known = True
-                    found = sub(item)
-                    if found:
-                        errors = _nested(errors, found, f".{key}")
-            if not known and closed:
-                errors = (errors or []) + [("", f"unexpected property {key!r}")]
-        return errors
+            sub = fields.get(key) or (_FRAME_KEY(key) and frame_key)
+            if not sub:
+                yield "", f"unexpected property {key!r}"
+            else:
+                for path, message in sub(item):
+                    yield f".{key}{path}", message
+        if one_of:
+            valid = sum(name in value for name in one_of)
+            if valid != 1:
+                yield "", f"valid under {valid} of the {len(one_of)} oneOf schemas, expected 1"
 
     return check
 
 
-def _array_checker(schema: dict) -> Optional[_Checker]:
-    least, most = schema.get("minItems"), schema.get("maxItems")
-    items = _compile(schema["items"]) if "items" in schema else None
-    all_pass = _leaf_array_test(schema["items"]) if "items" in schema else None
-    if least is None and most is None and items is None:
-        return None
+# The shipped input schemas, field by field; tests/test_schema.py holds the
+# walkers to the schema files.
+_BOX = _array(_scalar("number"), 4, 4, kinds={int, float}, floor=-_DOUBLE_MAX)
+_MASK = _array(_scalar("integer", minimum=0), kinds={int}, floor=0)
 
-    def check(value) -> _Errors:
-        errors = None
-        if least is not None and len(value) < least:
-            errors = [("", f"has {len(value)} items, fewer than {least}")]
-        if most is not None and len(value) > most:
-            errors = (errors or []) + [("", f"has {len(value)} items, more than {most}")]
-        if items is not None and (all_pass is None or not all_pass(value)):
-            for i, item in enumerate(value):
-                found = items(item)
-                if found:
-                    errors = _nested(errors, found, f"[{i}]")
-        return errors
+_FRAME_RECORD = _closed(
+    {
+        "video_id": _scalar("string", min_length=1),
+        "frame_index": _scalar("integer", minimum=0),
+        "width": _scalar("integer", minimum=1),
+        "height": _scalar("integer", minimum=1),
+        "caption": _scalar("string"),
+        "objects": _array(
+            _closed(
+                {"phrase": _scalar("string", min_length=1), "box": _BOX, "mask": _MASK},
+                required=("phrase",),
+                one_of=("box", "mask"),
+            )
+        ),
+    }
+)
 
-    return check
-
-
-def _leaf_array_test(items: dict) -> Optional[Callable[[list], bool]]:
-    """A test that every item of a list passes the scalar schema ``items``.
-
-    It runs in C-level builtins (``map(type, ...)``, ``min``, ``max``), and
-    True means every item passes; on False the items are checked one by one,
-    which finds the errors.  None when ``items`` is not a scalar leaf.
-    """
-    if set(items) - _ANNOTATIONS - {"type", "minimum", "maximum", "exclusiveMinimum"}:
-        return None
-    kind = items.get("type")
-    if kind == "boolean":  # bounds apply to numbers only
-        return lambda value: set(map(type, value)) <= {bool}
-    if kind not in ("number", "integer"):
-        return None
-    # bool is its own type here, so True in a number array takes the slow path
-    kinds = {int} if kind == "integer" else {int, float}
-    floor = max(-_DOUBLE_MAX, items.get("minimum", -_DOUBLE_MAX))
-    ceiling = min(_DOUBLE_MAX, items.get("maximum", _DOUBLE_MAX))
-    above = items.get("exclusiveMinimum")
-
-    def all_pass(value: list) -> bool:
-        if not value:
-            return True
-        seen = set(map(type, value))
-        if not seen <= kinds:
-            return False
-        # a NaN can hide from min and max, so a list with floats is searched for one
-        low, high = min(value), max(value)
-        return (
-            floor <= low
-            and high <= ceiling
-            and (above is None or low > above)
-            and not (float in seen and any(map(math.isnan, value)))
-        )
-
-    return all_pass
+_ANNOTATION_RECORD = _closed(
+    {
+        "video_id": _scalar("string", min_length=1),
+        "frame_count": _scalar("integer", minimum=1),
+        "fps": _scalar("number", exclusive_minimum=0),
+        "width": _scalar("integer", minimum=1),
+        "height": _scalar("integer", minimum=1),
+        "caption": _scalar("string"),
+        "boxes_normalized": _scalar("boolean"),
+        "tracks": _array(
+            _closed(
+                {
+                    "phrase_index": _scalar("integer", minimum=0),
+                    "presence": _array(_scalar("boolean"), 1, kinds={bool}),
+                    "boxes": _closed({}, frame_key=_BOX),
+                    "confidence": _closed({}, frame_key=_scalar("number", minimum=0, maximum=1)),
+                },
+                required=("phrase_index", "presence", "boxes"),
+            )
+        ),
+    }
+)
 
 
-def _string_checker(schema: dict) -> Optional[_Checker]:
-    if "minLength" not in schema:
-        return None
-    least = schema["minLength"]
-
-    def check(value) -> _Errors:
-        return [("", f"shorter than {least} characters")] if len(value) < least else None
-
-    return check
+def _frame_errors(obj) -> Iterator[tuple[str, str]]:
+    """``(json_path, message)`` for each way ``obj`` breaks ``frame_grounding.schema.json``."""
+    return (("$" + path, message) for path, message in _FRAME_RECORD(obj))
 
 
-def _one_of_checker(schema: dict) -> Optional[_Checker]:
-    if "oneOf" not in schema:
-        return None
-    options = [_compile(sub) for sub in schema["oneOf"]]
-
-    def check(value) -> _Errors:
-        valid = 0
-        for option in options:
-            if not option(value):
-                valid += 1
-        if valid == 1:
-            return None
-        return [("", f"valid under {valid} of the {len(options)} oneOf schemas, expected 1")]
-
-    return check
+def _annotation_errors(obj) -> Iterator[tuple[str, str]]:
+    """``(json_path, message)`` for each way ``obj`` breaks ``video_annotation.schema.json``."""
+    return (("$" + path, message) for path, message in _ANNOTATION_RECORD(obj))
 
 
-@lru_cache(maxsize=None)
-def _input_schema(name: str) -> Callable[[object], list[tuple[str, str]]]:
-    """The checker of shipped schema ``name``, loaded and compiled once per process.
-
-    It returns ``(json_path, message)`` for each way a value breaks the
-    schema, in walk order, and an empty list for a valid value.
-    """
-    check = _compile(load_schema(name))
-
-    def errors(value) -> list[tuple[str, str]]:
-        found = check(value)
-        return [("$" + path, message) for path, message in found] if found else []
-
-    return errors
-
-
-def _check_schema(obj: dict, schema_name: str, line: Optional[int]) -> None:
-    errors = _input_schema(schema_name)(obj)
-    if errors:
-        field_path, message = errors[0]
-        raise SchemaError(message, line=line, field_path=field_path)
+def _check_schema(errors: Iterator[tuple[str, str]], line: Optional[int]) -> None:
+    """Raise the first of ``errors`` as a SchemaError naming ``line``."""
+    first = next(errors, None)
+    if first is not None:
+        raise SchemaError(first[1], line=line, field_path=first[0])
 
 
 def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
@@ -380,16 +232,17 @@ def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
             yield i, _json_record(raw, i)
 
 
-def _decode(data: bytes, line: int) -> str:
+def _decode(data: bytes, line: Optional[int]) -> str:
     """``data``, from line ``line`` on, as UTF-8; a bad byte is a SchemaError naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line += data.count(b"\n", 0, exc.start)
+        if line is not None:
+            line += data.count(b"\n", 0, exc.start)
         raise SchemaError(f"invalid UTF-8: {exc.reason}", line=line) from exc
 
 
-def _json_record(text: str, line: int) -> dict:
+def _json_record(text: str, line: Optional[int]) -> dict:
     """One JSON-lines record, which must be an object."""
     try:
         obj = json.loads(text)
@@ -496,7 +349,7 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
 
 def _frame_grounding(obj: dict, line: int) -> FrameGrounding:
     """Check one frame-grounding record and build it; errors name ``line``."""
-    _check_schema(obj, "frame_grounding.schema.json", line)
+    _check_schema(_frame_errors(obj), line)
     # the schema lets integral floats such as 2.0 pass as integers
     width, height = int(obj["width"]), int(obj["height"])
     objects = []
@@ -600,7 +453,7 @@ def annotation_to_dict(annotation: VideoAnnotation) -> dict:
 
 def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotation:
     """Build a validated :class:`VideoAnnotation` from its plain-JSON form."""
-    _check_schema(obj, "video_annotation.schema.json", line)
+    _check_schema(_annotation_errors(obj), line)
     return _build_annotation(obj, check_annotation(obj))
 
 
@@ -654,13 +507,7 @@ def _build_annotation(
 
 def parse_video_annotation(data: bytes) -> VideoAnnotation:
     """Parse a single annotation document (inverse of serialization)."""
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError("annotation must be a JSON object")
-    return annotation_from_dict(obj)
+    return annotation_from_dict(_json_record(_decode(data, None), None))
 
 
 def serialize_video_annotation(annotation: VideoAnnotation) -> bytes:
@@ -681,7 +528,7 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
     phrase spans index it correctly, boxes stay inside the declared frame,
     and presence flags agree with the stored boxes.  No record is built.
     """
-    errors = _input_schema("video_annotation.schema.json")(obj)[:10]
+    errors = islice(_annotation_errors(obj), 10)
     reasons = [("schema", f"{field_path}: {message}") for field_path, message in errors]
     if reasons:
         return reasons
@@ -704,7 +551,7 @@ def _iter_annotations(data: bytes, threshold: float = 0.0) -> Iterator[VideoAnno
     """
     seen: set[str] = set()
     for line, obj in iter_jsonl(data):
-        _check_schema(obj, "video_annotation.schema.json", line)
+        _check_schema(_annotation_errors(obj), line)
         caption = check_annotation(obj)
         if obj["video_id"] in seen:
             raise SchemaError(f"duplicate video_id {obj['video_id']!r}", line=line)

@@ -13,10 +13,13 @@ did when every construction checked every invariant.
 
 from __future__ import annotations
 
+import importlib.resources
+import json
 import math
 import re
 import sys
 from collections import Counter
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -350,9 +353,39 @@ def parse_svo_block(text: str) -> list[list[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Input schemas: the interpreting walker the compiled checkers must agree with
+# Input schemas: the interpreting walker the ingest walkers must agree with
 
 _DOUBLE_MAX = sys.float_info.max
+
+# the keywords ``schema_errors`` reads, and the annotations it ignores
+SCHEMA_KEYWORDS = frozenset(
+    {
+        "type",
+        "required",
+        "properties",
+        "additionalProperties",
+        "patternProperties",
+        "items",
+        "minItems",
+        "maxItems",
+        "minimum",
+        "maximum",
+        "exclusiveMinimum",
+        "minLength",
+        "oneOf",
+        "$schema",
+        "$id",
+        "title",
+        "description",
+    }
+)
+
+
+@lru_cache(maxsize=None)
+def load_schema(name: str) -> dict:
+    """One of the shipped JSON schemas, by file name."""
+    text = importlib.resources.files("groundcap.schemas").joinpath(name).read_text("utf-8")
+    return json.loads(text)
 
 
 def _is_number(value) -> bool:

@@ -310,6 +310,27 @@ class TestValidate:
         assert main(["validate", "--input", str(path)]) == 1
         assert "box-out-of-frame" in capsys.readouterr().out
 
+    def test_records_without_a_usable_id_are_named_by_line(self, tmp_path, rng, capsys):
+        good = json.loads(serialize_video_annotation(make_corpus(rng, 1)[0]))
+        lines = [dict(good, video_id=7), dict(good, video_id=""), dict(good, video_id=["a"]), good]
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), "utf-8")
+        report = tmp_path / "report.jsonl"
+        assert main(["validate", "--input", str(path), "--out", str(report)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "line-1: schema: $.video_id: expected a string, got 7",
+            "line-2: schema: $.video_id: shorter than 1 characters",
+            "line-3: schema: $.video_id: expected a string, got an array",
+            "validated 4 records: 1 ok, 3 invalid",
+        ]
+        reports = [json.loads(line) for line in report.read_text("utf-8").splitlines()]
+        assert [(r["video_id"], r["status"]) for r in reports] == [
+            ("line-1", "rejected"),
+            ("line-2", "rejected"),
+            ("line-3", "rejected"),
+            (good["video_id"], "accepted"),
+        ]
+
     def test_bad_config_is_an_error_without_out(self, tmp_path, rng, capsys):
         path = tmp_path / "data.jsonl"
         path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")

@@ -27,6 +27,7 @@ from groundcap import (
 )
 from conftest import make_annotation
 from oracles import (
+    load_schema,
     reference_annotation,
     reference_mask_to_box,
     reference_objectness,
@@ -343,6 +344,16 @@ class TestAnnotationRoundTrip:
         obj["caption"] = "<p>broken"
         assert [c for c, _ in validate_annotation_dict(obj)] == ["caption-malformed"]
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"\xff", "invalid UTF-8: invalid start byte"), (b"[]", "record must be a JSON object")],
+    )
+    def test_a_document_fails_as_a_dataset_line_does(self, data, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            parse_video_annotation(data)
+        with pytest.raises(SchemaError, match=f"^line 1: {message}$"):
+            read_annotations(data)
+
     def test_schema_violation_reported(self):
         assert validate_annotation_dict({"video_id": "x"})[0][0] == "schema"
 
@@ -421,15 +432,18 @@ def test_invalid_utf8_names_the_line(read, rng):
 
 @pytest.fixture
 def schema_passes(monkeypatch):
-    """Names of the schemas that records were checked against, one per pass."""
+    """Names of the schemas that records were checked against, one per walker call."""
     passes = []
-    real = ingest._input_schema
+    for walker, name in [
+        ("_frame_errors", "frame_grounding.schema.json"),
+        ("_annotation_errors", "video_annotation.schema.json"),
+    ]:
 
-    def counting(name):
-        passes.append(name)
-        return real(name)
+        def counting(obj, real=getattr(ingest, walker), name=name):
+            passes.append(name)
+            return real(obj)
 
-    monkeypatch.setattr(ingest, "_input_schema", counting)
+        monkeypatch.setattr(ingest, walker, counting)
     return passes
 
 
@@ -544,7 +558,7 @@ class TestLoadPredictions:
     def test_predictions_schema_is_the_annotation_schema(self):
         # predictions are checked against the annotation schema alone
         def body(name):
-            schema = dict(ingest.load_schema(name))
+            schema = dict(load_schema(name))
             for key in ("$id", "title", "description"):
                 schema.pop(key)
             return schema
@@ -641,7 +655,7 @@ def outcome(call):
 
 def reference_outcome(obj: dict, threshold=None, prefix: str = ""):
     """The schema plus the reference: the record, or the first (code, message)."""
-    errors = list(schema_errors(obj, ingest.load_schema("video_annotation.schema.json")))
+    errors = list(schema_errors(obj, load_schema("video_annotation.schema.json")))
     if errors:
         return ("schema", f"{prefix}{errors[0][0]}: {errors[0][1]}")
     try:

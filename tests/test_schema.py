@@ -1,12 +1,14 @@
-"""The compiled schema checkers in ``ingest`` against two references.
+"""The hand-written record walkers in ``ingest`` against two references.
 
-Random mutations of valid frame-grounding and annotation records must get
-exactly the errors of ``oracles.schema_errors``, the walker that reads the
-schema at every node, in the same order.  They must also be accepted or
-rejected as jsonschema does, except for two deliberate tightenings: numbers
-must be finite doubles (no NaN, infinity or integer past the double range),
-and a frame key must match its pattern whole (jsonschema's ``re.search`` lets
-``"0\\n"`` match ``^(0|[1-9][0-9]*)$``).
+``ingest._frame_errors`` and ``ingest._annotation_errors`` write out the
+shipped input schemas field by field.  Random mutations of valid
+frame-grounding and annotation records, and a fixed sweep of edits at every
+field, must get exactly the errors of ``oracles.schema_errors``, the walker
+that reads the schema files at every node, in the same order.  The random
+mutations must also be accepted or rejected as jsonschema does, except for
+two deliberate tightenings: numbers must be finite doubles (no NaN, infinity
+or integer past the double range), and a frame key must match its pattern
+whole (jsonschema's ``re.search`` lets ``"0\\n"`` match ``^(0|[1-9][0-9]*)$``).
 """
 
 import copy
@@ -21,11 +23,12 @@ from hypothesis import given, settings, strategies as st
 
 import groundcap.ingest as ingest
 from groundcap import load_predictions, parse_frame_grounding
-from oracles import schema_errors
+from oracles import SCHEMA_KEYWORDS, load_schema, schema_errors
 
 FRAME_SCHEMA = "frame_grounding.schema.json"
 ANNOTATION_SCHEMA = "video_annotation.schema.json"
 FRAME_KEY = re.compile(r"^(0|[1-9][0-9]*)$")
+WALKERS = {FRAME_SCHEMA: ingest._frame_errors, ANNOTATION_SCHEMA: ingest._annotation_errors}
 
 FRAME = {
     "video_id": "v1",
@@ -168,7 +171,7 @@ def tightened(value) -> bool:
 
 
 def accepts(record, name: str) -> bool:
-    return not ingest._input_schema(name)(record)
+    return next(WALKERS[name](record), None) is None
 
 
 def mutated(base: dict, data) -> dict:
@@ -180,7 +183,7 @@ def mutated(base: dict, data) -> dict:
 
 def check_against_jsonschema(base: dict, name: str, parse, data) -> None:
     record = mutated(base, data)
-    reference = jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+    reference = jsonschema.Draft202012Validator(load_schema(name)).is_valid(record)
     accepted = accepts(record, name)
     assert accepted == (reference and not tightened(record)), record
     if accepted:
@@ -208,15 +211,15 @@ def test_annotation_records_accepted_as_jsonschema_does(data):
 @given(data=st.data())
 def test_compiled_errors_equal_the_walker(name, base, data):
     record = mutated(base, data)
-    expected = list(schema_errors(record, ingest.load_schema(name), "$"))
-    assert ingest._input_schema(name)(record) == expected, record
+    expected = list(schema_errors(record, load_schema(name), "$"))
+    assert list(WALKERS[name](record)) == expected, record
 
 
 @pytest.mark.parametrize("name", [FRAME_SCHEMA, ANNOTATION_SCHEMA])
 def test_base_records_are_valid(name):
     record = FRAME if name == FRAME_SCHEMA else ANNOTATION
     assert accepts(record, name)
-    assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+    assert jsonschema.Draft202012Validator(load_schema(name)).is_valid(record)
 
 
 @pytest.mark.parametrize(
@@ -245,7 +248,7 @@ def test_base_records_are_valid(name):
 def test_boundaries_agree_with_jsonschema(name, path, value, valid):
     record = copy.deepcopy(FRAME if name == FRAME_SCHEMA else ANNOTATION)
     at(record, path[:-1])[path[-1]] = value
-    assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record) == valid
+    assert jsonschema.Draft202012Validator(load_schema(name)).is_valid(record) == valid
     assert accepts(record, name) == valid
 
 
@@ -260,7 +263,7 @@ def test_the_tightenings_reject_what_jsonschema_accepts():
         (nan_fps, ANNOTATION_SCHEMA),
         (dict(FRAME, width=10**400), FRAME_SCHEMA),
     ]:
-        assert jsonschema.Draft202012Validator(ingest.load_schema(name)).is_valid(record)
+        assert jsonschema.Draft202012Validator(load_schema(name)).is_valid(record)
         assert not accepts(record, name)
     assert not accepts(infinite_count, FRAME_SCHEMA)
 
@@ -280,21 +283,25 @@ def schema_keywords(schema: dict):
 
 @pytest.mark.parametrize("name", [FRAME_SCHEMA, ANNOTATION_SCHEMA])
 def test_input_schemas_use_only_handled_keywords(name):
-    schema = ingest.load_schema(name)
-    assert set(schema_keywords(schema)) <= ingest._KEYWORDS | ingest._ANNOTATIONS
-    assert ingest._input_schema(name) is ingest._input_schema(name)  # compiled once
+    # a keyword the reference does not read would go unchecked by the field sweep
+    assert set(schema_keywords(load_schema(name))) <= SCHEMA_KEYWORDS
 
 
-@pytest.mark.parametrize(
-    "schema",
-    [
-        {"type": "object", "properties": {"a": {"type": "string", "enum": ["x"]}}},
-        {"type": "array", "items": {"$ref": "#/$defs/box"}},
-        {"type": "object", "additionalProperties": {"type": "string"}},
-        {"type": ["string", "null"]},
-        {"type": "array", "items": True},
-    ],
-)
-def test_unhandled_schema_raises(schema):
-    with pytest.raises(ValueError, match="unsupported|only"):
-        ingest._compile(schema)
+SWEEP_VALUES = [None, True, -1, 0, 1.5, 2.0, math.nan, "", "x", [], {}]
+DELETE = object()
+
+
+@pytest.mark.parametrize("name, base", [(FRAME_SCHEMA, FRAME), (ANNOTATION_SCHEMA, ANNOTATION)])
+def test_every_field_edit_gets_the_reference_errors(name, base):
+    """At every node of the base record: delete it, then set it to each sweep value."""
+    for path, _ in nodes(base):
+        for edit in [DELETE, *SWEEP_VALUES] if path else SWEEP_VALUES:
+            record = copy.deepcopy(base)
+            if not path:
+                record = copy.deepcopy(edit)
+            elif edit is DELETE:
+                del at(record, path[:-1])[path[-1]]
+            else:
+                at(record, path[:-1])[path[-1]] = copy.deepcopy(edit)
+            expected = list(schema_errors(record, load_schema(name), "$"))
+            assert list(WALKERS[name](record)) == expected, (path, record)
