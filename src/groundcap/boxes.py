@@ -81,18 +81,24 @@ def iou_xywh(a: XYWH, b: XYWH) -> float:
     """:func:`iou` of two ``(x, y, w, h)`` tuples the caller knows share a mode."""
     if a == b:
         return 1.0 if a[2] * a[3] > 0 else 0.0
+    # Each conditional picks what max() or min() of the same two values would,
+    # the first of two equal ones, without a call.
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
-    ix = max(ax, bx)
-    iy = max(ay, by)
-    ix2 = min(ax + aw, bx + bw)
-    iy2 = min(ay + ah, by + bh)
-    inter = max(ix2 - ix, 0.0) * max(iy2 - iy, 0.0)
+    ix = bx if bx > ax else ax
+    iy = by if by > ay else ay
+    ix2, other = ax + aw, bx + bw
+    ix2 = other if other < ix2 else ix2
+    iy2, other = ay + ah, by + bh
+    iy2 = other if other < iy2 else iy2
+    dx, dy = ix2 - ix, iy2 - iy
+    inter = (0.0 if 0.0 > dx else dx) * (0.0 if 0.0 > dy else dy)
     union = aw * ah + bw * bh - inter
     if union <= 0:
         return 0.0
     # rounding can push the ratio a hair past 1; the true value never exceeds it
-    return min(inter / union, 1.0)
+    ratio = inter / union
+    return 1.0 if 1.0 < ratio else ratio
 
 
 def normalize_box(b: BoundingBox, width: float, height: float) -> BoundingBox:

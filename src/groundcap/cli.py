@@ -306,10 +306,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     raw = Path(args.input).read_bytes()
     reports = []
     failures = 0
+    first_lines: dict[str, int] = {}  # video id -> the line it first appears on
     for line, obj in iter_jsonl(raw):
         video_id = obj.get("video_id")
-        video_id = video_id if isinstance(video_id, str) and video_id else f"line-{line}"
         reasons = validate_annotation_dict(obj)
+        if isinstance(video_id, str) and video_id:
+            if video_id in first_lines:
+                reasons.append((
+                    "duplicate-video-id",
+                    f"duplicate video_id {video_id!r} (first on line {first_lines[video_id]})",
+                ))
+            first_lines.setdefault(video_id, line)
+        else:
+            video_id = f"line-{line}"
         status = "rejected" if reasons else "accepted"
         if reasons:
             failures += 1

@@ -9,11 +9,13 @@
   in ``$id``, title and description, so predictions are checked against the
   annotation schema).
 
-Records are checked by hand-written walkers of their schemas, which give JSON
-Schema's errors in its order, with two tightenings: numbers are finite
-doubles, and frame keys match whole.  Masks are reduced to their pixel boxes
-as frame records are read.  All parsing is pure per record, so files can be
-processed in parallel.
+Records are checked against hand-written walkers of their schemas, which
+give JSON Schema's errors in its order, with two tightenings: numbers are
+finite doubles, and frame keys match whole.  An annotation line is checked by
+the schema and by :func:`~groundcap.records.check_annotation` and built in one
+walk; the walker and ``check_annotation`` run only to explain a line that
+walk refuses.  Masks are reduced to their pixel boxes as frame records are
+read.  All parsing is pure per record, so files can be processed in parallel.
 """
 
 from __future__ import annotations
@@ -24,14 +26,20 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, chain, combinations, compress, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .boxes import BoundingBox
-from .captions import TaggedCaption, render_tagged_caption
+from .captions import parse_tagged_caption, render_tagged_caption
 from .config import PipelineConfig
 from .jsonio import canonical_json
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_annotation
+from .records import (
+    PIXEL_EPS,
+    ObjectTrack,
+    RecordValidationError,
+    VideoAnnotation,
+    check_annotation,
+)
 
 
 class SchemaError(ValueError):
@@ -63,6 +71,11 @@ def _is_number(value) -> bool:
     return number and -_DOUBLE_MAX <= value <= _DOUBLE_MAX
 
 
+def _is_integer(value) -> bool:
+    """A JSON Schema integer: a number without a fractional part, so 2.0 is one."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
 def _show(value) -> str:
     if isinstance(value, dict):
         return "an object"
@@ -78,7 +91,7 @@ _Check = Callable[[object], Iterator[tuple[str, str]]]
 
 _SCALAR_TYPES = {  # type -> (test, description in messages)
     "number": (_is_number, "a finite number"),
-    "integer": (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+    "integer": (_is_integer, "an integer"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "boolean": (lambda v: isinstance(v, bool), "a boolean"),
 }
@@ -184,28 +197,24 @@ _FRAME_RECORD = _closed(
     }
 )
 
-_ANNOTATION_RECORD = _closed(
-    {
-        "video_id": _scalar("string", min_length=1),
-        "frame_count": _scalar("integer", minimum=1),
-        "fps": _scalar("number", exclusive_minimum=0),
-        "width": _scalar("integer", minimum=1),
-        "height": _scalar("integer", minimum=1),
-        "caption": _scalar("string"),
-        "boxes_normalized": _scalar("boolean"),
-        "tracks": _array(
-            _closed(
-                {
-                    "phrase_index": _scalar("integer", minimum=0),
-                    "presence": _array(_scalar("boolean"), 1, kinds={bool}),
-                    "boxes": _closed({}, frame_key=_BOX),
-                    "confidence": _closed({}, frame_key=_scalar("number", minimum=0, maximum=1)),
-                },
-                required=("phrase_index", "presence", "boxes"),
-            )
-        ),
-    }
-)
+_TRACK_FIELDS = {
+    "phrase_index": _scalar("integer", minimum=0),
+    "presence": _array(_scalar("boolean"), 1, kinds={bool}),
+    "boxes": _closed({}, frame_key=_BOX),
+    "confidence": _closed({}, frame_key=_scalar("number", minimum=0, maximum=1)),
+}
+_TRACK_REQUIRED = ("phrase_index", "presence", "boxes")
+_ANNOTATION_FIELDS = {
+    "video_id": _scalar("string", min_length=1),
+    "frame_count": _scalar("integer", minimum=1),
+    "fps": _scalar("number", exclusive_minimum=0),
+    "width": _scalar("integer", minimum=1),
+    "height": _scalar("integer", minimum=1),
+    "caption": _scalar("string"),
+    "boxes_normalized": _scalar("boolean"),
+    "tracks": _array(_closed(_TRACK_FIELDS, required=_TRACK_REQUIRED)),
+}
+_ANNOTATION_RECORD = _closed(_ANNOTATION_FIELDS)
 
 
 def _frame_errors(obj) -> Iterator[tuple[str, str]]:
@@ -453,56 +462,168 @@ def annotation_to_dict(annotation: VideoAnnotation) -> dict:
 
 def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotation:
     """Build a validated :class:`VideoAnnotation` from its plain-JSON form."""
-    _check_schema(_annotation_errors(obj), line)
-    return _build_annotation(obj, check_annotation(obj))
+    return _read_annotation(obj, line, 0.0, set())
 
 
-def _build_annotation(
-    obj: dict, caption: TaggedCaption, threshold: float = 0.0, line: Optional[int] = None
-) -> VideoAnnotation:
-    """The record of a checked plain-JSON annotation, thinned as :func:`load_predictions` says.
+def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> VideoAnnotation:
+    """Check annotation ``obj`` from ``line`` and build its record in one walk.
 
-    Nothing is checked again: a subset of a checked track's frames breaks no
-    invariant.  Integer fields go through ``int``, as the schema lets
-    integral floats pass.
+    The rules of the schema and of :func:`~groundcap.records.check_annotation`
+    are tested in a few C-level passes over the boxes of all tracks and over
+    each track's flags and scores, and the frames scored below ``threshold``
+    are dropped as :func:`load_predictions` says.  A refused record is
+    explained by the walker, then by ``check_annotation``, which raise the
+    first error in their order.  After them come a ``video_id`` already in
+    ``seen`` (which gains this one), then a track without a score for a
+    frame when ``threshold`` is above 0.
     """
-    frame_count = int(obj["frame_count"])
-    normalized = obj["boxes_normalized"]
+    try:
+        record, missing = _annotation(obj, threshold)
+    except (ValueError, OverflowError):
+        _check_schema(_annotation_errors(obj), line)
+        check_annotation(obj)
+        raise AssertionError(f"line {line}: a record the schema and its checks accept was refused")
+    if record.video_id in seen:
+        raise SchemaError(f"duplicate video_id {record.video_id!r}", line=line)
+    seen.add(record.video_id)
+    if missing is not None:
+        index, frames = missing
+        raise SchemaError(
+            f"track {index} missing confidence for frames {frames} with threshold {threshold}",
+            line=line,
+            field_path=f"$.tracks[{index}].confidence",
+        )
+    return record
+
+
+_NUMBERS = {int, float}
+_REQUIRED_TRACK_KEYS = frozenset(_TRACK_REQUIRED)
+
+
+def _floats(values: list) -> list[float]:
+    """``values`` as floats, converted in C-level passes.
+
+    ValueError when one is not a number as the walker judges numbers, or is
+    NaN; OverflowError for an int past the double range.  Infinities pass:
+    the bounds the callers test refuse them.
+    """
+    kinds = set(map(type, values))
+    if not (kinds <= _NUMBERS or all(map(_is_number, values))):
+        raise ValueError("not a number")
+    floats = list(map(float, values))
+    # of finite values no sum is NaN, though it may overflow to an infinity
+    if kinds != {int} and math.isnan(sum(floats)):
+        raise ValueError("NaN")
+    return floats
+
+
+def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[int, list]]]:
+    """The record of ``obj`` at ``threshold``, and the first track missing a score with the
+    frames it misses, or None; ValueError on any fault, found in no particular order.
+
+    Integer fields go through ``int``, as the schema lets integral floats pass.
+    """
+    if not (isinstance(obj, dict) and obj.keys() == _ANNOTATION_FIELDS.keys()):
+        raise ValueError("not an annotation object")
+    video_id, fps, text = obj["video_id"], obj["fps"], obj["caption"]
+    normalized, items = obj["boxes_normalized"], obj["tracks"]
+    sizes = obj["frame_count"], obj["width"], obj["height"]
+    if not (
+        isinstance(video_id, str)
+        and video_id
+        and all(map(_is_integer, sizes))
+        and min(sizes) >= 1
+        and _is_number(fps)
+        and fps > 0
+        and isinstance(text, str)
+        and isinstance(normalized, bool)
+        and isinstance(items, list)
+    ):
+        raise ValueError("a field breaks the schema")
+    caption = parse_tagged_caption(text)
+    frame_count, width, height = map(int, sizes)
+    for item in items:
+        if not (
+            isinstance(item, dict)
+            and _REQUIRED_TRACK_KEYS <= item.keys() <= _TRACK_FIELDS.keys()
+            and isinstance(item["boxes"], dict)
+            and item["boxes"]
+        ):
+            raise ValueError("not a track object with boxes")
+    # The boxes of every track at once.  No bound is tested on a coordinate:
+    # a box that the box and frame rules accept is finite.
+    box_lists = list(chain.from_iterable(item["boxes"].values() for item in items))
+    if not (all(map(isinstance, box_lists, repeat(list))) and set(map(len, box_lists)) <= {4}):
+        raise ValueError("a box is not an array of 4 numbers")
+    coords = _floats(list(chain.from_iterable(box_lists)))
+    xs, ys, ws, hs = coords[0::4], coords[1::4], coords[2::4], coords[3::4]
+    if coords and not normalized and (
+        min(xs) < -PIXEL_EPS
+        or min(ys) < -PIXEL_EPS
+        or max(map(operator.add, xs, ws)) > width + PIXEL_EPS
+        or max(map(operator.add, ys, hs)) > height + PIXEL_EPS
+    ):
+        raise ValueError("a box leaves the frame")
+    # BoundingBox refuses a box that is invalid in its mode
+    all_boxes = map(BoundingBox, xs, ys, ws, hs, repeat(normalized))
     tracks = []
-    for index, item in enumerate(obj["tracks"]):
-        boxes = {
-            int(key): BoundingBox(*map(float, coords), normalized=normalized)
-            for key, coords in item["boxes"].items()
-        }
-        presence = tuple(item["presence"])
+    missing = None
+    by_phrase: dict[int, list[dict]] = {}  # phrase index -> the boxes of each of its tracks
+    for index, item in enumerate(items):
+        phrase_index, presence, boxes = item["phrase_index"], item["presence"], item["boxes"]
+        frames = list(map(int, boxes))
+        if not (
+            _is_integer(phrase_index)
+            and 0 <= phrase_index < len(caption.phrases)
+            and isinstance(presence, list)
+            and len(presence) == frame_count
+            and _all_pass(presence, {bool}, None)
+            and all(map(_FRAME_KEY, boxes))
+            # the flags are true exactly at the box frames
+            and max(frames) < frame_count
+            and presence.count(True) == len(frames)
+            and all(map(presence.__getitem__, frames))
+        ):
+            raise ValueError("a track field breaks the schema or the track rules")
+        track_boxes = dict(zip(frames, islice(all_boxes, len(frames))))
+        by_phrase.setdefault(int(phrase_index), []).append(track_boxes)
         confidence = None
         if "confidence" in item:
-            confidence = {int(k): float(v) for k, v in item["confidence"].items()}
-            if threshold > 0.0:
-                missing = sorted(set(boxes) - set(confidence))
-                if missing:
-                    raise SchemaError(
-                        f"track {index} missing confidence for frames {missing} "
-                        f"with threshold {threshold}",
-                        line=line,
-                        field_path=f"$.tracks[{index}].confidence",
-                    )
-                boxes = {t: box for t, box in boxes.items() if confidence[t] >= threshold}
-                if not boxes:
+            scores = item["confidence"]
+            # keys of the boxes are frame keys, so the keys of the scores need no test of their own
+            if not (isinstance(scores, dict) and scores.keys() <= boxes.keys()):
+                raise ValueError("a score breaks the schema or has no box")
+            values = _floats(list(scores.values()))
+            if values and not (min(values) >= 0 and max(values) <= 1):
+                raise ValueError("a score is outside [0, 1]")
+            confidence = dict(zip(map(int, scores), values))
+            if threshold > 0.0 and missing is None and len(scores) < len(frames):
+                missing = index, sorted(track_boxes.keys() - confidence.keys())
+            if threshold > 0.0 and missing is None:
+                kept = map(operator.ge, map(confidence.__getitem__, frames), repeat(threshold))
+                track_boxes = dict(compress(track_boxes.items(), kept))
+                if not track_boxes:
                     continue
-                confidence = {t: confidence[t] for t in boxes}
-                presence = tuple(t in boxes for t in range(frame_count))
-        tracks.append(ObjectTrack(int(item["phrase_index"]), boxes, presence, confidence))
-    return VideoAnnotation(
-        video_id=obj["video_id"],
+                confidence = dict(zip(track_boxes, map(confidence.__getitem__, track_boxes)))
+                presence = map(track_boxes.__contains__, range(frame_count))
+        tracks.append(ObjectTrack(int(phrase_index), track_boxes, presence, confidence))
+    # Two tracks for one phrase are allowed (an object can be two tubes),
+    # but an identical box on a shared frame means a duplicated record.
+    for group in by_phrase.values():
+        for first, second in combinations(group, 2):
+            if any(first[t] == second[t] for t in first.keys() & second.keys()):
+                raise ValueError("two tracks of a phrase repeat a box")
+    record = VideoAnnotation(
+        video_id=video_id,
         frame_count=frame_count,
-        fps=float(obj["fps"]),
-        width=int(obj["width"]),
-        height=int(obj["height"]),
+        fps=float(fps),
+        width=width,
+        height=height,
         caption=caption,
         tracks=tuple(tracks),
         boxes_normalized=normalized,
     )
+    return record, missing
 
 
 def parse_video_annotation(data: bytes) -> VideoAnnotation:
@@ -541,22 +662,13 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:
     """Read a JSON-lines dataset of annotation records."""
-    return list(_iter_annotations(data))
+    return _read_lines(data, 0.0)
 
 
-def _iter_annotations(data: bytes, threshold: float = 0.0) -> Iterator[VideoAnnotation]:
-    """Each line's record, built with :func:`_build_annotation` at ``threshold``.
-
-    A repeated ``video_id`` is an error, raised before a missing confidence.
-    """
+def _read_lines(data: bytes, threshold: float) -> list[VideoAnnotation]:
+    """Each line's record, read with :func:`_read_annotation` at ``threshold``."""
     seen: set[str] = set()
-    for line, obj in iter_jsonl(data):
-        _check_schema(_annotation_errors(obj), line)
-        caption = check_annotation(obj)
-        if obj["video_id"] in seen:
-            raise SchemaError(f"duplicate video_id {obj['video_id']!r}", line=line)
-        seen.add(obj["video_id"])
-        yield _build_annotation(obj, caption, threshold, line)
+    return [_read_annotation(obj, line, threshold, seen) for line, obj in iter_jsonl(data)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,4 +690,4 @@ def load_predictions(
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError(f"objectness threshold {objectness_threshold} outside [0, 1]")
-    return list(_iter_annotations(data, objectness_threshold))
+    return _read_lines(data, objectness_threshold)

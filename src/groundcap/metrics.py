@@ -22,10 +22,11 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import NamedTuple, Optional, Protocol, Sequence
+from itertools import accumulate, compress, count, repeat
+from operator import attrgetter, truediv
+from typing import Iterator, NamedTuple, Optional, Protocol, Sequence
 
 from .boxes import XYWH, iou_xywh
 from .config import PipelineConfig
@@ -78,12 +79,9 @@ def _collapse_double(t: str) -> str:
 # CIDEr-D
 
 
-def _ngram_counts(tokens: Sequence[str], n_max: int = CIDER_NGRAM_MAX) -> Counter:
-    counts: Counter = Counter()
-    for n in range(1, n_max + 1):
-        for i in range(len(tokens) - n + 1):
-            counts[tuple(tokens[i : i + n])] += 1
-    return counts
+def _ngram_counts(tokens: Sequence[str]) -> list[Counter]:
+    """For n = 1..4, the count of each n-gram of ``tokens``, in order of first position."""
+    return [Counter(zip(*(tokens[i:] for i in range(n)))) for n in range(1, CIDER_NGRAM_MAX + 1)]
 
 
 def cider_scores(
@@ -103,38 +101,44 @@ def cider_scores(
         if not refs:
             raise ValueError(f"video {video_id!r} has no references")
 
-    ref_counts = {vid: [_ngram_counts(tokenize(r)) for r in refs] for vid, refs in references.items()}
+    ref_counts = {
+        vid: [_ngram_counts(tokenize(r)) for r in refs] for vid, refs in references.items()
+    }
     df: Counter = Counter()
     for counts_list in ref_counts.values():
-        seen: set = set()
-        for counts in counts_list:
-            seen.update(counts)
-        df.update(seen)
+        df.update(set().union(*(counts for by_n in counts_list for counts in by_n)))
     log_n = math.log(len(references))
+    idf = {gram: log_n - math.log(freq) for gram, freq in df.items()}
 
-    def tfidf(counts: Counter) -> tuple[list[dict], list[float], int]:
-        vec = [dict() for _ in range(CIDER_NGRAM_MAX)]
-        norm_sq = [0.0] * CIDER_NGRAM_MAX
-        length = sum(freq for gram, freq in counts.items() if len(gram) == 1)
-        for gram, freq in counts.items():
-            idf = log_n - math.log(max(df[gram], 1))
-            weight = freq * idf
-            slot = len(gram) - 1
-            vec[slot][gram] = weight
-            norm_sq[slot] += weight * weight
-        return vec, [math.sqrt(v) for v in norm_sq], length
+    def tfidf(counts_by_n: list[Counter]) -> tuple[list[dict], list[float]]:
+        vec = []
+        norms = []
+        for counts in counts_by_n:
+            # an n-gram in no reference has df 0, so idf log(N) - log(max(0, 1)) == log(N)
+            weights = {gram: freq * idf.get(gram, log_n) for gram, freq in counts.items()}
+            norm_sq = 0.0
+            for weight in weights.values():
+                norm_sq += weight * weight
+            vec.append(weights)
+            norms.append(math.sqrt(norm_sq))
+        return vec, norms
 
     per_video: dict[str, float] = {}
     for video_id in sorted(references):
-        hyp_vec, hyp_norm, hyp_len = tfidf(_ngram_counts(tokenize(candidates[video_id])))
+        hyp_tokens = tokenize(candidates[video_id])
+        hyp_vec, hyp_norm = tfidf(_ngram_counts(hyp_tokens))
         total = [0.0] * CIDER_NGRAM_MAX
         for ref in ref_counts[video_id]:
-            ref_vec, ref_norm, ref_len = tfidf(ref)
-            gaussian = math.exp(-((hyp_len - ref_len) ** 2) / (2 * CIDER_SIGMA**2))
+            ref_vec, ref_norm = tfidf(ref)
+            ref_len = sum(ref[0].values())  # its number of tokens
+            gaussian = math.exp(-((len(hyp_tokens) - ref_len) ** 2) / (2 * CIDER_SIGMA**2))
             for n in range(CIDER_NGRAM_MAX):
+                # an n-gram the reference lacks adds 0.0, which leaves the sum as it is
+                ref_weights = ref_vec[n]
                 dot = sum(
-                    min(weight, ref_vec[n].get(gram, 0.0)) * ref_vec[n].get(gram, 0.0)
+                    min(weight, ref_weight) * ref_weight
                     for gram, weight in hyp_vec[n].items()
+                    if (ref_weight := ref_weights.get(gram)) is not None
                 )
                 if hyp_norm[n] != 0 and ref_norm[n] != 0:
                     total[n] += gaussian * dot / (hyp_norm[n] * ref_norm[n])
@@ -169,17 +173,19 @@ def meteor_lite(candidate: str, reference: str) -> float:
     cand_taken = [False] * len(cand_tokens)
 
     def align(key) -> None:
-        ref_keys = [key(t) for t in ref_tokens]
+        free: dict[str, list[int]] = {}  # key -> the untaken reference positions, ascending
+        for j, token in enumerate(ref_tokens):
+            if not ref_taken[j]:
+                free.setdefault(key(token), []).append(j)
         for i, token in enumerate(cand_tokens):
             if cand_taken[i]:
                 continue
-            want = key(token)
-            for j, ref_key in enumerate(ref_keys):
-                if not ref_taken[j] and ref_key == want:
-                    pairs.append((i, j))
-                    ref_taken[j] = True
-                    cand_taken[i] = True
-                    break
+            positions = free.get(key(token))
+            if positions:
+                j = positions.pop(0)
+                pairs.append((i, j))
+                ref_taken[j] = True
+                cand_taken[i] = True
 
     align(lambda t: t)
     align(stem)
@@ -352,52 +358,14 @@ class _SimCache:
 
 def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
     """IoU of every prediction against every ground-truth box of one frame."""
-    return [[iou_xywh(p.box, g.box) for g in gts] for p in preds]
+    gt_boxes = [g.box for g in gts]
+    return [list(map(iou_xywh, repeat(p.box), gt_boxes)) for p in preds]
 
 
 def _pred_order(preds: Sequence, table: list[list[float]]) -> list[int]:
     """Confidence-descending order; ties by best IoU, then input order."""
     best_iou = [max(row, default=0.0) for row in table]
     return sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, -best_iou[i], i))
-
-
-def _greedy_assign(
-    preds: Sequence,
-    gts: Sequence,
-    table: list[list[float]],
-    order: list[int],
-    iou_thresh: Optional[float],
-    sim_thresh: Optional[float],
-    sim,
-) -> dict[int, tuple[int, float, float]]:
-    """Greedy one-to-one assignment: pred index -> (gt index, iou, sim).
-
-    Predictions are taken in ``order`` and ``table`` holds their IoUs.  With
-    thresholds set, a pair is eligible only when both gates pass; with
-    ``iou_thresh=None`` any unmatched GT is eligible (IoU-only matching with
-    no floor) and similarity is not consulted.
-    """
-    taken: set[int] = set()
-    result: dict[int, tuple[int, float, float]] = {}
-    for pi in order:
-        best: tuple[int, float, float] | None = None
-        for gi, overlap in enumerate(table[pi]):
-            if gi in taken:
-                continue
-            if iou_thresh is not None and overlap < iou_thresh:
-                continue
-            if sim_thresh is not None:
-                similarity = sim(preds[pi].phrase, gts[gi].phrase)
-                if similarity < sim_thresh:
-                    continue
-            else:
-                similarity = 1.0
-            if best is None or overlap > best[1]:
-                best = (gi, overlap, similarity)
-        if best is not None:
-            result[pi] = best
-            taken.add(best[0])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +386,49 @@ class _GtObject(NamedTuple):
     phrase: str
 
 
-def _unit_boxes(record: VideoAnnotation, track: ObjectTrack) -> list[tuple[int, XYWH]]:
-    """``(frame, box)`` of each box of ``track`` in frame order, as fractions of the frame.
+_XYWH = attrgetter("x", "y", "w", "h")
+_CONFIDENCE, _SEQ = attrgetter("confidence"), attrgetter("seq")
+
+
+def _rows(kind: type, *columns) -> Iterator:
+    """``kind`` tuples of the items of ``columns`` side by side, built without a Python call
+    per row."""
+    return map(tuple.__new__, repeat(kind), zip(*columns))
+
+
+def _unit_boxes(record: VideoAnnotation, track: ObjectTrack) -> tuple[list[int], list[XYWH]]:
+    """The frames of ``track`` in order, and the box at each as fractions of the frame.
 
     Pixel boxes take the divisions of :func:`~groundcap.boxes.normalize_box`;
     the record's out-of-frame check has already kept them inside the frame.
     """
-    boxes = sorted(track.boxes.items())
+    frames = sorted(track.boxes)
+    coords = map(_XYWH, map(track.boxes.__getitem__, frames))
     if record.boxes_normalized:
-        return [(t, (b.x, b.y, b.w, b.h)) for t, b in boxes]
+        return frames, list(coords)
     width, height = record.width, record.height
-    return [(t, (b.x / width, b.y / height, b.w / width, b.h / height)) for t, b in boxes]
+    return frames, [(x / width, y / height, w / width, h / height) for x, y, w, h in coords]
 
 
 def _extract_gt(record: VideoAnnotation) -> list[_GtObject]:
-    objects = []
+    objects: list[_GtObject] = []
     for track in record.tracks:
         phrase = record.caption.phrases[track.phrase_index].text
-        objects.extend(_GtObject(frame, box, phrase) for frame, box in _unit_boxes(record, track))
+        objects += _rows(_GtObject, *_unit_boxes(record, track), repeat(phrase))
     return objects
 
 
 def _extract_preds(record: Optional[VideoAnnotation], seq_start: int = 0) -> list[_Detection]:
     if record is None:
         return []
-    detections = []
-    seq = seq_start
+    detections: list[_Detection] = []
     for track in record.tracks:
         phrase = record.caption.phrases[track.phrase_index].text
-        confidence = track.confidence or {}
-        for frame, box in _unit_boxes(record, track):
-            detections.append(_Detection(frame, box, phrase, confidence.get(frame, 1.0), seq))
-            seq += 1
+        frames, boxes = _unit_boxes(record, track)
+        confidence = track.confidence
+        scores = map(confidence.get, frames, repeat(1.0)) if confidence else repeat(1.0)
+        seqs = range(seq_start + len(detections), seq_start + len(detections) + len(frames))
+        detections += _rows(_Detection, frames, boxes, repeat(phrase), scores, seqs)
     return detections
 
 
@@ -470,20 +449,39 @@ def _match_pool(
     """Greedy matching of one video, frame by frame, at both gates.
 
     Returns the seqs of the detections matched under the IoU and similarity
-    gates, and the IoU of every IoU-only match in matching order.  Each
-    frame's IoU table and prediction order serve both gates.
+    gates, and the IoU of every IoU-only match in matching order.  In each
+    frame the predictions are taken in :func:`_pred_order`, once for both
+    passes, and each takes the free ground-truth box of highest IoU, the
+    first on a tie: under the gates, among those with IoU and phrase
+    similarity at their thresholds; IoU-only, among all of them.
     """
     gt_by_frame = _group_by_frame(gt_objects)
     gated: set[int] = set()
     overlaps: list[float] = []
     for frame, frame_dets in _group_by_frame(detections).items():
-        gts = gt_by_frame.get(frame, [])
+        gts = gt_by_frame.get(frame)
+        if gts is None:
+            continue  # no ground truth to match in this frame
         table = _iou_table(frame_dets, gts)
-        order = _pred_order(frame_dets, table)
-        assigned = _greedy_assign(frame_dets, gts, table, order, iou_thresh, sim_thresh, sim)
-        gated.update(frame_dets[pi].seq for pi in assigned)
-        iou_only = _greedy_assign(frame_dets, gts, table, order, None, None, sim)
-        overlaps.extend(overlap for _gi, overlap, _similarity in iou_only.values())
+        order = _pred_order(frame_dets, table) if len(frame_dets) > 1 else (0,)
+        free = list(range(len(gts)))  # IoU-only
+        free_gated = list(free)
+        for pi in order:
+            row = table[pi]
+            if free:
+                best = max(free, key=row.__getitem__)  # the first of equal maxima
+                free.remove(best)
+                overlaps.append(row[best])
+            best = None
+            phrase = frame_dets[pi].phrase
+            for gi in free_gated:
+                overlap = row[gi]
+                if overlap >= iou_thresh and sim(phrase, gts[gi].phrase) >= sim_thresh:
+                    if best is None or overlap > row[best]:
+                        best = gi
+            if best is not None:
+                free_gated.remove(best)
+                gated.add(frame_dets[pi].seq)
     return gated, overlaps
 
 
@@ -496,14 +494,16 @@ def _average_precision(ranked_tp: list[bool], num_gt: int) -> Optional[float]:
     """
     if num_gt == 0:
         return None
-    precision = [tp / rank for rank, tp in enumerate(accumulate(ranked_tp), start=1)]
+    precision = list(map(truediv, accumulate(ranked_tp), count(1)))
     envelope = list(accumulate(reversed(precision), max))[::-1]
-    return sum(p for p, hit in zip(envelope, ranked_tp) if hit) / num_gt
+    return sum(compress(envelope, ranked_tp)) / num_gt
 
 
 def _ranked_flags(detections: list[_Detection], matched: set[int]) -> list[bool]:
-    order = sorted(detections, key=lambda d: (-d.confidence, d.seq))
-    return [d.seq in matched for d in order]
+    """Whether each of ``detections``, given in seq order, is matched, ranked by confidence
+    (descending) then seq: a reversed sort keeps equal keys in their order."""
+    order = sorted(detections, key=_CONFIDENCE, reverse=True)
+    return list(map(matched.__contains__, map(_SEQ, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +517,7 @@ class LevelScores:
     recall: Optional[float]
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -531,7 +531,14 @@ class MetricsReport:
     num_videos: int
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """The plain form, equal to ``dataclasses.asdict`` of the report."""
+        return {
+            **vars(self),
+            "frame_level": self.frame_level.as_dict(),
+            "video_level": self.video_level.as_dict(),
+            "per_video": {video_id: dict(scores) for video_id, scores in self.per_video.items()},
+            "config": dict(self.config),
+        }
 
 
 def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:

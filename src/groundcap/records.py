@@ -1,11 +1,13 @@
 """Video-level record types: object tracks, annotations and SVO frames.
 
 Tracks and annotations are plain immutable values.  Their invariants are
-checked on the plain-JSON form, once, where a record enters: ingest runs
-:func:`check_annotation` after the schema, and
-:func:`groundcap.tubes.build_record` runs it on ``annotation_to_dict`` of the
-record it emits; check a record built by hand the same way.  It raises
+checked on the plain-JSON form, once, where a record enters.
+:func:`check_annotation` states them and raises
 :class:`RecordValidationError` on the first violation.
+:func:`groundcap.tubes.build_record` runs it on ``annotation_to_dict`` of the
+record it emits; check a record built by hand the same way.  Ingest's reader
+applies the same rules as it builds each record, and calls
+:func:`check_annotation` only to explain a line it refuses.
 """
 
 from __future__ import annotations

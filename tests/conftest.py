@@ -262,19 +262,27 @@ def make_corpus(rng: random.Random, size: int, prefix: str = "vid") -> list[Vide
 
 @pytest.fixture
 def record_checks(monkeypatch):
-    """Video ids of the records checked at ingest or build, one per check."""
+    """Video ids of the records checked at ingest or build, one per check.
+
+    At ingest a check is a walk of the annotation reader or a
+    ``check_annotation`` call, which explains a refusal; at build it is the
+    ``check_annotation`` call on each emitted record.
+    """
     import groundcap.ingest as ingest
     import groundcap.tubes as tubes
 
     checked = []
-    real = ingest.check_annotation
 
-    def counting(obj):
-        checked.append(obj["video_id"])
-        return real(obj)
+    def counting(real):
+        def count(obj, *args):
+            checked.append(obj["video_id"])
+            return real(obj, *args)
 
+        return count
+
+    monkeypatch.setattr(ingest, "_read_annotation", counting(ingest._read_annotation))
     for module in (ingest, tubes):
-        monkeypatch.setattr(module, "check_annotation", counting)
+        monkeypatch.setattr(module, "check_annotation", counting(module.check_annotation))
     return checked
 
 

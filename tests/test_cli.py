@@ -331,6 +331,34 @@ class TestValidate:
             (good["video_id"], "accepted"),
         ]
 
+    def test_repeated_video_id_is_rejected(self, tmp_path, rng, capsys):
+        # stats and eval refuse such a file, so validate must not pass it
+        first, second = (json.loads(serialize_video_annotation(r)) for r in make_corpus(rng, 2))
+        lines = [first, second, first, dict(first, fps=-1.0)]
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), "utf-8")
+        report = tmp_path / "report.jsonl"
+        assert main(["validate", "--input", str(path), "--out", str(report)]) == 1
+        vid = first["video_id"]
+        duplicate = f"duplicate video_id {vid!r} (first on line 1)"
+        assert capsys.readouterr().out.splitlines() == [
+            f"{vid}: duplicate-video-id: {duplicate}",
+            f"{vid}: schema: $.fps: -1.0 is not greater than 0",
+            f"{vid}: duplicate-video-id: {duplicate}",
+            "validated 4 records: 2 ok, 2 invalid",
+        ]
+        reports = [json.loads(line) for line in report.read_text("utf-8").splitlines()]
+        assert [(r["video_id"], r["status"]) for r in reports] == [
+            (vid, "accepted"),
+            (second["video_id"], "accepted"),
+            (vid, "rejected"),
+            (vid, "rejected"),
+        ]
+        assert reports[3]["reasons"] == [
+            {"code": "schema", "message": "$.fps: -1.0 is not greater than 0"},
+            {"code": "duplicate-video-id", "message": duplicate},
+        ]
+
     def test_bad_config_is_an_error_without_out(self, tmp_path, rng, capsys):
         path = tmp_path / "data.jsonl"
         path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")

@@ -32,11 +32,17 @@ needs_perfbench = pytest.mark.skipif(
 )
 
 
+def _perfbench(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
+    path = TRACING.with_name(f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _perfbench("tracing")
 
 
 def _boundaries() -> list[tuple[str, str]]:
@@ -95,3 +101,19 @@ def test_traced_build_fires_every_boundary(tmp_path):
         )
     videos = sorted((e[1], e[2]) for e in events if e[0] == "video")
     assert videos == [("vid-bev", False), ("vid-stir", False)]  # (video, rejected)
+
+
+@needs_perfbench
+def test_eval_scores_the_benchmark_workload_as_its_reference_does(tmp_path):
+    """``eval`` on the eval-noisy workload, seed 1, against the benchmark's own scorer,
+    so a broken score fails here rather than in a benchmark run."""
+    from groundcap.cli import main
+
+    _perfbench("generate").generate("eval-noisy", 1, tmp_path)
+    pred, gt, out = (tmp_path / name for name in ("pred.jsonl", "gt.jsonl", "report.json"))
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 0
+    reference = _perfbench("reference")
+    report = json.loads(out.read_text("utf-8"))
+    expected = reference.reference_report(pred.read_bytes(), gt.read_bytes())
+    assert reference.mismatches(report, expected) == ([], [])
+    assert len(report["per_video"]) == 250

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import groundcap.ingest as ingest
 from groundcap import load_predictions, parse_frame_grounding
+from groundcap.records import RecordValidationError, check_annotation
 from oracles import SCHEMA_KEYWORDS, load_schema, schema_errors
 
 FRAME_SCHEMA = "frame_grounding.schema.json"
@@ -293,7 +294,12 @@ DELETE = object()
 
 @pytest.mark.parametrize("name, base", [(FRAME_SCHEMA, FRAME), (ANNOTATION_SCHEMA, ANNOTATION)])
 def test_every_field_edit_gets_the_reference_errors(name, base):
-    """At every node of the base record: delete it, then set it to each sweep value."""
+    """At every node of the base record: delete it, then set it to each sweep value.
+
+    The annotation reader must accept the edited record exactly when the
+    walker and ``check_annotation`` do, and otherwise raise the first error
+    they give.
+    """
     for path, _ in nodes(base):
         for edit in [DELETE, *SWEEP_VALUES] if path else SWEEP_VALUES:
             record = copy.deepcopy(base)
@@ -305,3 +311,26 @@ def test_every_field_edit_gets_the_reference_errors(name, base):
                 at(record, path[:-1])[path[-1]] = copy.deepcopy(edit)
             expected = list(schema_errors(record, load_schema(name), "$"))
             assert list(WALKERS[name](record)) == expected, (path, record)
+            if name == ANNOTATION_SCHEMA:
+                assert read_outcome(record) == explained_outcome(record), (path, record)
+
+
+def read_outcome(record):
+    """None when ``annotation_from_dict`` accepts ``record``, else its error's type and text."""
+    try:
+        ingest.annotation_from_dict(record)
+    except (ingest.SchemaError, RecordValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def explained_outcome(record):
+    """None when the walker and ``check_annotation`` accept ``record``, else the first error."""
+    errors = list(ingest._annotation_errors(record))
+    if errors:
+        return ingest.SchemaError, f"{errors[0][0]}: {errors[0][1]}"
+    try:
+        check_annotation(record)
+    except RecordValidationError as exc:
+        return RecordValidationError, str(exc)
+    return None
