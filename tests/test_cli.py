@@ -7,6 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -482,12 +483,18 @@ class TestSvoAndIngest:
         assert assigned["a cup"] is None
 
 
+def write_rejecting_videos(path):
+    """:func:`write_warning_videos`' corpus and fixtures, but vid-3's aggregation
+    answer has no caption, so ``aggregate`` and ``build`` reject that video."""
+    fixtures, _owner = write_warning_videos(path)
+    fixtures[next(iter(stirring_fixtures("vid-3", salted=True)))] = "{`WRONG': `thing'}"
+    return fixtures
+
+
 class TestStageWorkers:
     @pytest.fixture
     def warning_inputs(self, tmp_path):
-        fixtures, _owner = write_warning_videos(tmp_path / "frames.jsonl")
-        # vid-3's aggregation answer has no caption, so aggregate rejects it
-        fixtures[next(iter(stirring_fixtures("vid-3", salted=True)))] = "{`WRONG': `thing'}"
+        fixtures = write_rejecting_videos(tmp_path / "frames.jsonl")
         svo = ["svo", "--input", str(tmp_path / "frames.jsonl")]
         assert main([*svo, "--out", str(tmp_path / "svo.jsonl")]) == 0
         return fixtures
@@ -555,6 +562,65 @@ class TestStageWorkers:
         warnings = stderr.splitlines()
         assert len(warnings) == 5 * 3  # track warns three times for each captioned video
         assert [re.search(r"vid-\d", w) is not None for w in warnings].count(True) == 10
+
+
+GOLDEN_STAGES = Path(__file__).parent / "golden" / "stage_commands"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_per_video_commands_match_their_goldens(tmp_path, monkeypatch, capsys, caplog, workers):
+    # Every file a per-video command writes, and its stdout, warnings and
+    # manifest, bar the config hash: the endpoint in the config holds the mock's
+    # port, which the warnings name as <endpoint>.  Relative paths keep the
+    # manifests' file names the same in any directory.
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    fixtures = write_rejecting_videos(run_dir / "frames.jsonl")
+    monkeypatch.chdir(run_dir)
+    commands = {
+        "ingest": ["--input", "frames.jsonl", "--out", "ingested.jsonl"],
+        "svo": ["--input", "frames.jsonl", "--out", "svo.jsonl"],
+        "aggregate": [
+            "--input", "svo.jsonl", "--out", "captions.jsonl",
+            "--rejected", "captions.rejected.jsonl",
+        ],
+        "track": [
+            "--input", "frames.jsonl", "--captions", "captions.jsonl",
+            "--out", "assignments.jsonl",
+        ],
+        "build": [
+            "--input", "frames.jsonl", "--out", "dataset.jsonl",
+            "--rejected", "dataset.rejected.jsonl",
+        ],
+    }
+    runs = {}
+    with MockLlmServer(fixtures) as server:
+        config = write_config(tmp_path, server)
+        client = ["--config", str(config), "--max-in-flight", str(workers)]
+        for command, argv in commands.items():
+            caplog.clear()
+            extra = client if command in ("aggregate", "track", "build") else []
+            assert main([command, *argv, *extra]) == 0
+            out, err = capsys.readouterr()
+            logged = [
+                f"{r.levelname} {r.name}: {r.getMessage()}".replace(server.url, "<endpoint>")
+                for r in caplog.records
+            ]
+            out_path = Path(argv[argv.index("--out") + 1])
+            manifest = json.loads(Path(f"{out_path}.manifest.json").read_text("utf-8"))
+            runs[command] = {
+                "stdout": out,
+                "stderr": err.splitlines() + logged,
+                **{key: manifest[key] for key in ("counts", "inputs", "outputs")},
+            }
+    (run_dir / "commands.json").write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
+    pinned = {
+        path.name: path.read_bytes()
+        for path in sorted(run_dir.iterdir())
+        if not path.name.endswith(".manifest.json")
+    }
+    golden = {path.name: path.read_bytes() for path in sorted(GOLDEN_STAGES.iterdir())}
+    assert pinned == golden
 
 
 def svo_record(frame_index=0, **relation) -> dict:
