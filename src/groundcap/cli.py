@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import __version__
 from .config import SIMILARITY_BACKENDS, PipelineConfig
@@ -48,6 +48,7 @@ from .svo import extract_svo, pos_tag
 logger = logging.getLogger("groundcap")
 
 T = TypeVar("T")
+_VideoOutput = tuple[str, list[dict], Sequence[tuple[str, str]]]  # video id, output lines, reasons
 
 
 def _digest(data: bytes) -> str:
@@ -131,6 +132,31 @@ def _with_reasons(video_id: str, reasons) -> dict:
     return {"video_id": video_id, "reasons": [{"code": c, "message": m} for c, m in reasons]}
 
 
+def _write_videos(
+    args: argparse.Namespace,
+    config: PipelineConfig,
+    inputs: dict[str, bytes],
+    results: list[_VideoOutput],
+    counts: Optional[dict[str, int]] = None,
+) -> int:
+    """Write each video's ``(video_id, lines, reasons)``, given in output order, and the manifest.
+
+    The lines go to ``--out``.  A command with ``--rejected`` logs there each
+    video that has no lines, with its reasons, and counts the accepted and
+    rejected videos beside ``videos`` and the command's own ``counts``.
+    Returns the number of videos that have lines.
+    """
+    accepted = [lines for _video_id, lines, _reasons in results if lines]
+    outputs = {args.out: canonical_jsonl_bytes([line for lines in accepted for line in lines])}
+    counts = {"videos": len(results), **(counts or {})}
+    if hasattr(args, "rejected"):
+        rejections = [_with_reasons(v, reasons) for v, lines, reasons in results if not lines]
+        outputs[args.rejected] = canonical_jsonl_bytes(rejections)
+        counts.update(accepted=len(accepted), rejected=len(rejections))
+    _write_outputs(args, config, inputs, outputs, counts)
+    return len(accepted)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -140,51 +166,41 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     raw = Path(args.input).read_bytes()
     records = parse_frame_grounding(raw)
     dropped = 0
-    out_records = []
-    for record in records:
-        objects = collect_frame_objects([record])
-        dropped += len(record.objects) - len(objects)
-        out_records.append(
-            {
-                "video_id": record.video_id,
-                "frame_index": record.frame_index,
-                "width": record.width,
-                "height": record.height,
-                "caption": record.caption,
-                "objects": [
-                    {"phrase": phrase, "box": [float(v) for v in box.as_list()]}
-                    for _frame, phrase, box in objects
-                ],
-            }
-        )
-    videos = {r.video_id for r in records}
-    _write_outputs(
-        args,
-        config,
-        {args.input: raw},
-        {args.out: canonical_jsonl_bytes(out_records)},
-        {"frames": len(records), "videos": len(videos), "dropped_objects": dropped},
-    )
-    print(f"ingested {len(records)} frames across {len(videos)} videos -> {Path(args.out)}")
+    results = []
+    for video_id, frames in group_frame_groundings(records).items():
+        lines = []
+        for record in frames:
+            objects = collect_frame_objects([record])
+            dropped += len(record.objects) - len(objects)
+            lines.append(
+                {
+                    "video_id": record.video_id,
+                    "frame_index": record.frame_index,
+                    "width": record.width,
+                    "height": record.height,
+                    "caption": record.caption,
+                    "objects": [
+                        {"phrase": phrase, "box": [float(v) for v in box.as_list()]}
+                        for _frame, phrase, box in objects
+                    ],
+                }
+            )
+        results.append((video_id, lines, ()))
+    counts = {"frames": len(records), "dropped_objects": dropped}
+    _write_videos(args, config, {args.input: raw}, results, counts)
+    print(f"ingested {len(records)} frames across {len(results)} videos -> {Path(args.out)}")
     return 0
 
 
 def _cmd_svo(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw = Path(args.input).read_bytes()
-    by_video = group_frame_groundings(parse_frame_grounding(raw))
-    payloads = [
-        {
-            "video_id": video_id,
-            "frames": [
-                asdict(extract_svo(pos_tag(f.caption), f.frame_index)) for f in by_video[video_id]
-            ],
-        }
-        for video_id in sorted(by_video)
-    ]
-    payload = canonical_jsonl_bytes(payloads)
-    _write_outputs(args, config, {args.input: raw}, {args.out: payload}, {"videos": len(payloads)})
-    print(f"extracted SVO frames for {len(payloads)} videos -> {args.out}")
+    results = []
+    for video_id, frames in group_frame_groundings(parse_frame_grounding(raw)).items():
+        svo_frames = [asdict(extract_svo(pos_tag(f.caption), f.frame_index)) for f in frames]
+        results.append((video_id, [{"video_id": video_id, "frames": svo_frames}], ()))
+    _write_videos(args, config, {args.input: raw}, results)
+    print(f"extracted SVO frames for {len(results)} videos -> {args.out}")
     return 0
 
 
@@ -199,28 +215,18 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         ],
     )
 
-    def aggregate(video: tuple[str, list[SvoFrame]], client) -> dict:
+    def aggregate(video: tuple[str, list[SvoFrame]], client) -> _VideoOutput:
         video_id, frames = video
         try:
             aggregated = aggregate_video(frames, client, config)
         except ResponseRejection as exc:
-            return _with_reasons(video_id, [(exc.code, exc.message)])
-        return {"video_id": video_id, "caption": render_tagged_caption(aggregated.caption)}
+            return video_id, [], [(exc.code, exc.message)]
+        caption = render_tagged_caption(aggregated.caption)
+        return video_id, [{"video_id": video_id, "caption": caption}], ()
 
     results = map_videos(list(videos.items()), aggregate, config)
-    captions = [r for r in results if "caption" in r]
-    rejections = [r for r in results if "reasons" in r]
-    _write_outputs(
-        args,
-        config,
-        {args.input: raw},
-        {
-            args.out: canonical_jsonl_bytes(captions),
-            args.rejected: canonical_jsonl_bytes(rejections),
-        },
-        {"videos": len(results), "accepted": len(captions), "rejected": len(rejections)},
-    )
-    print(f"aggregated {len(captions)} captions ({len(rejections)} rejected) -> {args.out}")
+    accepted = _write_videos(args, config, {args.input: raw}, results)
+    print(f"aggregated {accepted} captions ({len(results) - accepted} rejected) -> {args.out}")
     return 0
 
 
@@ -233,22 +239,18 @@ def _cmd_track(args: argparse.Namespace) -> int:
     video_ids = sorted(captions)
     for video_id in video_ids:
         if video_id not in by_video:
-            raise SystemExit(f"error: no frame groundings for video {video_id!r}")
+            raise ValueError(f"no frame groundings for video {video_id!r}")
 
-    def track(video_id: str, client) -> dict:
+    def track(video_id: str, client) -> _VideoOutput:
         objects = collect_frame_objects(by_video[video_id])
         assignments = track_by_language(objects, captions[video_id].phrase_texts, client, config)
-        return {"video_id": video_id, "assignments": [asdict(a) for a in assignments]}
+        lines = [{"video_id": video_id, "assignments": [asdict(a) for a in assignments]}]
+        return video_id, lines, ()
 
-    outputs = map_videos(video_ids, track, config)
-    _write_outputs(
-        args,
-        config,
-        {args.input: raw_frames, args.captions: raw_captions},
-        {args.out: canonical_jsonl_bytes(outputs)},
-        {"videos": len(outputs)},
-    )
-    print(f"tracked phrases for {len(outputs)} videos -> {args.out}")
+    results = map_videos(video_ids, track, config)
+    inputs = {args.input: raw_frames, args.captions: raw_captions}
+    _write_videos(args, config, inputs, results)
+    print(f"tracked phrases for {len(results)} videos -> {args.out}")
     return 0
 
 
@@ -256,22 +258,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     config = _load_config(args)
     raw = Path(args.input).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw))
-    results = run_pipeline(by_video, config)
-    accepted = [r for r in results if r.annotation is not None]
-    rejected = [r for r in results if r.annotation is None]
-    dataset = canonical_jsonl_bytes([annotation_to_dict(r.annotation) for r in accepted])
-    rejection_log = canonical_jsonl_bytes(
-        [_with_reasons(r.video_id, r.reasons) for r in rejected]
-    )
-    _write_outputs(
-        args,
-        config,
-        {args.input: raw},
-        {args.out: dataset, args.rejected: rejection_log},
-        {"videos": len(results), "accepted": len(accepted), "rejected": len(rejected)},
-    )
+    results = [
+        (r.video_id, [] if r.annotation is None else [annotation_to_dict(r.annotation)], r.reasons)
+        for r in run_pipeline(by_video, config)
+    ]
+    accepted = _write_videos(args, config, {args.input: raw}, results)
     print(
-        f"built {len(accepted)} records ({len(rejected)} rejected) from "
+        f"built {accepted} records ({len(results) - accepted} rejected) from "
         f"{len(results)} videos -> {args.out}"
     )
     return 0

@@ -62,7 +62,8 @@ class EmptyMaskError(ValueError):
 
 
 _DOUBLE_MAX = sys.float_info.max
-_FRAME_KEY = re.compile("0|[1-9][0-9]*").fullmatch  # a key of boxes or confidence
+# a key of boxes or confidence; it takes only a str, so test the type first
+_FRAME_KEY = re.compile("0|[1-9][0-9]*").fullmatch
 
 
 def _is_number(value) -> bool:
@@ -161,7 +162,7 @@ def _closed(fields: dict, required=None, frame_key=None, one_of=()) -> _Check:
             if name not in value:
                 yield "", f"{name!r} is a required property"
         for key, item in value.items():
-            sub = fields.get(key) or (_FRAME_KEY(key) and frame_key)
+            sub = fields.get(key) or (isinstance(key, str) and _FRAME_KEY(key) and frame_key)
             if not sub:
                 yield "", f"unexpected property {key!r}"
             else:
@@ -548,8 +549,11 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
             and _REQUIRED_TRACK_KEYS <= item.keys() <= _TRACK_FIELDS.keys()
             and isinstance(item["boxes"], dict)
             and item["boxes"]
+            # frame keys, tested before any goes through int
+            and all(map(isinstance, item["boxes"], repeat(str)))
+            and all(map(_FRAME_KEY, item["boxes"]))
         ):
-            raise ValueError("not a track object with boxes")
+            raise ValueError("not a track object with frame-keyed boxes")
     # The boxes of every track at once.  No bound is tested on a coordinate:
     # a box that the box and frame rules accept is finite.
     box_lists = list(chain.from_iterable(item["boxes"].values() for item in items))
@@ -578,7 +582,6 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
             and isinstance(presence, list)
             and len(presence) == frame_count
             and _all_pass(presence, {bool}, None)
-            and all(map(_FRAME_KEY, boxes))
             # the flags are true exactly at the box frames
             and max(frames) < frame_count
             and presence.count(True) == len(frames)

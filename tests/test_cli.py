@@ -714,18 +714,19 @@ class TestMalformedStageInput:
         assert error == "error: line 3: duplicate video_id 'vid-stir'"
         assert not (tmp_path / "out.jsonl").exists()
 
-    def test_track_checks_every_video_before_any_request(self, tmp_path, stir_input, server):
+    def test_track_checks_every_video_before_any_request(
+        self, tmp_path, stir_input, server, capsys
+    ):
         captions = tmp_path / "captions.jsonl"
         records = [
             {"video_id": "vid-stir", "caption": "<p>A person</p> is stirring"},
             {"video_id": "vid-zzz", "caption": "<p>A person</p> is stirring"},
         ]
         captions.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-        config = write_config(tmp_path, server)
         argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
-        with pytest.raises(SystemExit, match="no frame groundings for video 'vid-zzz'"):
-            main([*argv, "--out", str(tmp_path / "a.jsonl"), "--config", str(config)])
-        assert server.request_count == 0
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == "error: no frame groundings for video 'vid-zzz'"
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestUsageErrors:
@@ -962,7 +963,18 @@ def test_canonical_json_float_format():
     assert canonical_json({"10": 1, "2": 2}) == '{"2": 2, "10": 1}'
 
 
-def test_cli_runs_without_jsonschema(tmp_path, rng):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--pred", "{dir}/data.jsonl", "--gt", "{dir}/data.jsonl", "--out", "{dir}/r.json"],
+        ["ingest", "--input", "{dir}/frames.jsonl", "--out", "{dir}/ingested.jsonl"],
+        ["svo", "--input", "{dir}/frames.jsonl", "--out", "{dir}/svo.jsonl"],
+        ["validate", "--input", "{dir}/data.jsonl"],
+        ["stats", "--input", "{dir}/data.jsonl", "--out", "{dir}/stats.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_runs_without_jsonschema(tmp_path, rng, argv):
     # jsonschema and numpy are test dependencies only: the CLI checks inputs
     # and sums the metrics itself.  The HTTP stack is loaded only by the
     # commands that talk to a model or an embedding endpoint.
@@ -976,9 +988,10 @@ def test_cli_runs_without_jsonschema(tmp_path, rng):
     )
     assert result.stdout.strip() == "[]"
 
-    data = tmp_path / "data.jsonl"
-    data.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
-    argv = ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json")]
+    annotation = serialize_video_annotation(make_corpus(rng, 1)[0])
+    (tmp_path / "data.jsonl").write_bytes(annotation + b"\n")
+    (tmp_path / "frames.jsonl").write_text(frames_jsonl(stirring_frames()), "utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
     code = (
         f"import sys; from groundcap import cli; status = cli.main({argv!r}); "
         f"print(status, sorted({unused} & set(sys.modules)))"

@@ -753,3 +753,165 @@ class TestRecordChecksMatchReference:
 
         monkeypatch.setattr(ingest, "check_annotation", late)
         assert any(disagreements(obj) for obj in SWEEP)
+
+
+def reader_record() -> dict:
+    """A valid plain-JSON annotation with two phrases, one scored track, two frames."""
+    return {
+        "video_id": "v1",
+        "frame_count": 2,
+        "fps": 5.0,
+        "width": 455,
+        "height": 256,
+        "caption": "<p>a cook</p> stirs <p>a pot</p>",
+        "boxes_normalized": False,
+        "tracks": [
+            {
+                "phrase_index": 0,
+                "presence": [True, True],
+                "boxes": {"0": [1.0, 2.0, 3.0, 4.0], "1": [2.0, 2.0, 3.0, 4.0]},
+                "confidence": {"0": 0.9, "1": 0.4},
+            },
+            {
+                "phrase_index": 1,
+                "presence": [True, False],
+                "boxes": {"0": [10.0, 20.0, 30.0, 40.0]},
+            },
+        ],
+    }
+
+
+DELETE = object()
+
+
+def _set(path, value):
+    """An edit of :func:`reader_record` that sets the value at ``path``, or deletes it
+    when ``value`` is ``DELETE``."""
+
+    def edit(obj):
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(value)
+
+    return edit
+
+
+def _renamed_key(path, old, new):
+    def edit(obj):
+        parent = obj
+        for key in path:
+            parent = parent[key]
+        parent[new] = parent.pop(old)
+
+    return edit
+
+
+def _edits(*edits):
+    def edit(obj):
+        for each in edits:
+            each(obj)
+
+    return edit
+
+
+READER_RULES = [
+    # every code of check_annotation
+    ("caption-malformed", _set(("caption",), "<p>a cook stirs"), "caption-malformed"),
+    ("negative-size", _set(("tracks", 1, "boxes", "0", 2), -30.0), "bad-box"),
+    ("normalized-box-past-unit", _set(("boxes_normalized",), True), "bad-box"),
+    (
+        "empty-track",
+        _edits(_set(("tracks", 1, "boxes"), {}), _set(("tracks", 1, "presence"), [False, False])),
+        "empty-track",
+    ),
+    ("box-past-end", _set(("tracks", 1, "boxes", "2"), [1.0, 1.0, 2.0, 2.0]), "frame-out-of-range"),
+    (
+        "flagged-box-past-end",
+        _edits(
+            _set(("tracks", 1, "boxes", "2"), [1.0, 1.0, 2.0, 2.0]),
+            _set(("tracks", 1, "presence"), [True, True]),
+        ),
+        "frame-out-of-range",
+    ),
+    ("flag-without-box", _set(("tracks", 1, "presence"), [True, True]), "presence-box-mismatch"),
+    ("box-without-flag", _set(("tracks", 0, "presence"), [True, False]), "presence-box-mismatch"),
+    ("flag-beside-box", _set(("tracks", 1, "presence"), [False, True]), "presence-box-mismatch"),
+    ("score-without-box", _set(("tracks", 1, "confidence"), {"1": 0.5}), "bad-confidence"),
+    ("phrase-past-end", _set(("tracks", 1, "phrase_index"), 2), "bad-phrase-index"),
+    ("long-presence", _set(("tracks", 1, "presence"), [True, False, False]), "presence-length"),
+    (
+        "box-out-of-frame",
+        _set(("tracks", 1, "boxes", "0"), [440.0, 20.0, 30.0, 40.0]),
+        "box-out-of-frame",
+    ),
+    (
+        "repeated-box",
+        _edits(
+            _set(("tracks", 1, "phrase_index"), 0),
+            _set(("tracks", 1, "boxes", "0"), [1.0, 2.0, 3.0, 4.0]),
+        ),
+        "duplicate-track-box",
+    ),
+    # the schema's rules
+    ("score-above-one", _set(("tracks", 0, "confidence", "1"), 1.5), "schema"),
+    ("score-below-zero", _set(("tracks", 0, "confidence", "0"), -0.1), "schema"),
+    ("missing-fps", _set(("fps",), DELETE), "schema"),
+    ("missing-presence", _set(("tracks", 0, "presence"), DELETE), "schema"),
+    ("missing-boxes", _set(("tracks", 1, "boxes"), DELETE), "schema"),
+    ("unexpected-key", _set(("extra",), 1), "schema"),
+    ("unexpected-track-key", _set(("tracks", 1, "extra"), 1), "schema"),
+    ("leading-zero-frame-key", _renamed_key(("tracks", 1, "boxes"), "0", "00"), "schema"),
+    ("signed-frame-key", _renamed_key(("tracks", 1, "boxes"), "0", "+0"), "schema"),
+    ("empty-video-id", _set(("video_id",), ""), "schema"),
+    ("zero-fps", _set(("fps",), 0.0), "schema"),
+    ("infinite-fps", _set(("fps",), float("inf")), "schema"),
+    ("boolean-fps", _set(("fps",), True), "schema"),
+    ("fractional-width", _set(("width",), 455.5), "schema"),
+    ("zero-width", _edits(_set(("tracks",), []), _set(("width",), 0)), "schema"),
+    ("integer-normalized-flag", _set(("boxes_normalized",), 0), "schema"),
+    ("negative-phrase-index", _set(("tracks", 1, "phrase_index"), -1), "schema"),
+    ("fractional-phrase-index", _set(("tracks", 1, "phrase_index"), 0.5), "schema"),
+    ("boolean-phrase-index", _set(("tracks", 1, "phrase_index"), True), "schema"),
+    ("string-flag", _set(("tracks", 1, "presence", 1), "no"), "schema"),
+    ("three-coordinates", _set(("tracks", 1, "boxes", "0"), [10.0, 20.0, 30.0]), "schema"),
+    ("nan-coordinate", _set(("tracks", 1, "boxes", "0", 0), float("nan")), "schema"),
+    ("int-past-double", _set(("tracks", 1, "boxes", "0", 0), 10**400), "schema"),
+    ("boolean-coordinate", _set(("tracks", 1, "boxes", "0", 0), True), "schema"),
+]
+
+
+class TestReaderRules:
+    # One mutant of a valid record per rule: the reader's own walk must refuse
+    # each, since a valid line reaches neither the walker nor check_annotation.
+    def test_the_unmutated_record_is_read(self):
+        obj = reader_record()
+        assert validate_annotation_dict(obj) == []
+        record, missing = ingest._annotation(obj, 0.0)
+        assert missing is None
+        assert ingest.annotation_to_dict(record) == obj
+
+    @pytest.mark.parametrize(
+        "edit, code", [pytest.param(edit, code, id=name) for name, edit, code in READER_RULES]
+    )
+    def test_the_reader_refuses_each_mutant(self, edit, code):
+        obj = reader_record()
+        edit(obj)
+        assert [c for c, _ in validate_annotation_dict(obj)][:1] == [code]
+        with pytest.raises((ValueError, OverflowError)):
+            ingest._annotation(obj, 0.0)
+
+    @pytest.mark.parametrize("field", ["boxes", "confidence"])
+    @pytest.mark.parametrize("key", [0, None])
+    def test_a_frame_key_that_is_not_a_string_is_a_schema_error(self, field, key):
+        # JSON cannot hold such a key, but a record built in Python can
+        obj = reader_record()
+        _renamed_key(("tracks", 0, field), "1", key)(obj)
+        message = f"$.tracks[0].{field}: unexpected property {key!r}"
+        assert validate_annotation_dict(obj) == [("schema", message)]
+        with pytest.raises(SchemaError) as excinfo:
+            ingest.annotation_from_dict(obj)
+        assert str(excinfo.value) == message
