@@ -613,7 +613,8 @@ def test_per_video_commands_match_their_goldens(tmp_path, monkeypatch, capsys, c
                 "stderr": err.splitlines() + logged,
                 **{key: manifest[key] for key in ("counts", "inputs", "outputs")},
             }
-    (run_dir / "commands.json").write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
+    commands_json = json.dumps(runs, indent=2, sort_keys=True) + "\n"
+    (run_dir / "commands.json").write_text(commands_json, "utf-8")
     pinned = {
         path.name: path.read_bytes()
         for path in sorted(run_dir.iterdir())
