@@ -218,10 +218,9 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
     def aggregate(video: tuple[str, list[SvoFrame]], client) -> _VideoOutput:
         video_id, frames = video
         try:
-            aggregated = aggregate_video(frames, client, config)
+            caption = render_tagged_caption(aggregate_video(frames, client, config))
         except ResponseRejection as exc:
             return video_id, [], [(exc.code, exc.message)]
-        caption = render_tagged_caption(aggregated.caption)
         return video_id, [{"video_id": video_id, "caption": caption}], ()
 
     results = map_videos(list(videos.items()), aggregate, config)
@@ -235,7 +234,14 @@ def _cmd_track(args: argparse.Namespace) -> int:
     raw_frames = Path(args.input).read_bytes()
     raw_captions = Path(args.captions).read_bytes()
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
-    captions = _stage_file(raw_captions, lambda obj: parse_tagged_caption(obj["caption"]))
+
+    def phrases(obj: dict) -> list[str]:
+        texts = parse_tagged_caption(obj["caption"]).phrase_texts
+        if not texts:
+            raise ValueError("caption tags no phrases")
+        return texts
+
+    captions = _stage_file(raw_captions, phrases)
     video_ids = sorted(captions)
     for video_id in video_ids:
         if video_id not in by_video:
@@ -243,7 +249,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
     def track(video_id: str, client) -> _VideoOutput:
         objects = collect_frame_objects(by_video[video_id])
-        assignments = track_by_language(objects, captions[video_id].phrase_texts, client, config)
+        assignments = track_by_language(objects, captions[video_id], client, config)
         lines = [{"video_id": video_id, "assignments": [asdict(a) for a in assignments]}]
         return video_id, lines, ()
 

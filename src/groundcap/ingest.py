@@ -396,43 +396,6 @@ def group_frame_groundings(records: list[FrameGrounding]) -> dict[str, list[Fram
     return by_video
 
 
-def stream_frame_groundings(lines: Iterable[bytes]) -> Iterator[tuple[str, list[FrameGrounding]]]:
-    """Stream a frame-grounding file as per-video groups, one video in memory.
-
-    The input must already be grouped by video (the canonical sorted layout);
-    a video id that reappears after another video is an error, as is a
-    duplicate frame index within a video.
-    """
-    current_id: Optional[str] = None
-    current: list[FrameGrounding] = []
-    frames: set[int] = set()  # frame indices of the current video
-    finished: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
-        text = _decode(raw, line_no) if isinstance(raw, bytes) else raw
-        if not text.strip():
-            continue
-        record = _frame_grounding(_json_record(text, line_no), line_no)
-        if record.video_id != current_id:
-            if record.video_id in finished:
-                raise SchemaError(
-                    f"video {record.video_id!r} is not contiguous in the stream", line=line_no
-                )
-            if current_id is not None:
-                finished.add(current_id)
-                yield current_id, sorted(current, key=lambda r: r.frame_index)
-            current_id = record.video_id
-            current = []
-            frames = set()
-        if record.frame_index in frames:
-            raise SchemaError(
-                f"duplicate frame record {(record.video_id, record.frame_index)}", line=line_no
-            )
-        frames.add(record.frame_index)
-        current.append(record)
-    if current_id is not None:
-        yield current_id, sorted(current, key=lambda r: r.frame_index)
-
-
 # ---------------------------------------------------------------------------
 # Video annotations
 
@@ -482,7 +445,12 @@ def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> V
         record, missing = _annotation(obj, threshold)
     except (ValueError, OverflowError):
         _check_schema(_annotation_errors(obj), line)
-        check_annotation(obj)
+        try:
+            check_annotation(obj)
+        except RecordValidationError as exc:
+            if line is not None:  # the message names the line; .code and .message stay
+                exc.args = (f"line {line}: {exc.message}",)
+            raise
         raise AssertionError(f"line {line}: a record the schema and its checks accept was refused")
     if record.video_id in seen:
         raise SchemaError(f"duplicate video_id {record.video_id!r}", line=line)
@@ -665,13 +633,7 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:
     """Read a JSON-lines dataset of annotation records."""
-    return _read_lines(data, 0.0)
-
-
-def _read_lines(data: bytes, threshold: float) -> list[VideoAnnotation]:
-    """Each line's record, read with :func:`_read_annotation` at ``threshold``."""
-    seen: set[str] = set()
-    return [_read_annotation(obj, line, threshold, seen) for line, obj in iter_jsonl(data)]
+    return load_predictions(data, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -693,4 +655,7 @@ def load_predictions(
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError(f"objectness threshold {objectness_threshold} outside [0, 1]")
-    return _read_lines(data, objectness_threshold)
+    seen: set[str] = set()
+    return [
+        _read_annotation(obj, line, objectness_threshold, seen) for line, obj in iter_jsonl(data)
+    ]

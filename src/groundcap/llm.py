@@ -89,18 +89,6 @@ class ResponseRejection(Exception):
 
 
 @dataclass(frozen=True)
-class AggregatedCaption:
-    """A parsed video-level caption plus the raw model text it came from."""
-
-    caption: TaggedCaption
-    raw_response: str
-
-    def __post_init__(self) -> None:
-        if not self.caption.phrases:
-            raise ValueError("aggregated caption must tag at least one phrase")
-
-
-@dataclass(frozen=True)
 class PhraseAssignment:
     """A frame-level phrase mapped to a video-level phrase, or dropped."""
 
@@ -398,7 +386,7 @@ def build_stage2_prompt(svo_block: str) -> list[ChatMessage]:
     ]
 
 
-def parse_stage2_response(text: str) -> AggregatedCaption:
+def parse_stage2_response(text: str) -> TaggedCaption:
     """Extract and parse the CAPTION value; at least one phrase is required.
 
     Raises:
@@ -412,7 +400,7 @@ def parse_stage2_response(text: str) -> AggregatedCaption:
         raise ResponseRejection(REJECT_MALFORMED_TAGS, str(exc)) from exc
     if not caption.phrases:
         raise ResponseRejection(REJECT_NO_PHRASES, "caption tags no phrases")
-    return AggregatedCaption(caption=caption, raw_response=text)
+    return caption
 
 
 def build_stage3_prompt(frame_phrase: str, categories: Sequence[str]) -> list[ChatMessage]:
@@ -491,7 +479,7 @@ def aggregate_video(
     frames: Iterable[SvoFrame],
     client: ChatClient,
     config: PipelineConfig = PipelineConfig(),
-) -> AggregatedCaption:
+) -> TaggedCaption:
     """Stage 2: one round trip turning a video's SVO frames into a caption.
 
     Raises:

@@ -344,18 +344,6 @@ def phrase_similarity(a: str, b: str, backend: SimilarityBackend | None = None) 
 # Matching
 
 
-class _SimCache:
-    def __init__(self, backend: SimilarityBackend):
-        self.backend = backend
-        self._cache: dict[tuple[str, str], float] = {}
-
-    def __call__(self, a: str, b: str) -> float:
-        key = (a, b)
-        if key not in self._cache:
-            self._cache[key] = self.backend.similarity(a, b)
-        return self._cache[key]
-
-
 def _iou_table(preds: Sequence, gts: Sequence) -> list[list[float]]:
     """IoU of every prediction against every ground-truth box of one frame."""
     gt_boxes = [g.box for g in gts]
@@ -587,7 +575,7 @@ def evaluate(
         pred_by_id[record.video_id] = record
 
     backend = similarity_backend(config)
-    sim = _SimCache(backend)
+    sim = lru_cache(maxsize=None)(backend.similarity)  # one call per (a, b); no failure kept
     video_ids = sorted(gt_by_id)
 
     # Matching never crosses a frame, so the frame level pools the per-video

@@ -126,7 +126,7 @@ def annotate_video(
         width, height = next(iter(sizes))
         frame_count = max(f.frame_index for f in frames) + 1
         svo_frames = [extract_svo(pos_tag(f.caption), f.frame_index) for f in frames]
-        caption = aggregate_video(svo_frames, client, config).caption
+        caption = aggregate_video(svo_frames, client, config)
         frame_objects = collect_frame_objects(frames)
         assignments = track_by_language(frame_objects, caption.phrase_texts, client, config)
         tracks = assemble_tracks(assignments, frame_objects, caption, frame_count)

@@ -396,6 +396,22 @@ class TestStats:
         assert report["num_videos"] == 5
         assert report["total_num_instances"] > 0
 
+    @pytest.mark.parametrize("command", ["stats", "eval"])
+    def test_a_record_rule_error_names_its_line(self, tmp_path, rng, capsys, command):
+        good, bad = (json.loads(serialize_video_annotation(r)) for r in make_corpus(rng, 2))
+        boxes = bad["tracks"][0]["boxes"]
+        frame = next(iter(boxes))
+        boxes[frame] = [0.0, 0.0, 500.0, 5.0]  # the frame is 455x256
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", "utf-8")
+        inputs = {"stats": ["--input"], "eval": ["--pred", str(path), "--gt"]}[command]
+        argv = [command, *inputs, str(path), "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        error = capsys.readouterr().err.splitlines()[-1]
+        message = f"box [0.0, 0.0, 500.0, 5.0] at frame {frame} exceeds 455x256"
+        assert error == f"error: line 2: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
 
 class TestSvoAndIngest:
     def test_ingest_normalizes_masks(self, tmp_path):
@@ -728,6 +744,19 @@ class TestMalformedStageInput:
         error = self.run_failing(argv, tmp_path, server, capsys)
         assert error == "error: no frame groundings for video 'vid-zzz'"
         assert not (tmp_path / "out.jsonl").exists()
+
+    def test_track_refuses_a_caption_without_phrases(self, tmp_path, stir_input, server, capsys):
+        captions = tmp_path / "captions.jsonl"
+        records = [
+            {"video_id": "vid-bev", "caption": "<p>A woman</p> is drinking"},
+            {"video_id": "vid-stir", "caption": "A person is stirring"},
+        ]
+        captions.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == "error: line 2: caption tags no phrases"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["captions.jsonl", "config.json", "frames.jsonl"]
 
 
 class TestUsageErrors:

@@ -364,63 +364,6 @@ class TestAnnotationRoundTrip:
         assert schema_passes == ["video_annotation.schema.json"]
 
 
-class TestStreamFrameGroundings:
-    def test_groups_one_video_at_a_time(self):
-        lines = to_jsonl(
-            [
-                frame_line(video_id="a", frame_index=1),
-                frame_line(video_id="a", frame_index=0),
-                frame_line(video_id="b", frame_index=0),
-            ]
-        ).splitlines()
-        groups = list(ingest.stream_frame_groundings(lines))
-        assert [(vid, [f.frame_index for f in frames]) for vid, frames in groups] == [
-            ("a", [0, 1]),
-            ("b", [0]),
-        ]
-
-    def test_non_contiguous_video_rejected(self):
-        lines = to_jsonl(
-            [
-                frame_line(video_id="a", frame_index=0),
-                frame_line(video_id="b", frame_index=0),
-                frame_line(video_id="a", frame_index=1),
-            ]
-        ).splitlines()
-        with pytest.raises(SchemaError, match="contiguous"):
-            list(ingest.stream_frame_groundings(lines))
-
-    def test_duplicate_frame_rejected(self):
-        lines = to_jsonl([frame_line(), frame_line()]).splitlines()
-        with pytest.raises(SchemaError, match="duplicate"):
-            list(ingest.stream_frame_groundings(lines))
-
-    @pytest.mark.parametrize(
-        "bad, field_path",
-        [
-            (frame_line(frame_index=-1), "$.frame_index"),
-            (frame_line(objects=[{"phrase": "a cup", "mask": [1, 2]}]), "$.objects[0].mask"),
-        ],
-    )
-    def test_errors_name_the_streamed_line(self, bad, field_path):
-        lines = to_jsonl([frame_line(frame_index=0), frame_line(frame_index=1)]).splitlines()
-        lines += [b"", to_jsonl([bad]).strip()]
-        with pytest.raises(SchemaError) as excinfo:
-            list(ingest.stream_frame_groundings(lines))
-        assert (excinfo.value.line, excinfo.value.field_path) == (4, field_path)
-
-    def test_invalid_json_names_the_streamed_line(self):
-        lines = to_jsonl([frame_line()]).splitlines() + [b"{"]
-        with pytest.raises(SchemaError, match="invalid JSON") as excinfo:
-            list(ingest.stream_frame_groundings(lines))
-        assert excinfo.value.line == 2
-
-    def test_invalid_utf8_names_the_streamed_line(self):
-        lines = to_jsonl([frame_line()]).splitlines() + [b"", b'{"caption": "caf\xff"}']
-        with pytest.raises(SchemaError, match="^line 3: invalid UTF-8: invalid start byte$"):
-            list(ingest.stream_frame_groundings(lines))
-
-
 @pytest.mark.parametrize(
     "read", [read_annotations, load_predictions, parse_frame_grounding, ingest.iter_jsonl]
 )

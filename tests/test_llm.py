@@ -66,9 +66,8 @@ class TestStage2Prompt:
 class TestStage2Parse:
     def test_fig_response(self):
         result = parse_stage2_response(FIG_RESPONSE_1)
-        assert result.caption.plain == "A person is stirring food in a bowl using a spoon"
-        assert result.caption.phrase_texts == ["A person", "food in a bowl"]
-        assert result.raw_response == FIG_RESPONSE_1
+        assert result.plain == "A person is stirring food in a bowl using a spoon"
+        assert result.phrase_texts == ["A person", "food in a bowl"]
 
     def test_no_dictionary(self):
         with pytest.raises(ResponseRejection) as excinfo:
@@ -92,18 +91,18 @@ class TestStage2Parse:
 
     def test_tolerates_prose_and_double_quotes(self):
         text = 'Sure! Here you go: {"CAPTION": "<p>A cat</p> sits"} Hope that helps.'
-        assert parse_stage2_response(text).caption.phrase_texts == ["A cat"]
+        assert parse_stage2_response(text).phrase_texts == ["A cat"]
 
     def test_value_with_apostrophe(self):
         text = "{`CAPTION': `<p>a person's hand</p> moves'}"
-        assert parse_stage2_response(text).caption.phrase_texts == ["a person's hand"]
+        assert parse_stage2_response(text).phrase_texts == ["a person's hand"]
 
     def test_second_key_does_not_leak_into_caption(self):
         text = "{`CAPTION': `<p>a cat</p> sits', `NOTE': `done'}"
-        assert parse_stage2_response(text).caption.plain == "a cat sits"
+        assert parse_stage2_response(text).plain == "a cat sits"
 
     def test_trailing_comma_tolerated(self):
-        assert parse_stage2_response("{`CAPTION': `<p>a cat</p> sits',}").caption.plain == (
+        assert parse_stage2_response("{`CAPTION': `<p>a cat</p> sits',}").plain == (
             "a cat sits"
         )
 
@@ -118,7 +117,7 @@ class TestStage2Parse:
         ],
     )
     def test_key_is_read_only_where_a_key_starts(self, text):
-        assert parse_stage2_response(text).caption.plain == "a cat sits"
+        assert parse_stage2_response(text).plain == "a cat sits"
 
 
 QUOTINGS = [("`", "'"), ("'", "'"), ('"', '"')]
@@ -204,7 +203,7 @@ class TestAggregateVideo:
     def test_success(self):
         client = ScriptedClient([FIG_RESPONSE_1])
         result = aggregate_video(FRAMES, client)
-        assert result.caption.phrase_texts == ["A person", "food in a bowl"]
+        assert result.phrase_texts == ["A person", "food in a bowl"]
         assert len(client.calls) == 1
 
     def test_garbage_thrice_with_two_retries_rejects(self):
@@ -217,7 +216,7 @@ class TestAggregateVideo:
     def test_fail_once_then_succeed(self):
         client = ScriptedClient(["garbage", FIG_RESPONSE_1])
         result = aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.0))
-        assert result.caption.phrase_texts == ["A person", "food in a bowl"]
+        assert result.phrase_texts == ["A person", "food in a bowl"]
         assert len(client.calls) == 2
 
     def test_transport_exhaustion_rejects_with_transport_code(self):
@@ -667,4 +666,4 @@ def test_request_hash_ignores_message_object_type():
 
 def test_caption_response_helper_round_trips():
     parsed = parse_stage2_response(caption_response("<p>a cat</p> sits"))
-    assert parsed.caption.phrase_texts == ["a cat"]
+    assert parsed.phrase_texts == ["a cat"]

@@ -821,6 +821,35 @@ class TestPooledGroundingOracle:
                 pairs += n_pred * n_gt
         assert len(iou_calls) == pairs
 
+    def test_each_phrase_pair_at_the_gate_asks_the_backend_once(self, monkeypatch):
+        import groundcap.metrics as metrics
+
+        preds, gts = _oracle_corpus(random.Random(5))
+        asked, reached = [], []  # backend calls; pairs at the similarity gate
+        lexical = metrics.LexicalSimilarity()
+
+        class Counting:
+            name = "lexical"
+
+            def similarity(self, a, b):
+                asked.append((a, b))
+                return lexical.similarity(a, b)
+
+        real_pool = metrics._match_pool
+
+        def pool(detections, gt_objects, iou_thresh, sim_thresh, sim):
+            def gate(a, b):
+                reached.append((a, b))
+                return sim(a, b)
+
+            return real_pool(detections, gt_objects, iou_thresh, sim_thresh, gate)
+
+        monkeypatch.setattr(metrics, "similarity_backend", lambda config: Counting())
+        monkeypatch.setattr(metrics, "_match_pool", pool)
+        evaluate(preds, gts)
+        assert len(reached) > len(set(reached))  # some pair comes back
+        assert sorted(asked) == sorted(set(reached))
+
 
 class TestSummationOrder:
     def test_report_sums_run_left_to_right(self):
