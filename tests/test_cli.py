@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 import groundcap.llm as llm
 from groundcap import read_annotations, serialize_video_annotation
 from groundcap.cli import main
+from groundcap.config import PipelineConfig
 from groundcap.jsonio import canonical_json
 from groundcap.mockllm import load_fixtures
 from conftest import (
@@ -411,6 +413,51 @@ class TestStats:
         message = f"box [0.0, 0.0, 500.0, 5.0] at frame {frame} exceeds 455x256"
         assert error == f"error: line 2: {message}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (
+            ["eval", "--pred", "{dir}/pred.jsonl", "--gt", "{dir}/gt.jsonl",
+             "--out", "{dir}/report.json", "--iou-thresh", "0.3"],
+            PipelineConfig(iou_thresh=0.3),
+        ),
+        (
+            ["eval", "--pred", "{dir}/gt.jsonl", "--gt", "{dir}/gt.jsonl",
+             "--out", "{dir}/report.json"],
+            PipelineConfig(),
+        ),
+        (
+            ["validate", "--input", "{dir}/gt.jsonl", "--out", "{dir}/report.jsonl",
+             "--config", "{dir}/config.json"],
+            PipelineConfig(fps=2.0),
+        ),
+        (["stats", "--input", "{dir}/pred.jsonl", "--out", "{dir}/stats.json"], PipelineConfig()),
+    ],
+    ids=["eval", "eval-one-file-both-sides", "validate", "stats"],
+)
+def test_manifest_names_the_command_config_and_inputs(tmp_path, rng, argv, config):
+    records = make_corpus(rng, 2)
+    (tmp_path / "gt.jsonl").write_bytes(
+        b"".join(serialize_video_annotation(r) + b"\n" for r in records)
+    )
+    # the same records spelled another way, so that the two files' digests differ
+    (tmp_path / "pred.jsonl").write_text(
+        "".join(json.dumps(json.loads(serialize_video_annotation(r))) + "\n" for r in records),
+        "utf-8",
+    )
+    (tmp_path / "config.json").write_text(json.dumps({"fps": 2.0}), "utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main(argv) == 0
+    out = argv[argv.index("--out") + 1]
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text("utf-8"))
+    assert manifest["command"] == argv[0]
+    assert manifest["config_hash"] == config.config_hash()
+    given = [argv[argv.index(flag) + 1] for flag in ("--pred", "--gt", "--input") if flag in argv]
+    digests = {path: hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in given}
+    assert manifest["inputs"] == digests
+    assert len(set(digests.values())) == len(digests)
 
 
 class TestSvoAndIngest:
