@@ -2,10 +2,13 @@
 
 Subcommands cover the pipeline stages individually (ingest, svo, aggregate,
 track), the end-to-end dataset build, evaluation, validation, statistics,
-and the fixture-replay mock chat server.  Every file-producing run also
-writes a ``<out>.manifest.json`` with the config hash, input/output digests,
-and counts; manifests carry no timestamps so identical runs are
-byte-identical.
+and the fixture-replay mock chat server.  :func:`main` runs every command
+but ``mock-llm`` the same way: it loads the config, refuses a run that would
+write two of its outputs to one file, then reads and digests each input the
+subcommand declares once and hands the command the config and the bytes.
+Every file-producing run also writes a ``<out>.manifest.json`` with the
+config hash, input/output digests, and counts; manifests carry no timestamps
+so identical runs are byte-identical.
 
 Exit codes: 0 success, 1 validation or data failure, 2 usage error.
 """
@@ -56,13 +59,9 @@ def _digest(data: bytes) -> str:
 
 
 def _write_outputs(
-    args: argparse.Namespace,
-    config: PipelineConfig,
-    inputs: dict[str, bytes],
-    outputs: dict[str, bytes],
-    counts: dict[str, int],
+    args: argparse.Namespace, outputs: dict[str, bytes], counts: dict[str, int]
 ) -> None:
-    """Write each output file, then ``<out>.manifest.json`` (or ``--manifest``).
+    """Write each output file, then the manifest with the hash and digests :func:`main` took.
 
     Every file is first written to a temporary file beside it, and only when
     all are written are they moved into place, the manifest last; a failed
@@ -71,13 +70,12 @@ def _write_outputs(
     manifest = {
         "command": args.command,
         "tool_version": __version__,
-        "config_hash": config.config_hash(),
-        "inputs": {name: _digest(data) for name, data in inputs.items()},
+        "config_hash": args.config_hash,
+        "inputs": args.input_digests,
         "outputs": {name: _digest(data) for name, data in outputs.items()},
         "counts": counts,
     }
-    manifest_path = args.manifest or f"{args.out}.manifest.json"
-    files = [*outputs.items(), (manifest_path, canonical_json(manifest).encode("utf-8") + b"\n")]
+    files = [*outputs.items(), (args.manifest, canonical_json(manifest).encode("utf-8") + b"\n")]
     staged: dict[str, str] = {}  # temporary file -> target
     try:
         for index, (path, data) in enumerate(files):
@@ -95,14 +93,6 @@ def _write_outputs(
     finally:
         for temporary in staged:
             Path(temporary).unlink(missing_ok=True)  # gone already once moved
-
-
-def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    # every flag whose dest is a config field overrides it when given
-    return config.override(
-        **{f.name: getattr(args, f.name) for f in fields(PipelineConfig) if hasattr(args, f.name)}
-    )
 
 
 def _stage_file(raw: bytes, parse: Callable[[dict], T]) -> dict[str, T]:
@@ -133,11 +123,7 @@ def _with_reasons(video_id: str, reasons) -> dict:
 
 
 def _write_videos(
-    args: argparse.Namespace,
-    config: PipelineConfig,
-    inputs: dict[str, bytes],
-    results: list[_VideoOutput],
-    counts: Optional[dict[str, int]] = None,
+    args: argparse.Namespace, results: list[_VideoOutput], counts: Optional[dict[str, int]] = None
 ) -> int:
     """Write each video's ``(video_id, lines, reasons)``, given in output order, and the manifest.
 
@@ -153,7 +139,7 @@ def _write_videos(
         rejections = [_with_reasons(v, reasons) for v, lines, reasons in results if not lines]
         outputs[args.rejected] = canonical_jsonl_bytes(rejections)
         counts.update(accepted=len(accepted), rejected=len(rejections))
-    _write_outputs(args, config, inputs, outputs, counts)
+    _write_outputs(args, outputs, counts)
     return len(accepted)
 
 
@@ -161,9 +147,7 @@ def _write_videos(
 # Subcommands
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     records = parse_frame_grounding(raw)
     dropped = 0
     results = []
@@ -187,26 +171,22 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             )
         results.append((video_id, lines, ()))
     counts = {"frames": len(records), "dropped_objects": dropped}
-    _write_videos(args, config, {args.input: raw}, results, counts)
+    _write_videos(args, results, counts)
     print(f"ingested {len(records)} frames across {len(results)} videos -> {Path(args.out)}")
     return 0
 
 
-def _cmd_svo(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_svo(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     results = []
     for video_id, frames in group_frame_groundings(parse_frame_grounding(raw)).items():
         svo_frames = [asdict(extract_svo(pos_tag(f.caption), f.frame_index)) for f in frames]
         results.append((video_id, [{"video_id": video_id, "frames": svo_frames}], ()))
-    _write_videos(args, config, {args.input: raw}, results)
+    _write_videos(args, results)
     print(f"extracted SVO frames for {len(results)} videos -> {args.out}")
     return 0
 
 
-def _cmd_aggregate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_aggregate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     videos = _stage_file(
         raw,
         lambda obj: [
@@ -224,19 +204,21 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         return video_id, [{"video_id": video_id, "caption": caption}], ()
 
     results = map_videos(list(videos.items()), aggregate, config)
-    accepted = _write_videos(args, config, {args.input: raw}, results)
+    accepted = _write_videos(args, results)
     print(f"aggregated {accepted} captions ({len(results) - accepted} rejected) -> {args.out}")
     return 0
 
 
-def _cmd_track(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw_frames = Path(args.input).read_bytes()
-    raw_captions = Path(args.captions).read_bytes()
+def _cmd_track(
+    args: argparse.Namespace, config: PipelineConfig, raw_frames: bytes, raw_captions: bytes
+) -> int:
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
 
     def phrases(obj: dict) -> list[str]:
-        texts = parse_tagged_caption(obj["caption"]).phrase_texts
+        caption = obj["caption"]
+        if not isinstance(caption, str):
+            raise TypeError(f"caption must be a string, got {caption!r}")
+        texts = parse_tagged_caption(caption).phrase_texts
         if not texts:
             raise ValueError("caption tags no phrases")
         return texts
@@ -254,21 +236,18 @@ def _cmd_track(args: argparse.Namespace) -> int:
         return video_id, lines, ()
 
     results = map_videos(video_ids, track, config)
-    inputs = {args.input: raw_frames, args.captions: raw_captions}
-    _write_videos(args, config, inputs, results)
+    _write_videos(args, results)
     print(f"tracked phrases for {len(results)} videos -> {args.out}")
     return 0
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_build(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     by_video = group_frame_groundings(parse_frame_grounding(raw))
     results = [
         (r.video_id, [] if r.annotation is None else [annotation_to_dict(r.annotation)], r.reasons)
         for r in run_pipeline(by_video, config)
     ]
-    accepted = _write_videos(args, config, {args.input: raw}, results)
+    accepted = _write_videos(args, results)
     print(
         f"built {accepted} records ({len(results) - accepted} rejected) from "
         f"{len(results)} videos -> {args.out}"
@@ -276,21 +255,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw_pred = Path(args.pred).read_bytes()
-    raw_gt = Path(args.gt).read_bytes()
+def _cmd_eval(
+    args: argparse.Namespace, config: PipelineConfig, raw_pred: bytes, raw_gt: bytes
+) -> int:
     preds = load_predictions(raw_pred, objectness_threshold=config.objectness_threshold)
     gts = read_annotations(raw_gt)
     report = evaluate(preds, gts, config)
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
-    _write_outputs(
-        args,
-        config,
-        {args.pred: raw_pred, args.gt: raw_gt},
-        {args.out: payload},
-        {"videos": report.num_videos},
-    )
+    _write_outputs(args, {args.out: payload}, {"videos": report.num_videos})
     frame, video = report.frame_level, report.video_level
     print(
         f"meteor {report.meteor:.4f}  cider {report.cider:.4f}  "
@@ -300,9 +272,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_validate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     reports = []
     failures = 0
     first_lines: dict[str, int] = {}  # video id -> the line it first appears on
@@ -327,8 +297,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.out:
         _write_outputs(
             args,
-            config,
-            {args.input: raw},
             {args.out: canonical_jsonl_bytes(reports)},
             {"videos": len(reports), "accepted": len(reports) - failures, "rejected": failures},
         )
@@ -336,14 +304,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    config = _load_config(args)
-    raw = Path(args.input).read_bytes()
+def _cmd_stats(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     report = dataset_stats(read_annotations(raw))
     payload = canonical_json(report.as_dict()).encode("utf-8") + b"\n"
-    _write_outputs(
-        args, config, {args.input: raw}, {args.out: payload}, {"videos": report.num_videos}
-    )
+    _write_outputs(args, {args.out: payload}, {"videos": report.num_videos})
     for key, value in report.as_dict().items():
         print(f"{key}: {value}")
     return 0
@@ -375,7 +339,6 @@ def _add_client_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--temperature", type=float)
     parser.add_argument("--retries", type=int)
     parser.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-    parser.add_argument("--fps", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_ingest)
+    p.set_defaults(func=_cmd_ingest, inputs=("input",))
 
     p = sub.add_parser("svo", help="extract SVO relations from frame captions")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_svo)
+    p.set_defaults(func=_cmd_svo, inputs=("input",))
 
     p = sub.add_parser("aggregate", help="aggregate frame SVO into video captions (LLM)")
     p.add_argument("--input", required=True, help="svo JSON-lines")
@@ -404,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejected", required=True)
     _add_config_flags(p)
     _add_client_flags(p)
-    p.set_defaults(func=_cmd_aggregate)
+    p.set_defaults(func=_cmd_aggregate, inputs=("input",))
 
     p = sub.add_parser("track", help="classify frame phrases into caption phrases (LLM)")
     p.add_argument("--input", required=True, help="frame grounding JSON-lines")
@@ -412,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_config_flags(p)
     _add_client_flags(p)
-    p.set_defaults(func=_cmd_track)
+    p.set_defaults(func=_cmd_track, inputs=("input", "captions"))
 
     p = sub.add_parser("build", help="run the full pipeline: dataset + rejection log")
     p.add_argument("--input", required=True, help="frame grounding JSON-lines")
@@ -420,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rejected", required=True, help="rejection log JSON-lines")
     _add_config_flags(p)
     _add_client_flags(p)
-    p.set_defaults(func=_cmd_build)
+    p.add_argument("--fps", type=float)
+    p.set_defaults(func=_cmd_build, inputs=("input",))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True)
@@ -436,19 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default {PipelineConfig.objectness_threshold})",
     )
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=("pred", "gt"))
 
     p = sub.add_parser("validate", help="check annotation records, exit 1 on failure")
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="optional validation report JSON-lines")
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, inputs=("input",))
 
     p = sub.add_parser("stats", help="dataset statistics report")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p)
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, inputs=("input",))
 
     p = sub.add_parser("mock-llm", help="serve fixture responses as a chat endpoint")
     p.add_argument("--fixtures", required=True)
@@ -459,12 +423,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_shared_outputs(args: argparse.Namespace) -> None:
+    """Refuse a run that would write two of its outputs to one file."""
+    outputs = [("--out", args.out), ("--rejected", getattr(args, "rejected", None))]
+    named: dict[str, str] = {}  # real path -> the output it is
+    for label, path in [*outputs, ("the manifest", args.manifest)]:
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in named:
+                raise ValueError(f"{named[real]} and {label} are one file: {path}")
+            named[real] = label
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "mock-llm":  # it serves until stopped, with no config or files
+            return args.func(args)
+        config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+        # every flag whose dest is a config field overrides it when given
+        config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(config)})
+        args.manifest = args.manifest or f"{args.out}.manifest.json"
+        _refuse_shared_outputs(args)
+        paths = [getattr(args, name) for name in args.inputs]
+        raw = {path: Path(path).read_bytes() for path in dict.fromkeys(paths)}  # each read once
+        args.config_hash = config.config_hash()
+        args.input_digests = {path: _digest(data) for path, data in raw.items()}
+        return args.func(args, config, *(raw[path] for path in paths))
     except (ValueError, OSError) as exc:  # SchemaError and RecordValidationError too
         print(f"error: {exc}", file=sys.stderr)
         return 1

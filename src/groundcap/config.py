@@ -11,14 +11,13 @@ never part of the file, it comes from the environment variable named by
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 
-from .jsonio import canonical_json
+from .jsonio import canonical_json, read_json_file
 
 # JSON values each field type takes; an int is a number, a bool is neither
 _JSON_TYPES = {
@@ -97,7 +96,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
+        return cls.from_dict(read_json_file(path, "config"))
 
     def override(self, **kwargs) -> "PipelineConfig":
         """A copy with the non-None keyword values replaced."""

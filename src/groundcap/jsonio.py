@@ -1,4 +1,5 @@
-"""Deterministic JSON writing shared by records, reports, and manifests.
+"""Deterministic JSON writing shared by records, reports, and manifests, and
+the reading of whole-file JSON documents (configs and fixtures).
 
 Python's ``json`` module ties float formatting to ``repr``, which is exact but
 noisy for golden files, so this serializer pins the canonical form instead:
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from typing import Any
 
 
@@ -72,3 +74,14 @@ def canonical_json(obj: Any) -> str:
 def canonical_jsonl_bytes(objs: list[Any]) -> bytes:
     """One canonical JSON document per line, trailing newline included."""
     return "".join(canonical_json(o) + "\n" for o in objs).encode("utf-8")
+
+
+def read_json_file(path: str | Path, label: str) -> Any:
+    """The JSON document in the UTF-8 file ``path``.
+
+    A file that is not UTF-8 JSON is a ``ValueError`` naming ``label`` and the path.
+    """
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{label} {path}: invalid JSON: {exc}") from exc

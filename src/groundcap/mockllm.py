@@ -21,7 +21,7 @@ import threading
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
-from .jsonio import canonical_json
+from .jsonio import canonical_json, read_json_file
 from .llm import ChatMessage
 
 MessageLike = Union[ChatMessage, Mapping[str, str]]
@@ -44,7 +44,7 @@ def load_fixtures(path: str | Path) -> tuple[dict[str, str], Optional[str]]:
     Anything else is a ``ValueError`` naming the key, raised before a server
     could answer with it.
     """
-    obj = json.loads(Path(path).read_text("utf-8"))
+    obj = read_json_file(path, "fixtures")
     if not isinstance(obj, dict):
         raise ValueError(f"fixtures must be a JSON object, got {type(obj).__name__}")
     responses = obj.get("responses", {})

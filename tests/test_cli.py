@@ -60,6 +60,9 @@ def stir_input(tmp_path):
 UNKNOWN_SIMILARITY = (
     "config key 'similarity' must be one of ['lexical', 'embedding'], got 'nonsense'"
 )
+# what a file that holds "{bad", or starts with the byte 0xff, fails with
+NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
 
 def write_config(tmp_path, server, **extra):
@@ -751,10 +754,13 @@ class TestMalformedStageInput:
 
     def test_track_names_the_line(self, tmp_path, stir_input, server, capsys):
         captions = tmp_path / "captions.jsonl"
-        captions.write_text(json.dumps({"video_id": "v1"}) + "\n", "utf-8")
         argv = ["track", "--input", str(stir_input), "--captions", str(captions)]
-        error = self.run_failing(argv, tmp_path, server, capsys)
-        assert error == "error: line 1: 'caption' is a required property"
+        for record, message in [
+            ({"video_id": "v1"}, "line 1: 'caption' is a required property"),
+            ({"video_id": "x", "caption": 5}, "line 1: caption must be a string, got 5"),
+        ]:
+            captions.write_text(json.dumps(record) + "\n", "utf-8")
+            assert self.run_failing(argv, tmp_path, server, capsys) == f"error: {message}"
 
     def test_aggregate_refuses_a_repeated_video(self, tmp_path, server, capsys):
         svo = tmp_path / "svo.jsonl"
@@ -834,19 +840,55 @@ class TestUsageErrors:
             ('{"fps": 0}', "config key 'fps' must be > 0, got 0.0"),
             ('{"fps": -1}', "config key 'fps' must be > 0, got -1.0"),
             ('{"similarity": "nonsense"}', UNKNOWN_SIMILARITY),
+            ("{bad", f"config {{path}}: invalid JSON: {NOT_JSON}"),
+            ("\udcff{}", f"config {{path}}: invalid JSON: {NOT_UTF8}"),
         ],
     )
     def test_malformed_config_exits_1(self, tmp_path, rng, capsys, document, message):
         data = tmp_path / "data.jsonl"
         data.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
         config = tmp_path / "config.json"
-        config.write_text(document, "utf-8")
+        config.write_text(document, "utf-8", errors="surrogateescape")  # "\udcff" is byte 0xff
         code = main(
             ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json"),
              "--config", str(config)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.replace('{path}', str(config))}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["build", "--input", "{dir}/frames.jsonl", "--out", "{dir}/d.jsonl",
+                 "--rejected", "{dir}/d.jsonl"],
+                "--out and --rejected are one file: {dir}/d.jsonl",
+            ),
+            (
+                ["aggregate", "--input", "{dir}/svo.jsonl", "--out", "{dir}/c.jsonl",
+                 "--rejected", "{dir}/./c.jsonl"],
+                "--out and --rejected are one file: {dir}/./c.jsonl",
+            ),
+            (
+                ["stats", "--input", "{dir}/data.jsonl", "--out", "{dir}/s.json",
+                 "--manifest", "{dir}/s.json"],
+                "--out and the manifest are one file: {dir}/s.json",
+            ),
+            (
+                ["eval", "--pred", "{dir}/data.jsonl", "--gt", "{dir}/data.jsonl",
+                 "--out", "{dir}/r.json", "--manifest", "{dir}/./r.json"],
+                "--out and the manifest are one file: {dir}/./r.json",
+            ),
+        ],
+        ids=["build", "aggregate", "stats", "eval"],
+    )
+    def test_two_outputs_on_one_file_exit_1_before_reading_input(
+        self, tmp_path, capsys, argv, message
+    ):
+        # the inputs are missing, so reading any would fail with another error
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(dir=tmp_path)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_file_exit_1(self, tmp_path):
         out = tmp_path / "x.jsonl"
@@ -1023,11 +1065,14 @@ def test_mock_llm_subcommand_serves_fixtures(tmp_path):
         ('{"responses": {"abc": 7}}', "fixtures 'responses' must map strings to strings"),
         ('{"default": 7}', "fixtures 'default' must be a string, got 7"),
         ('{"default": null}', "fixtures 'default' must be a string, got None"),
+        ("{bad", f"fixtures {{path}}: invalid JSON: {NOT_JSON}"),
+        ("\udcff{}", f"fixtures {{path}}: invalid JSON: {NOT_UTF8}"),
     ],
 )
 def test_mock_llm_refuses_malformed_fixtures(tmp_path, capsys, document, message):
     fixtures_path = tmp_path / "fixtures.json"
-    fixtures_path.write_text(document, "utf-8")
+    fixtures_path.write_text(document, "utf-8", errors="surrogateescape")  # "\udcff" is byte 0xff
+    message = message.replace("{path}", str(fixtures_path))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_fixtures(fixtures_path)
     # refused before it serves anything, so the command returns
