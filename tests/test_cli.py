@@ -21,6 +21,7 @@ from groundcap.mockllm import load_fixtures
 from conftest import (
     beverage_fixtures,
     beverage_frames,
+    make_annotation,
     make_corpus,
     salt_word,
     stirring_fixtures,
@@ -416,6 +417,34 @@ class TestStats:
         message = f"box [0.0, 0.0, 500.0, 5.0] at frame {frame} exceeds 455x256"
         assert error == f"error: line 2: {message}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--input", "{twice}"],
+            ["eval", "--pred", "{once}", "--gt", "{twice}"],
+            ["eval", "--pred", "{twice}", "--gt", "{once}"],
+        ],
+        ids=["stats", "eval-gt", "eval-pred"],
+    )
+    def test_a_repeated_video_id_exits_1(self, tmp_path, rng, capsys, argv):
+        line = serialize_video_annotation(make_annotation(rng, "v")) + b"\n"
+        (tmp_path / "once.jsonl").write_bytes(line)
+        (tmp_path / "twice.jsonl").write_bytes(line * 2)
+        files = {"once": tmp_path / "once.jsonl", "twice": tmp_path / "twice.jsonl"}
+        argv = [arg.format(**files) for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().err == "error: line 2: duplicate video_id 'v'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["once.jsonl", "twice.jsonl"]
+
+    def test_eval_of_empty_ground_truth_exits_1(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_bytes(b"")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(empty), "--gt", str(empty), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: ground truth is empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -590,6 +590,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown video"):
             evaluate([stray], gt)
 
+    @pytest.mark.parametrize(
+        "preds, gts, message",
+        [
+            ([], ["a", "a"], "duplicate ground-truth video 'a'"),
+            ([], [], "ground truth is empty"),
+            (["a", "a"], ["a"], "duplicate prediction for video 'a'"),
+        ],
+        ids=["duplicate-gt", "empty-gt", "duplicate-pred"],
+    )
+    def test_malformed_corpus_refused(self, preds, gts, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate([simple_gt(v) for v in preds], [simple_gt(v) for v in gts])
+
     def test_missing_prediction_counts_as_empty(self):
         gt = [simple_gt("a"), simple_gt("b")]
         report = evaluate([gt[0]], gt)

@@ -1,9 +1,13 @@
 """Checks on the source tree of ``groundcap`` itself."""
 
+import argparse
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import groundcap
+from groundcap.cli import build_parser
+from groundcap.config import PipelineConfig
 
 SOURCE = Path(groundcap.__file__).parent
 
@@ -29,3 +33,17 @@ def test_every_module_level_definition_is_exported_or_used():
         and node.name not in names
     ]
     assert unused == []
+
+
+def test_every_flag_is_a_config_field_or_a_name_the_runner_reads():
+    # main applies a flag only when its dest is a config field, so a dest
+    # that is neither a field nor one of these would be dropped without a word
+    files = {"input", "captions", "pred", "gt"}  # read through the subcommand's ``inputs``
+    handled = files | {"out", "rejected", "config", "manifest", "fixtures", "host", "port"}
+    allowed = handled | {f.name for f in fields(PipelineConfig)}
+    actions = build_parser()._actions
+    (subparsers,) = (a for a in actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions if action.dest != "help"}
+        assert sorted(dests - allowed) == [], command
+        assert sorted(dests & files) == sorted(parser.get_default("inputs") or ()), command
