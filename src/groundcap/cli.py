@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import __version__
-from .config import SIMILARITY_BACKENDS, PipelineConfig
+from .config import PipelineConfig
 from .ingest import (
     SchemaError,
     annotation_to_dict,
@@ -66,6 +66,8 @@ def _write_outputs(
     Every file is first written to a temporary file beside it, and only when
     all are written are they moved into place, the manifest last; a failed
     write leaves the old files as they were and no temporary file behind.
+    An output given as a link is written to the file it points to, and stays
+    a link.
     """
     manifest = {
         "command": args.command,
@@ -81,10 +83,11 @@ def _write_outputs(
         for index, (path, data) in enumerate(files):
             if os.path.isdir(path):  # refused here, as os.replace would only after earlier moves
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            temporary = f"{path}.{os.getpid()}-{index}.tmp"
+            target = os.path.realpath(path)
+            temporary = f"{target}.{os.getpid()}-{index}.tmp"
             try:
                 with open(temporary, "xb") as file:  # created under the umask, as the target was
-                    staged[temporary] = path
+                    staged[temporary] = target
                     file.write(data)
             except OSError as exc:  # name the file asked for, not its temporary
                 raise OSError(exc.errno, exc.strerror, path) from exc
@@ -392,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--iou-thresh", dest="iou_thresh", type=float)
     p.add_argument("--sim-thresh", dest="sim_thresh", type=float)
-    p.add_argument("--similarity", choices=SIMILARITY_BACKENDS)
     p.add_argument("--embedding-endpoint", dest="embedding_endpoint")
     p.add_argument(
         "--objectness-threshold", dest="objectness_threshold", type=float,
@@ -437,14 +439,18 @@ def _refuse_shared_outputs(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "mock-llm":  # it serves until stopped, with no config or files
             return args.func(args)
+        if args.out is not None:
+            args.manifest = args.manifest or f"{args.out}.manifest.json"
+        elif args.manifest is not None:  # validate writes no file without --out
+            parser.error(f"{args.command} --manifest requires --out")
         config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
         # every flag whose dest is a config field overrides it when given
         config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(config)})
-        args.manifest = args.manifest or f"{args.out}.manifest.json"
         _refuse_shared_outputs(args)
         paths = [getattr(args, name) for name in args.inputs]
         raw = {path: Path(path).read_bytes() for path in dict.fromkeys(paths)}  # each read once

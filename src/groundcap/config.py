@@ -3,9 +3,10 @@
 :class:`PipelineConfig` is the one place where a setting is named, given its
 default and checked; the stage drivers, ``evaluate`` and ``load_predictions``
 read their settings from it.  The config file is JSON with the field names
-below; command-line flags override individual values.  The auth token is
-never part of the file, it comes from the environment variable named by
-``api_key_env``.
+below; command-line flags override individual values.  Phrase similarity is
+lexical unless ``embedding_endpoint`` is set, which switches it to
+embeddings.  The auth token is never part of the file, it comes from the
+environment variable named by ``api_key_env``.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ _JSON_TYPES = {
     float: ("a number", (int, float)),
 }
 
-# the phrase similarity backends ``similarity`` may name
-SIMILARITY_BACKENDS = ("lexical", "embedding")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -42,7 +40,6 @@ class PipelineConfig:
     fps: float = 5.0
     iou_thresh: float = 0.5
     sim_thresh: float = 0.5
-    similarity: str = "lexical"
     embedding_endpoint: Optional[str] = None
     objectness_threshold: float = 0.5
     api_key_env: str = "GROUNDCAP_API_KEY"
@@ -62,13 +59,6 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r} must be finite, got {value}")
         if self.fps <= 0:
             raise ValueError(f"config key 'fps' must be > 0, got {self.fps}")
-        # an embedding endpoint may still come from a flag, so it is checked
-        # where the backend is made
-        if self.similarity not in SIMILARITY_BACKENDS:
-            raise ValueError(
-                f"config key 'similarity' must be one of {list(SIMILARITY_BACKENDS)}, "
-                f"got {self.similarity!r}"
-            )
 
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":

@@ -11,8 +11,9 @@ The parts the task leaves open are pinned here and echoed into every report:
 greedy one-to-one matching in confidence order, all-point interpolated AP
 with a precision envelope, mIoU averaged over ground-truth boxes with
 unmatched boxes scoring zero, and confidence 1.0 for score-less predictions.
-The IoU and similarity thresholds and the phrase similarity backend are read
-from the run's :class:`~groundcap.config.PipelineConfig`, which checks them.
+The IoU and similarity thresholds are read from the run's
+:class:`~groundcap.config.PipelineConfig`, which checks them; phrase
+similarity is lexical unless the config names an ``embedding_endpoint``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from operator import attrgetter, truediv
-from typing import Iterator, NamedTuple, Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Protocol, Sequence
 
 from .boxes import XYWH, iou_xywh
 from .config import PipelineConfig
@@ -327,11 +328,9 @@ _DEFAULT_BACKEND = LexicalSimilarity()
 
 
 def similarity_backend(config: PipelineConfig) -> SimilarityBackend:
-    """The backend ``config.similarity`` names; the embedding one needs an endpoint."""
-    if config.similarity == "lexical":
+    """Embedding similarity when ``config`` names an embedding endpoint, lexical otherwise."""
+    if config.embedding_endpoint is None:
         return LexicalSimilarity()
-    if not config.embedding_endpoint:
-        raise ValueError("embedding similarity requires an endpoint")
     return EmbeddingSimilarity(config.embedding_endpoint)
 
 
@@ -360,28 +359,16 @@ def _pred_order(preds: Sequence, table: list[list[float]]) -> list[int]:
 # Corpus-level grounding metrics
 
 
-class _Detection(NamedTuple):
+class _BoxRow(NamedTuple):  # one box of a track, predicted or ground truth
     frame: int
     box: XYWH  # as fractions of the frame
     phrase: str
-    confidence: float
-    seq: int
-
-
-class _GtObject(NamedTuple):
-    frame: int
-    box: XYWH  # as fractions of the frame
-    phrase: str
+    confidence: float  # 1.0 where the track has no score, as on every ground-truth box
+    seq: int  # unique across the predictions of a corpus; matching never reads a ground truth's
 
 
 _XYWH = attrgetter("x", "y", "w", "h")
 _CONFIDENCE, _SEQ = attrgetter("confidence"), attrgetter("seq")
-
-
-def _rows(kind: type, *columns) -> Iterator:
-    """``kind`` tuples of the items of ``columns`` side by side, built without a Python call
-    per row."""
-    return map(tuple.__new__, repeat(kind), zip(*columns))
 
 
 def _unit_boxes(record: VideoAnnotation, track: ObjectTrack) -> tuple[list[int], list[XYWH]]:
@@ -398,26 +385,18 @@ def _unit_boxes(record: VideoAnnotation, track: ObjectTrack) -> tuple[list[int],
     return frames, [(x / width, y / height, w / width, h / height) for x, y, w, h in coords]
 
 
-def _extract_gt(record: VideoAnnotation) -> list[_GtObject]:
-    objects: list[_GtObject] = []
-    for track in record.tracks:
-        phrase = record.caption.phrases[track.phrase_index].text
-        objects += _rows(_GtObject, *_unit_boxes(record, track), repeat(phrase))
-    return objects
-
-
-def _extract_preds(record: Optional[VideoAnnotation], seq_start: int = 0) -> list[_Detection]:
-    if record is None:
-        return []
-    detections: list[_Detection] = []
+def _box_rows(record: VideoAnnotation, seq_start: int = 0) -> list[_BoxRow]:
+    """The boxes of every track of ``record``, track by track, numbered from ``seq_start``."""
+    rows: list[_BoxRow] = []
     for track in record.tracks:
         phrase = record.caption.phrases[track.phrase_index].text
         frames, boxes = _unit_boxes(record, track)
         confidence = track.confidence
         scores = map(confidence.get, frames, repeat(1.0)) if confidence else repeat(1.0)
-        seqs = range(seq_start + len(detections), seq_start + len(detections) + len(frames))
-        detections += _rows(_Detection, frames, boxes, repeat(phrase), scores, seqs)
-    return detections
+        seqs = range(seq_start + len(rows), seq_start + len(rows) + len(frames))
+        columns = zip(frames, boxes, repeat(phrase), scores, seqs)
+        rows += map(tuple.__new__, repeat(_BoxRow), columns)  # with no Python call per row
+    return rows
 
 
 def _group_by_frame(items) -> dict:
@@ -428,8 +407,8 @@ def _group_by_frame(items) -> dict:
 
 
 def _match_pool(
-    detections: list[_Detection],
-    gt_objects: list[_GtObject],
+    detections: list[_BoxRow],
+    gt_objects: list[_BoxRow],
     iou_thresh: float,
     sim_thresh: float,
     sim,
@@ -487,7 +466,7 @@ def _average_precision(ranked_tp: list[bool], num_gt: int) -> Optional[float]:
     return sum(compress(envelope, ranked_tp)) / num_gt
 
 
-def _ranked_flags(detections: list[_Detection], matched: set[int]) -> list[bool]:
+def _ranked_flags(detections: list[_BoxRow], matched: set[int]) -> list[bool]:
     """Whether each of ``detections``, given in seq order, is matched, ranked by confidence
     (descending) then seq: a reversed sort keeps equal keys in their order."""
     order = sorted(detections, key=_CONFIDENCE, reverse=True)
@@ -537,7 +516,7 @@ def _mean_or_none(values: list[Optional[float]]) -> Optional[float]:
 
 
 def _grounding_scores(
-    detections: list[_Detection], gated: set[int], overlaps: list[float], num_gt: int
+    detections: list[_BoxRow], gated: set[int], overlaps: list[float], num_gt: int
 ) -> LevelScores:
     """AP50, mIoU and recall of one video's matches, or of the pooled corpus."""
     if num_gt == 0:
@@ -582,47 +561,43 @@ def evaluate(
     # matches.  Detection seqs are unique across the pool, and the overlaps
     # concatenate in video order, so the pooled sums equal a corpus-wide
     # rematch bit for bit.
-    all_dets: list[_Detection] = []
+    all_dets: list[_BoxRow] = []
     all_gated: set[int] = set()
     all_overlaps: list[float] = []
     total_gt = 0
     per_video: dict[str, dict] = {}
+    candidates: dict[str, str] = {}
+    references: dict[str, list[str]] = {}
     for video_id in video_ids:
-        detections = _extract_preds(pred_by_id.get(video_id), seq_start=len(all_dets))
-        gt_objects = _extract_gt(gt_by_id[video_id])
+        gt, pred = gt_by_id[video_id], pred_by_id.get(video_id)
+        detections = _box_rows(pred, seq_start=len(all_dets)) if pred is not None else []
+        gt_objects = _box_rows(gt)
         gated, overlaps = (
             _match_pool(detections, gt_objects, config.iou_thresh, config.sim_thresh, sim)
             if gt_objects
             else (set(), [])
         )
+        candidates[video_id] = pred.caption.plain if pred is not None else ""
+        references[video_id] = [gt.caption.plain]
         per_video[video_id] = {
             **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
             "num_gt_boxes": len(gt_objects),
             "num_pred_boxes": len(detections),
+            "meteor": meteor_best(candidates[video_id], references[video_id]),
         }
         all_dets.extend(detections)
         all_gated.update(gated)
         all_overlaps.extend(overlaps)
         total_gt += len(gt_objects)
+    cider_corpus, cider_by_video = cider_scores(candidates, references)
+    for video_id, scores in per_video.items():
+        scores["cider"] = cider_by_video[video_id]
+
     frame_scores = _grounding_scores(all_dets, all_gated, all_overlaps, total_gt)
     video_scores = LevelScores(
-        *(_mean_or_none([per_video[v][m] for v in video_ids]) for m in ("ap50", "miou", "recall"))
+        *(_mean_or_none([s[m] for s in per_video.values()]) for m in ("ap50", "miou", "recall"))
     )
-
-    candidates = {}
-    references = {}
-    for video_id in video_ids:
-        pred = pred_by_id.get(video_id)
-        candidates[video_id] = pred.caption.plain if pred is not None else ""
-        references[video_id] = [gt_by_id[video_id].caption.plain]
-    cider_corpus, cider_by_video = cider_scores(candidates, references)
-    meteor_by_video = {
-        vid: meteor_best(candidates[vid], references[vid]) for vid in video_ids
-    }
-    meteor_corpus = float(sum(meteor_by_video.values()) / len(video_ids))
-
-    for vid in video_ids:
-        per_video[vid].update(meteor=meteor_by_video[vid], cider=cider_by_video[vid])
+    meteor_corpus = float(sum(scores["meteor"] for scores in per_video.values()) / len(video_ids))
 
     return MetricsReport(
         frame_level=frame_scores,

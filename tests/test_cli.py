@@ -58,9 +58,7 @@ def stir_input(tmp_path):
     return path
 
 
-UNKNOWN_SIMILARITY = (
-    "config key 'similarity' must be one of ['lexical', 'embedding'], got 'nonsense'"
-)
+BAD_EMBEDDING_ENDPOINT = "config key 'embedding_endpoint' must be a string or null, got 5"
 # what a file that holds "{bad", or starts with the byte 0xff, fails with
 NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -293,7 +291,7 @@ class TestEval:
         endpoint = "http://127.0.0.1:1/embed"  # nothing listens there
         code = main(
             ["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(tmp_path / "r.json"),
-             "--similarity", "embedding", "--embedding-endpoint", endpoint]
+             "--embedding-endpoint", endpoint]
         )
         assert code == 1
         error = capsys.readouterr().err.splitlines()[-1]
@@ -376,6 +374,19 @@ class TestValidate:
         assert captured.err == "error: config key 'retries' must be >= 0, got -1\n"
         assert captured.out == ""
 
+    def test_manifest_without_out_is_a_usage_error(self, tmp_path, rng, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+        assert main(["validate", "--input", str(path)]) == 0  # neither flag: no file written
+        capsys.readouterr()
+        missing = str(tmp_path / "missing.jsonl")  # reading it would fail with another error
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "--input", missing, "--manifest", str(tmp_path / "m.json")])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error == "groundcap: error: validate --manifest requires --out"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
     def test_manifest_path_that_is_a_directory_keeps_the_old_report(self, tmp_path, rng, capsys):
         path = tmp_path / "data.jsonl"
         path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
@@ -445,6 +456,34 @@ class TestStats:
         assert main(["eval", "--pred", str(empty), "--gt", str(empty), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: ground truth is empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+
+    def test_outputs_given_as_links_are_written_through_them(self, tmp_path, rng, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(serialize_video_annotation(make_corpus(rng, 1)[0]) + b"\n")
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "stats.json").write_bytes(b"old\n")
+        out, manifest = tmp_path / "stats.json", tmp_path / "stats.manifest.json"
+        out.symlink_to(Path("store", "stats.json"))
+        manifest.symlink_to(store / "manifest.json")  # dangling until the run
+        argv = ["stats", "--input", str(path), "--out", str(out), "--manifest", str(manifest)]
+        assert main(argv) == 0
+        assert out.is_symlink() and manifest.is_symlink()
+        assert sorted(p.name for p in store.iterdir()) == ["manifest.json", "stats.json"]
+        assert json.loads(out.read_text("utf-8"))["num_videos"] == 1
+        written = json.loads(manifest.read_text("utf-8"))  # it names the paths as typed
+        assert written["outputs"] == {str(out): hashlib.sha256(out.read_bytes()).hexdigest()}
+
+        # a link into a missing directory fails, names the path as typed, and writes nothing
+        manifest.unlink()
+        manifest.symlink_to(tmp_path / "nowhere" / "manifest.json")
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(f"No such file or directory: {str(manifest)!r}\n")
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in store.iterdir()) == ["manifest.json", "stats.json"]
 
 
 @pytest.mark.parametrize(
@@ -868,7 +907,7 @@ class TestUsageErrors:
             ('{"max_in_flight": 0}', "config key 'max_in_flight' must be >= 1, got 0"),
             ('{"fps": 0}', "config key 'fps' must be > 0, got 0.0"),
             ('{"fps": -1}', "config key 'fps' must be > 0, got -1.0"),
-            ('{"similarity": "nonsense"}', UNKNOWN_SIMILARITY),
+            ('{"similarity": "lexical"}', "unknown config keys: ['similarity']"),
             ("{bad", f"config {{path}}: invalid JSON: {NOT_JSON}"),
             ("\udcff{}", f"config {{path}}: invalid JSON: {NOT_UTF8}"),
         ],
@@ -929,29 +968,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_similarity_refused_by_a_command_that_does_not_use_it(
+    def test_bad_embedding_endpoint_refused_by_a_command_that_does_not_use_it(
         self, tmp_path, stir_input, capsys
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"similarity": "nonsense"}), "utf-8")
+        config.write_text(json.dumps({"embedding_endpoint": 5}), "utf-8")
         out = tmp_path / "ingested.jsonl"
         code = main(
             ["ingest", "--input", str(stir_input), "--out", str(out), "--config", str(config)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
+        assert capsys.readouterr().err == f"error: {BAD_EMBEDDING_ENDPOINT}\n"
         assert not out.exists()
 
-    def test_eval_unknown_similarity_exits_1_before_reading_input(self, tmp_path, capsys):
+    def test_eval_bad_embedding_endpoint_exits_1_before_reading_input(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"similarity": "nonsense"}), "utf-8")
+        config.write_text(json.dumps({"embedding_endpoint": 5}), "utf-8")
         missing = str(tmp_path / "missing.jsonl")  # reading it would fail with another error
         out = tmp_path / "report.json"
         code = main(
             ["eval", "--pred", missing, "--gt", missing, "--out", str(out), "--config", str(config)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
+        assert capsys.readouterr().err == f"error: {BAD_EMBEDDING_ENDPOINT}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_negative_retries_flag_exits_1_before_any_request(

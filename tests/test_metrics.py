@@ -23,11 +23,9 @@ from groundcap import (
     tokenize,
 )
 from groundcap.metrics import (
-    _Detection,
-    _GtObject,
+    _BoxRow,
     _average_precision,
-    _extract_gt,
-    _extract_preds,
+    _box_rows,
     _match_pool,
     cider_scores,
     similarity_backend,
@@ -263,12 +261,11 @@ class TestEmbeddingSimilarity:
             backend.similarity("a cup", "a mug")
 
     def test_config_selects_backend(self, embedding_server):
-        config = PipelineConfig(similarity="embedding", embedding_endpoint=embedding_server)
+        assert similarity_backend(PipelineConfig()).name == "lexical"
+        config = PipelineConfig(embedding_endpoint=embedding_server)
         assert similarity_backend(config).name == "embedding"
-        with pytest.raises(ValueError):
-            similarity_backend(PipelineConfig(similarity="embedding"))
-        with pytest.raises(ValueError):
-            similarity_backend(PipelineConfig(similarity="nonsense"))
+        with pytest.raises(ValueError, match="^endpoint must be an http or https URL, got ''$"):
+            similarity_backend(PipelineConfig(embedding_endpoint=""))
 
 
 class TestPhraseSimilarity:
@@ -292,11 +289,11 @@ class TestPhraseSimilarity:
 
 
 def pbox(x, y, w, h, phrase="a cup", conf=1.0, seq=0):
-    return _Detection(0, (x, y, w, h), phrase, conf, seq)
+    return _BoxRow(0, (x, y, w, h), phrase, conf, seq)
 
 
 def gbox(x, y, w, h, phrase="a cup"):
-    return _GtObject(0, (x, y, w, h), phrase)
+    return _BoxRow(0, (x, y, w, h), phrase, 1.0, 0)
 
 
 def match(preds, gts, iou_thresh=0.5, sim_thresh=0.5):
@@ -783,8 +780,7 @@ class TestExtractedBoxes:
         )
         # float.hex tells -0.0 from 0.0, so this is equality bit for bit
         want = [tuple(map(float.hex, unit[t].as_list())) for t in sorted(unit)]
-        for extracted in (_extract_gt(record), _extract_preds(record)):
-            assert [tuple(map(float.hex, item.box)) for item in extracted] == want
+        assert [tuple(map(float.hex, row.box)) for row in _box_rows(record)] == want
 
 
 class TestPooledGroundingOracle:
