@@ -58,7 +58,7 @@ def stir_input(tmp_path):
     return path
 
 
-BAD_EMBEDDING_ENDPOINT = "config key 'embedding_endpoint' must be a string or null, got 5"
+UNKNOWN_SIMILARITY = "unknown config keys: ['similarity']"  # the key is retired
 # what a file that holds "{bad", or starts with the byte 0xff, fails with
 NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
@@ -907,7 +907,11 @@ class TestUsageErrors:
             ('{"max_in_flight": 0}', "config key 'max_in_flight' must be >= 1, got 0"),
             ('{"fps": 0}', "config key 'fps' must be > 0, got 0.0"),
             ('{"fps": -1}', "config key 'fps' must be > 0, got -1.0"),
-            ('{"similarity": "lexical"}', "unknown config keys: ['similarity']"),
+            ('{"similarity": "lexical"}', UNKNOWN_SIMILARITY),
+            (
+                '{"embedding_endpoint": 5}',
+                "config key 'embedding_endpoint' must be a string or null, got 5",
+            ),
             ("{bad", f"config {{path}}: invalid JSON: {NOT_JSON}"),
             ("\udcff{}", f"config {{path}}: invalid JSON: {NOT_UTF8}"),
         ],
@@ -968,29 +972,29 @@ class TestUsageErrors:
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_embedding_endpoint_refused_by_a_command_that_does_not_use_it(
+    def test_unknown_similarity_refused_by_a_command_that_does_not_use_it(
         self, tmp_path, stir_input, capsys
     ):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"embedding_endpoint": 5}), "utf-8")
+        config.write_text(json.dumps({"similarity": "lexical"}), "utf-8")
         out = tmp_path / "ingested.jsonl"
         code = main(
             ["ingest", "--input", str(stir_input), "--out", str(out), "--config", str(config)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {BAD_EMBEDDING_ENDPOINT}\n"
+        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
         assert not out.exists()
 
-    def test_eval_bad_embedding_endpoint_exits_1_before_reading_input(self, tmp_path, capsys):
+    def test_eval_unknown_similarity_exits_1_before_reading_input(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"embedding_endpoint": 5}), "utf-8")
+        config.write_text(json.dumps({"similarity": "lexical"}), "utf-8")
         missing = str(tmp_path / "missing.jsonl")  # reading it would fail with another error
         out = tmp_path / "report.json"
         code = main(
             ["eval", "--pred", missing, "--gt", missing, "--out", str(out), "--config", str(config)]
         )
         assert code == 1
-        assert capsys.readouterr().err == f"error: {BAD_EMBEDDING_ENDPOINT}\n"
+        assert capsys.readouterr().err == f"error: {UNKNOWN_SIMILARITY}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_negative_retries_flag_exits_1_before_any_request(
