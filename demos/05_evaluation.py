@@ -23,7 +23,7 @@ def record(video_id, tagged, boxes_by_phrase, confidence=None):
     tracks = []
     for phrase_index, boxes in boxes_by_phrase.items():
         conf = {t: confidence for t in boxes} if confidence else None
-        tracks.append(ObjectTrack.from_boxes(phrase_index, boxes, 4, confidence=conf))
+        tracks.append(ObjectTrack(phrase_index, boxes, 4, confidence=conf))
     return VideoAnnotation(
         video_id=video_id, frame_count=4, fps=5.0, width=455, height=256,
         caption=caption, tracks=tuple(tracks),

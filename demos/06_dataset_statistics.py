@@ -32,7 +32,7 @@ def random_record(video_id):
                 )
                 t += 1
             t += rng.randint(1, 6)
-        tracks.append(ObjectTrack.from_boxes(phrase_index, boxes, frame_count))
+        tracks.append(ObjectTrack(phrase_index, boxes, frame_count))
     return VideoAnnotation(
         video_id=video_id, frame_count=frame_count, fps=5.0, width=455, height=256,
         caption=caption, tracks=tuple(tracks),

@@ -98,6 +98,16 @@ def _write_outputs(
             Path(temporary).unlink(missing_ok=True)  # gone already once moved
 
 
+_KINDS = {str: "a string", list: "an array", dict: "an object"}
+
+
+def _of_kind(value: T, kind: type, name: str) -> T:
+    """``value``, which must be a ``kind``; else a TypeError naming the field ``name``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _stage_file(raw: bytes, parse: Callable[[dict], T]) -> dict[str, T]:
     """``video_id -> parse(record)`` for each record of a stage output file, in file order.
 
@@ -108,9 +118,7 @@ def _stage_file(raw: bytes, parse: Callable[[dict], T]) -> dict[str, T]:
     for line, obj in iter_jsonl(raw):
         try:
             value = parse(obj)
-            video_id = obj["video_id"]
-            if not isinstance(video_id, str):
-                raise TypeError(f"'video_id' must be a string, got {video_id!r}")
+            video_id = _of_kind(obj["video_id"], str, "'video_id'")
             if video_id in parsed:
                 raise ValueError(f"duplicate video_id {video_id!r}")
             parsed[video_id] = value
@@ -190,13 +198,15 @@ def _cmd_svo(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> in
 
 
 def _cmd_aggregate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
-    videos = _stage_file(
-        raw,
-        lambda obj: [
-            SvoFrame(f["frame_index"], tuple(SvoRelation(**r) for r in f["relations"]))
-            for f in obj["frames"]
-        ],
-    )
+    def relation(item) -> SvoRelation:
+        return SvoRelation(**_of_kind(item, dict, "relation"))
+
+    def frame(item) -> SvoFrame:
+        index = _of_kind(item, dict, "frame")["frame_index"]
+        relations = _of_kind(item["relations"], list, "relations")
+        return SvoFrame(index, tuple(map(relation, relations)))
+
+    videos = _stage_file(raw, lambda obj: list(map(frame, _of_kind(obj["frames"], list, "frames"))))
 
     def aggregate(video: tuple[str, list[SvoFrame]], client) -> _VideoOutput:
         video_id, frames = video
@@ -218,10 +228,7 @@ def _cmd_track(
     by_video = group_frame_groundings(parse_frame_grounding(raw_frames))
 
     def phrases(obj: dict) -> list[str]:
-        caption = obj["caption"]
-        if not isinstance(caption, str):
-            raise TypeError(f"caption must be a string, got {caption!r}")
-        texts = parse_tagged_caption(caption).phrase_texts
+        texts = parse_tagged_caption(_of_kind(obj["caption"], str, "caption")).phrase_texts
         if not texts:
             raise ValueError("caption tags no phrases")
         return texts

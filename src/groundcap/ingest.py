@@ -16,10 +16,13 @@ the schema and by :func:`~groundcap.records.check_annotation` and built in one
 walk; the walker and ``check_annotation`` run only to explain a line that
 walk refuses.  Masks are reduced to their pixel boxes as frame records are
 read.  All parsing is pure per record, so files can be processed in parallel.
+A JSON-lines file is decoded, parsed and checked one line at a time, so the
+first faulty line in file order is the one reported, whatever its fault.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -236,19 +239,19 @@ def _check_schema(errors: Iterator[tuple[str, str]], line: Optional[int]) -> Non
 
 
 def iter_jsonl(data: bytes) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line_number, parsed_object)`` for non-blank lines; 1-based."""
-    for i, raw in enumerate(_decode(data, 1).split("\n"), start=1):
-        if raw.strip():
-            yield i, _json_record(raw, i)
+    """Yield ``(line_number, parsed_object)`` for non-blank lines, 1-based, each line
+    decoded and parsed only when it is reached."""
+    for i, raw in enumerate(io.BytesIO(data), start=1):
+        text = _decode(raw, i)
+        if text.strip():
+            yield i, _json_record(text, i)
 
 
 def _decode(data: bytes, line: Optional[int]) -> str:
-    """``data``, from line ``line`` on, as UTF-8; a bad byte is a SchemaError naming its line."""
+    """``data`` as UTF-8; a bad byte is a SchemaError naming ``line``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        if line is not None:
-            line += data.count(b"\n", 0, exc.start)
         raise SchemaError(f"invalid UTF-8: {exc.reason}", line=line) from exc
 
 
@@ -576,8 +579,7 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
                 if not track_boxes:
                     continue
                 confidence = dict(zip(track_boxes, map(confidence.__getitem__, track_boxes)))
-                presence = map(track_boxes.__contains__, range(frame_count))
-        tracks.append(ObjectTrack(int(phrase_index), track_boxes, presence, confidence))
+        tracks.append(ObjectTrack(int(phrase_index), track_boxes, frame_count, confidence))
     # Two tracks for one phrase are allowed (an object can be two tubes),
     # but an identical box on a shared frame means a duplicated record.
     for group in by_phrase.values():

@@ -167,15 +167,19 @@ class JsonEndpoint:
         import urllib.request
         from urllib.parse import unquote, urlsplit
 
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise ValueError(f"endpoint must be an http or https URL, got {url!r}")
+        refused = f"endpoint must be an http or https URL, got {url!r}"
+        try:
+            parts = urlsplit(url)
+            host, port = parts.hostname, parts.port
+        except ValueError as exc:  # a bracketed host left open, or a bad port
+            raise ValueError(f"{refused}: {exc}") from exc
+        if parts.scheme not in ("http", "https") or not host:
+            raise ValueError(refused)
         self.url = url
         self._headers = {"Content-Type": "application/json", **(headers or {})}
         self._target = parts.path or "/"
         if parts.query:
             self._target += "?" + parts.query
-        host, port = parts.hostname, parts.port
         proxy = urllib.request.getproxies().get(parts.scheme)
         proxied = bool(proxy) and not urllib.request.proxy_bypass(host)
         proxy_headers = {}

@@ -579,11 +579,15 @@ def evaluate(
         )
         candidates[video_id] = pred.caption.plain if pred is not None else ""
         references[video_id] = [gt.caption.plain]
+        try:
+            meteor = meteor_best(candidates[video_id], references[video_id])
+        except ValueError as exc:  # the reader lets a caption of only whitespace pass
+            raise ValueError(f"ground-truth caption of video {video_id!r} has no words") from exc
         per_video[video_id] = {
             **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
             "num_gt_boxes": len(gt_objects),
             "num_pred_boxes": len(detections),
-            "meteor": meteor_best(candidates[video_id], references[video_id]),
+            "meteor": meteor,
         }
         all_dets.extend(detections)
         all_gated.update(gated)

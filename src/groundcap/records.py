@@ -1,7 +1,10 @@
 """Video-level record types: object tracks, annotations and SVO frames.
 
-Tracks and annotations are plain immutable values.  Their invariants are
-checked on the plain-JSON form, once, where a record enters.
+Tracks and annotations are plain immutable values.  A track is its boxes:
+its presence flags are derived from the box frames, so in memory they
+cannot disagree; the ``presence`` of the JSON form is checked against the
+boxes where a record enters, and written where it leaves.  The invariants
+are checked on the plain-JSON form, once, where a record enters.
 :func:`check_annotation` states them and raises
 :class:`RecordValidationError` on the first violation.
 :func:`groundcap.tubes.build_record` runs it on ``annotation_to_dict`` of the
@@ -36,41 +39,29 @@ class RecordValidationError(ValueError):
 class ObjectTrack:
     """One caption phrase bound to per-frame boxes, with gaps allowed.
 
-    ``presence`` has one flag per video frame and is true exactly where
-    ``boxes`` holds a box.  ``confidence`` (prediction records only) maps a
-    present frame to a score in [0, 1].
+    The track spans the video's ``frame_count`` frames; ``presence`` is
+    derived from the box keys, one flag per frame.  ``confidence``
+    (prediction records only) maps a present frame to a score in [0, 1].
     """
 
     phrase_index: int
     boxes: Mapping[int, BoundingBox]
-    presence: tuple[bool, ...]
+    frame_count: int
     confidence: Optional[Mapping[int, float]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "boxes", MappingProxyType(dict(self.boxes)))
-        object.__setattr__(self, "presence", tuple(self.presence))
         if self.confidence is not None:
             object.__setattr__(self, "confidence", MappingProxyType(dict(self.confidence)))
 
-    @classmethod
-    def from_boxes(
-        cls,
-        phrase_index: int,
-        boxes: Mapping[int, BoundingBox],
-        frame_count: int,
-        confidence: Optional[Mapping[int, float]] = None,
-    ) -> "ObjectTrack":
-        """Build a track with the presence vector derived from the box keys."""
-        presence = tuple(t in boxes for t in range(frame_count))
-        return cls(phrase_index, dict(boxes), presence, confidence)
+    @property
+    def presence(self) -> tuple[bool, ...]:
+        """One flag per frame, true exactly where ``boxes`` holds a box."""
+        return tuple(map(self.boxes.__contains__, range(self.frame_count)))
 
     @property
     def present_frames(self) -> list[int]:
         return sorted(self.boxes)
-
-    @property
-    def frame_count(self) -> int:
-        return len(self.presence)
 
 
 @dataclass(frozen=True)

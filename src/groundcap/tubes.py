@@ -65,7 +65,7 @@ def assemble_tracks(
         else:
             frames[frame_index] = box
     return [
-        ObjectTrack.from_boxes(phrase_index, frames, frame_count)
+        ObjectTrack(phrase_index, frames, frame_count)
         for phrase_index, frames in sorted(boxes_per_phrase.items())
     ]
 
@@ -73,15 +73,11 @@ def assemble_tracks(
 def derive_presence(track: ObjectTrack) -> list[tuple[int, int]]:
     """Maximal runs of consecutive present frames as inclusive (start, end)."""
     segments: list[tuple[int, int]] = []
-    start: Optional[int] = None
-    for t, present in enumerate(track.presence):
-        if present and start is None:
-            start = t
-        elif not present and start is not None:
-            segments.append((start, t - 1))
-            start = None
-    if start is not None:
-        segments.append((start, len(track.presence) - 1))
+    for t in track.present_frames:
+        if segments and segments[-1][1] == t - 1:
+            segments[-1] = (segments[-1][0], t)
+        else:
+            segments.append((t, t))
     return segments
 
 

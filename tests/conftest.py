@@ -240,7 +240,7 @@ def make_annotation(
             boxes[t] = BoundingBox(10.0, 12.0, 25.0, 30.0)
             confidence[t] = 1.0
         tracks.append(
-            ObjectTrack.from_boxes(
+            ObjectTrack(
                 index, boxes, frame_count, confidence=confidence if with_confidence else None
             )
         )

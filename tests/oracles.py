@@ -477,8 +477,9 @@ def schema_errors(value, schema: dict, path: str = "$") -> Iterator[tuple[str, s
 # once where they enter
 
 
-def reference_track_check(track) -> None:
-    """The former ``ObjectTrack.__post_init__`` checks, in their order."""
+def reference_track_check(track, presence) -> None:
+    """The former ``ObjectTrack.__post_init__`` checks, in their order, with ``presence`` the
+    flags of the track's JSON form: a track derives its own from its boxes, so they agree."""
     from groundcap.records import RecordValidationError
 
     if track.phrase_index < 0:
@@ -487,13 +488,13 @@ def reference_track_check(track) -> None:
         )
     if not track.boxes:
         raise RecordValidationError("empty-track", "track has no present frames")
-    frame_count = len(track.presence)
+    frame_count = len(presence)
     for t in track.boxes:
         if not 0 <= t < frame_count:
             raise RecordValidationError(
                 "frame-out-of-range", f"box frame {t} outside [0, {frame_count})"
             )
-    for t, flag in enumerate(track.presence):
+    for t, flag in enumerate(presence):
         if flag != (t in track.boxes):
             raise RecordValidationError(
                 "presence-box-mismatch",
@@ -593,8 +594,8 @@ def reference_annotation(obj: dict):
         confidence = None
         if "confidence" in item:
             confidence = {int(k): float(v) for k, v in item["confidence"].items()}
-        track = ObjectTrack(int(item["phrase_index"]), boxes, tuple(item["presence"]), confidence)
-        reference_track_check(track)
+        track = ObjectTrack(int(item["phrase_index"]), boxes, len(item["presence"]), confidence)
+        reference_track_check(track, item["presence"])
         tracks.append(track)
     record = VideoAnnotation(
         obj["video_id"], int(obj["frame_count"]), float(obj["fps"]), int(obj["width"]),
@@ -627,11 +628,11 @@ def reference_objectness(record, threshold: float):
             )
         kept = {t: box for t, box in track.boxes.items() if track.confidence[t] >= threshold}
         if kept:
-            kept_track = ObjectTrack.from_boxes(
+            kept_track = ObjectTrack(
                 track.phrase_index, kept, record.frame_count,
                 {t: track.confidence[t] for t in kept},
             )
-            reference_track_check(kept_track)
+            reference_track_check(kept_track, kept_track.presence)
             tracks.append(kept_track)
     filtered = VideoAnnotation(
         record.video_id, record.frame_count, record.fps, record.width, record.height,

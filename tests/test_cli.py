@@ -62,6 +62,13 @@ UNKNOWN_SIMILARITY = "unknown config keys: ['similarity']"  # the key is retired
 # what a file that holds "{bad", or starts with the byte 0xff, fails with
 NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+BAD_URLS = [  # (endpoint, why urllib refuses it)
+    pytest.param("http://127.0.0.1:99999/x", "Port out of range 0-65535", id="port-range"),
+    pytest.param(
+        "http://127.0.0.1:abc/x", "Port could not be cast to integer value as 'abc'", id="port-text"
+    ),
+    pytest.param("http://[::1/x", "Invalid IPv6 URL", id="open-bracket"),
+]
 
 
 def write_config(tmp_path, server, **extra):
@@ -298,6 +305,17 @@ class TestEval:
         assert error.startswith("error: embedding of 'one ") and f"from {endpoint} failed" in error
 
 
+    @pytest.mark.parametrize("url, reason", BAD_URLS)
+    def test_a_bad_embedding_endpoint_url_is_named(self, tmp_path, rng, capsys, url, reason):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(serialize_video_annotation(make_annotation(rng, "v")) + b"\n")
+        argv = ["eval", "--pred", str(data), "--gt", str(data), "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--embedding-endpoint", url]) == 1
+        error = capsys.readouterr().err
+        assert error == f"error: endpoint must be an http or https URL, got {url!r}: {reason}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
+
+
 class TestValidate:
     def test_valid_dataset_exits_zero(self, tmp_path, rng):
         records = make_corpus(rng, 3)
@@ -456,6 +474,17 @@ class TestStats:
         assert main(["eval", "--pred", str(empty), "--gt", str(empty), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: ground truth is empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+    def test_eval_names_a_ground_truth_caption_without_words(self, tmp_path, rng, capsys):
+        good = json.loads(serialize_video_annotation(make_annotation(rng, "v1")))
+        blank = {**good, "video_id": "v2", "caption": " ", "tracks": []}  # a valid record
+        gt = tmp_path / "gt.jsonl"
+        gt.write_text(json.dumps(good) + "\n" + json.dumps(blank) + "\n", "utf-8")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(gt), "--gt", str(gt), "--out", str(out)]) == 1
+        error = capsys.readouterr().err
+        assert error == "error: ground-truth caption of video 'v2' has no words\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.jsonl"]
 
 
     def test_outputs_given_as_links_are_written_through_them(self, tmp_path, rng, capsys):
@@ -811,6 +840,16 @@ class TestMalformedStageInput:
                 [svo_record(adpositions=[["in", 3]])],
                 "line 1: adposition must be a pair of strings, got ['in', 3]",
             ),
+            ([{"video_id": "v1", "frames": "abc"}], "line 1: frames must be an array, got 'abc'"),
+            ([{"video_id": "v1", "frames": [7]}], "line 1: frame must be an object, got 7"),
+            (
+                [{"video_id": "v1", "frames": [{"frame_index": 0, "relations": 5}]}],
+                "line 1: relations must be an array, got 5",
+            ),
+            (
+                [{"video_id": "v1", "frames": [{"frame_index": 0, "relations": [["a", "b"]]}]}],
+                "line 1: relation must be an object, got ['a', 'b']",
+            ),
         ],
     )
     def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):
@@ -819,6 +858,14 @@ class TestMalformedStageInput:
         argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
         error = self.run_failing(argv, tmp_path, server, capsys)
         assert error == f"error: {message}"
+
+    @pytest.mark.parametrize("url, reason", BAD_URLS)
+    def test_aggregate_names_a_bad_endpoint_url(self, tmp_path, server, capsys, url, reason):
+        svo = tmp_path / "svo.jsonl"
+        svo.write_text(json.dumps(svo_record()) + "\n", "utf-8")
+        argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
+        error = self.run_failing([*argv, "--endpoint", url], tmp_path, server, capsys)
+        assert error == f"error: endpoint must be an http or https URL, got {url!r}: {reason}"
 
     def test_track_names_the_line(self, tmp_path, stir_input, server, capsys):
         captions = tmp_path / "captions.jsonl"
@@ -878,6 +925,36 @@ class TestMalformedStageInput:
         assert error == "error: line 2: caption tags no phrases"
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == ["captions.jsonl", "config.json", "frames.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "stats", "aggregate"])
+def test_a_fault_on_line_2_is_reported_before_a_bad_byte_on_line_4(tmp_path, rng, capsys, command):
+    if command == "ingest":
+        good = json.loads(frames_jsonl(stirring_frames()[:1]))
+        bad, message = {**good, "frame_index": -1}, "$.frame_index: -1 is less than the minimum of 0"
+    elif command == "stats":
+        good = json.loads(serialize_video_annotation(make_annotation(rng, "v1")))
+        bad, message = {**good, "fps": 0}, "$.fps: 0 is not greater than 0"
+    else:
+        good = svo_record()
+        bad, message = {"video_id": "v2"}, "'frames' is a required property"
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(f"{json.dumps(good)}\n{json.dumps(bad)}\n\n".encode() + b"\xff\n")
+    argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+    if command == "aggregate":
+        argv += ["--rejected", str(tmp_path / "rejected.jsonl")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: line 2: {message}"
+
+
+def test_validate_reports_earlier_lines_before_a_bad_byte(tmp_path, rng, capsys):
+    good = json.loads(serialize_video_annotation(make_annotation(rng, "v1")))
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(f"{json.dumps({**good, 'fps': 0})}\n".encode() + b"\xff\n")
+    assert main(["validate", "--input", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "v1: schema: $.fps: 0 is not greater than 0\n"
+    assert err.splitlines()[-1] == "error: line 2: invalid UTF-8: invalid start byte"
 
 
 class TestUsageErrors:

@@ -263,7 +263,7 @@ class TestMaskToBox:
 
 def minimal_annotation() -> VideoAnnotation:
     caption = parse_tagged_caption("<p>a cook</p> rests")
-    track = ObjectTrack.from_boxes(0, {0: BoundingBox(1.0, 2.0, 3.0, 4.0)}, 1)
+    track = ObjectTrack(0, {0: BoundingBox(1.0, 2.0, 3.0, 4.0)}, 1)
     return VideoAnnotation(
         video_id="v1",
         frame_count=1,
@@ -298,7 +298,7 @@ class TestAnnotationRoundTrip:
         caption = parse_tagged_caption(tagged)
         assert len(caption.plain.split()) == 16
         tracks = tuple(
-            ObjectTrack.from_boxes(
+            ObjectTrack(
                 i, {t: BoundingBox(float(5 * i), 0.0, 20.0, 30.0) for t in range(40)}, 40
             )
             for i in range(3)
@@ -368,7 +368,12 @@ class TestAnnotationRoundTrip:
     "read", [read_annotations, load_predictions, parse_frame_grounding, ingest.iter_jsonl]
 )
 def test_invalid_utf8_names_the_line(read, rng):
-    data = serialize_video_annotation(make_annotation(rng, "v")) + b"\n\n\xff\n"
+    # line 1 is a record its reader accepts, as a fault there would be reported first
+    if read is parse_frame_grounding:
+        first = to_jsonl([frame_line()])
+    else:
+        first = serialize_video_annotation(make_annotation(rng, "v")) + b"\n"
+    data = first + b"\n\xff\n"
     with pytest.raises(SchemaError, match="^line 3: invalid UTF-8: invalid start byte$"):
         list(read(data))
 

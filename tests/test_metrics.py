@@ -391,7 +391,7 @@ def annotation_with_tracks(
         if confidence is not None:
             conf = {t: confidence for t in boxes}
         tracks.append(
-            ObjectTrack.from_boxes(phrase_index, boxes, frame_count, confidence=conf)
+            ObjectTrack(phrase_index, boxes, frame_count, confidence=conf)
         )
     return VideoAnnotation(
         video_id=video_id,
@@ -484,7 +484,7 @@ class TestGroundingMetrics:
             )
         ]
         pred_caption = parse_tagged_caption("<p>a cup</p> here")
-        pred_track = ObjectTrack.from_boxes(
+        pred_track = ObjectTrack(
             0,
             {
                 0: BoundingBox(10, 10, 20, 20),  # TP at conf 0.9
@@ -536,7 +536,7 @@ class TestGroundingMetrics:
             annotation_with_tracks("v", {0: {0: BoundingBox(10, 10, 20, 20)}}, frame_count=1)
         ]
         caption = parse_tagged_caption("<p>an elephant</p> walks")
-        pred_track = ObjectTrack.from_boxes(0, {0: BoundingBox(10, 10, 20, 20)}, 1)
+        pred_track = ObjectTrack(0, {0: BoundingBox(10, 10, 20, 20)}, 1)
         pred = [
             VideoAnnotation(
                 video_id="v",
@@ -724,13 +724,13 @@ def _noisy_prediction(rng, gt):
                 )
                 confidence = {t: rng.choice(CONFIDENCES) for t in boxes}
                 tracks.append(
-                    ObjectTrack.from_boxes(phrase_index, boxes, gt.frame_count, confidence)
+                    ObjectTrack(phrase_index, boxes, gt.frame_count, confidence)
                 )
     for _extra in range(rng.randint(0, 2)):
         t = rng.randrange(gt.frame_count)
         box = BoundingBox(float(rng.randrange(0, 300)), float(rng.randrange(0, 150)), 30.0, 20.0)
         tracks.append(
-            ObjectTrack.from_boxes(
+            ObjectTrack(
                 rng.randrange(phrases), {t: box}, gt.frame_count, {t: rng.choice(CONFIDENCES)}
             )
         )
@@ -773,7 +773,7 @@ class TestExtractedBoxes:
             pixel[t] = BoundingBox(x, y, fw * (width - x), fh * (height - y))
         unit = {t: normalize_box(box, width, height) for t, box in pixel.items()}
         boxes = unit if normalized else pixel
-        track = ObjectTrack.from_boxes(0, boxes, len(boxes), {t: 0.5 for t in boxes})
+        track = ObjectTrack(0, boxes, len(boxes), {t: 0.5 for t in boxes})
         record = VideoAnnotation(
             "v", len(boxes), 5.0, width, height, parse_tagged_caption("<p>a cup</p> rests"),
             (track,), boxes_normalized=normalized,

@@ -16,7 +16,7 @@ def single_video() -> VideoAnnotation:
     # 5-word caption
     caption = parse_tagged_caption("<p>a cook</p> lifts a tray")
     assert len(caption.plain.split()) == 5
-    track = ObjectTrack.from_boxes(
+    track = ObjectTrack(
         0, {t: BoundingBox(5.0, 6.0, 20.0, 10.0) for t in range(10)}, 10
     )
     return VideoAnnotation(
@@ -70,7 +70,7 @@ class TestDatasetStats:
 
     def test_tubes_respect_gaps(self):
         caption = parse_tagged_caption("<p>a cup</p> appears")
-        track = ObjectTrack.from_boxes(
+        track = ObjectTrack(
             0, {t: BoundingBox(0.0, 0.0, 4.0, 4.0) for t in (0, 1, 5, 6, 7)}, 9
         )
         record = VideoAnnotation(
@@ -90,7 +90,7 @@ class TestDatasetStats:
     def test_normalized_boxes_reported_in_pixels(self):
         caption = parse_tagged_caption("<p>a cup</p> sits")
         box = normalize_box(BoundingBox(0.0, 0.0, 91.0, 64.0), 455, 256)
-        track = ObjectTrack.from_boxes(0, {0: box}, 1)
+        track = ObjectTrack(0, {0: box}, 1)
         record = VideoAnnotation(
             video_id="norm",
             frame_count=1,

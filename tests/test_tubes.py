@@ -15,7 +15,7 @@ CAPTION = parse_tagged_caption("<p>a woman</p> pours <p>a beverage</p>")
 
 
 def track_from(frames, frame_count, phrase_index=0):
-    return ObjectTrack.from_boxes(
+    return ObjectTrack(
         phrase_index, {t: BoundingBox(0, 0, 10, 10) for t in frames}, frame_count
     )
 
