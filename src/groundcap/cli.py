@@ -99,6 +99,7 @@ def _write_outputs(
 
 
 _KINDS = {str: "a string", list: "an array", dict: "an object"}
+_RELATION_FIELDS = frozenset(field.name for field in fields(SvoRelation))
 
 
 def _of_kind(value: T, kind: type, name: str) -> T:
@@ -199,7 +200,14 @@ def _cmd_svo(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> in
 
 def _cmd_aggregate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     def relation(item) -> SvoRelation:
-        return SvoRelation(**_of_kind(item, dict, "relation"))
+        given = _of_kind(item, dict, "relation")
+        for name in ("subject", "verb"):
+            if name not in given:
+                raise KeyError(name)  # named as a required property
+        unexpected = [key for key in given if key not in _RELATION_FIELDS]
+        if unexpected:
+            raise ValueError(f"unexpected property {unexpected[0]!r}")
+        return SvoRelation(**given)
 
     def frame(item) -> SvoFrame:
         index = _of_kind(item, dict, "frame")["frame_index"]

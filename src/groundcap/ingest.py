@@ -11,13 +11,16 @@
 
 Records are checked against hand-written walkers of their schemas, which
 give JSON Schema's errors in its order, with two tightenings: numbers are
-finite doubles, and frame keys match whole.  An annotation line is checked by
-the schema and by :func:`~groundcap.records.check_annotation` and built in one
-walk; the walker and ``check_annotation`` run only to explain a line that
-walk refuses.  Masks are reduced to their pixel boxes as frame records are
-read.  All parsing is pure per record, so files can be processed in parallel.
-A JSON-lines file is decoded, parsed and checked one line at a time, so the
-first faulty line in file order is the one reported, whatever its fault.
+finite doubles, and frame keys match whole.  Each line is checked and built
+in one walk: a frame line by its schema and its box and mask rules, an
+annotation line by its schema and by
+:func:`~groundcap.records.check_annotation`.  The walkers (and
+``check_annotation``) run only to explain a line that walk refuses, so the
+first error in their order is the one reported.  Masks are reduced to their
+pixel boxes as frame records are read.  All parsing is pure per record, so
+files can be processed in parallel.  A JSON-lines file is decoded, parsed
+and checked one line at a time, so the first faulty line in file order is
+the one reported, whatever its fault.
 """
 
 from __future__ import annotations
@@ -181,8 +184,10 @@ def _closed(fields: dict, required=None, frame_key=None, one_of=()) -> _Check:
 
 # The shipped input schemas, field by field; tests/test_schema.py holds the
 # walkers to the schema files.
-_BOX = _array(_scalar("number"), 4, 4, kinds={int, float}, floor=-_DOUBLE_MAX)
-_MASK = _array(_scalar("integer", minimum=0), kinds={int}, floor=0)
+_BOX_ITEMS = ({int, float}, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
+_MASK_RUNS = ({int}, 0)
+_BOX = _array(_scalar("number"), 4, 4, *_BOX_ITEMS)
+_MASK = _array(_scalar("integer", minimum=0), 0, None, *_MASK_RUNS)
 
 _FRAME_RECORD = _closed(
     {
@@ -287,7 +292,7 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
     """
     if width < 1 or height < 1:
         raise SchemaError(f"mask dimensions must be >= 1, got {width}x{height}")
-    runs = list(counts)
+    runs = counts if type(counts) is list else list(counts)
     if min(runs, default=0) < 0:
         raise SchemaError(f"negative run length {next(run for run in runs if run < 0)}")
     ends = list(accumulate(runs))  # one past the last pixel of each run
@@ -296,10 +301,12 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
         raise SchemaError(f"mask runs sum to {total}, expected {width * height}")
     # foreground runs are the odd ones, each starting where the run before ends
     lengths = runs[1::2]
-    firsts = list(compress(ends[0::2], lengths))
+    firsts, stops = ends[0:-1:2], ends[1::2]
+    if not all(lengths):  # keep the non-empty ones
+        firsts, stops = list(compress(firsts, lengths)), compress(stops, lengths)
     if not firsts:
         raise EmptyMaskError("mask has no foreground pixels")
-    lasts = list(map(operator.sub, compress(ends[1::2], lengths), repeat(1)))
+    lasts = list(map(operator.sub, stops, repeat(1)))
     min_y, max_y = firsts[0] // width, lasts[-1] // width
     first_cols = list(map(operator.mod, firsts, repeat(width)))
     last_cols = list(map(operator.mod, lasts, repeat(width)))
@@ -361,7 +368,72 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
 
 
 def _frame_grounding(obj: dict, line: int) -> FrameGrounding:
-    """Check one frame-grounding record and build it; errors name ``line``."""
+    """Check one frame-grounding record and build it in one walk; errors name ``line``.
+
+    A record that walk refuses is explained by :func:`_explained_frame`.
+    """
+    try:
+        return _frame(obj)
+    except ValueError:
+        return _explained_frame(obj, line)
+
+
+_FRAME_FIELDS = frozenset(("video_id", "frame_index", "width", "height", "caption", "objects"))
+
+
+def _frame(obj) -> FrameGrounding:
+    """The record of frame ``obj``; ValueError on any fault.
+
+    Integer fields go through ``int``, as the schema lets integral floats pass.
+    A mask whose runs are not all ints is left to :func:`_explained_frame`.
+    """
+    if not (isinstance(obj, dict) and obj.keys() == _FRAME_FIELDS):
+        raise ValueError("not a frame object")
+    video_id, caption, items = obj["video_id"], obj["caption"], obj["objects"]
+    sizes = obj["frame_index"], obj["width"], obj["height"]
+    if not (
+        isinstance(video_id, str)
+        and video_id
+        and isinstance(caption, str)
+        and isinstance(items, list)
+        and all(map(_is_integer, sizes))
+        and sizes[0] >= 0
+        and min(sizes[1:]) >= 1
+    ):
+        raise ValueError("a field breaks the schema")
+    frame_index, width, height = map(int, sizes)
+    objects = []
+    for item in items:
+        if not (
+            isinstance(item, dict)
+            and len(item) == 2
+            and isinstance(item.get("phrase"), str)
+            and item["phrase"]
+        ):
+            raise ValueError("not an object with a phrase and a box or a mask")
+        if "box" in item:
+            values = item["box"]
+            if not (isinstance(values, list) and len(values) == 4):
+                raise ValueError("not a box of 4 items")
+            if not _all_pass(values, *_BOX_ITEMS):
+                raise ValueError("not a box of finite numbers")
+            box = BoundingBox(*map(float, values))  # ValueError on a negative size
+        elif "mask" in item:
+            runs = item["mask"]
+            if not (isinstance(runs, list) and _all_pass(runs, *_MASK_RUNS)):
+                raise ValueError("not a mask of int runs")
+            try:
+                box = mask_to_box(runs, width, height)  # SchemaError when the runs do not add up
+            except EmptyMaskError:
+                box = None
+        else:
+            raise ValueError("neither a box nor a mask")
+        objects.append(FrameObject(item["phrase"], box))
+    return FrameGrounding(video_id, frame_index, width, height, caption, tuple(objects))
+
+
+def _explained_frame(obj, line: int) -> FrameGrounding:
+    """Check frame ``obj`` by the walker, then build it; the first fault raises, naming ``line``."""
     _check_schema(_frame_errors(obj), line)
     # the schema lets integral floats such as 2.0 pass as integers
     width, height = int(obj["width"]), int(obj["height"])

@@ -6,10 +6,15 @@ strictly; anything that does not carry the expected dictionary-shaped answer
 becomes a rejection with a machine-readable reason code rather than a crash,
 so a batch run can count and log failed videos the same way it counts
 accepted ones.
+
+What a request repeats is built once: the system and in-context messages of
+each stage are module-level tuples made at import, each message computes its
+JSON text once, and each client its body's text around the messages.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -56,6 +61,11 @@ class ChatMessage:
 
     def as_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """:meth:`as_dict` as ``json.dumps`` writes it inside a request body."""
+        return json.dumps(self.as_dict(), allow_nan=False)
 
 
 class ChatClient(Protocol):
@@ -184,15 +194,19 @@ class JsonEndpoint:
         proxied = bool(proxy) and not urllib.request.proxy_bypass(host)
         proxy_headers = {}
         if proxied:
-            proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
-            if not proxy_parts.hostname:
-                raise ValueError(f"{parts.scheme} proxy must be a URL, got {proxy!r}")
+            refused = f"{parts.scheme} proxy must be a URL, got {proxy!r}"
+            try:
+                proxy_parts = urlsplit(proxy if "://" in proxy else "http://" + proxy)
+                host, port = proxy_parts.hostname, proxy_parts.port or 80
+            except ValueError as exc:
+                raise ValueError(f"{refused}: {exc}") from exc
+            if not host:
+                raise ValueError(refused)
             if proxy_parts.username:
                 login = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password or '')}"
                 proxy_headers["Proxy-Authorization"] = (
                     "Basic " + base64.b64encode(login.encode("utf-8")).decode("ascii")
                 )
-            host, port = proxy_parts.hostname, proxy_parts.port or 80
         if parts.scheme == "https":
             import ssl
 
@@ -261,6 +275,9 @@ class HttpChatClient:
     ``message.content``.  Instances are cheap; each worker thread should own
     one, because each holds one :class:`JsonEndpoint` connection.
 
+    The model, temperature and seed are read at the first request, which
+    builds the body's text around the messages once for the client.
+
     At temperature 0 decoding is deterministic, so an answer is kept in
     ``memo`` under the digest of its request body and a byte-identical
     request is answered from there without a round trip.  Clients that share
@@ -280,15 +297,23 @@ class HttpChatClient:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
         self._endpoint = JsonEndpoint(self.endpoint, self.timeout, headers)
 
-    def complete(self, messages: Sequence[ChatMessage]) -> str:
-        payload: dict = {
-            "model": self.model,
-            "messages": [m.as_dict() for m in messages],
-            "temperature": self.temperature,
-        }
+    @functools.cached_property
+    def _envelope(self) -> tuple[str, str]:
+        """The body's text before and after its messages, read from the fields once.
+
+        Raises:
+            ValueError: on a temperature or seed that is not a finite number.
+        """
+        head = '{"model": ' + json.dumps(self.model, allow_nan=False) + ', "messages": ['
+        tail = '], "temperature": ' + json.dumps(self.temperature, allow_nan=False)
         if self.seed is not None:
-            payload["seed"] = self.seed
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            tail += ', "seed": ' + json.dumps(self.seed, allow_nan=False)
+        return head, tail + "}"
+
+    def complete(self, messages: Sequence[ChatMessage]) -> str:
+        # byte for byte json.dumps({model, messages, temperature[, seed]}, allow_nan=False)
+        head, tail = self._envelope
+        body = (head + ", ".join([m.json_text for m in messages]) + tail).encode("utf-8")
         if self.temperature != 0:
             return self._request(body)
         key = hashlib.sha256(body).digest()
@@ -378,16 +403,30 @@ def _dict_body_value(body: str, key: str) -> str:
     raise ResponseRejection(code, f"response dictionary has no {key} key")
 
 
+# The messages every request of a stage starts with, made once.
+_STAGE2_HEAD = (
+    ChatMessage("system", prompts.AGGREGATION_SYSTEM),
+    ChatMessage("user", prompts.svo_user_message(prompts.AGGREGATION_EXAMPLE_INPUT_1)),
+    ChatMessage("assistant", prompts.AGGREGATION_EXAMPLE_RESPONSE_1),
+    ChatMessage("user", prompts.svo_user_message(prompts.AGGREGATION_EXAMPLE_INPUT_2)),
+    ChatMessage("assistant", prompts.AGGREGATION_EXAMPLE_RESPONSE_2),
+)
+_STAGE3_HEAD = (
+    ChatMessage("system", prompts.CLASSIFICATION_SYSTEM),
+    *(
+        message
+        for phrase, cats, response in prompts.CLASSIFICATION_EXAMPLES
+        for message in (
+            ChatMessage("user", prompts.classification_user_message(phrase, cats)),
+            ChatMessage("assistant", response),
+        )
+    ),
+)
+
+
 def build_stage2_prompt(svo_block: str) -> list[ChatMessage]:
     """System instructions, two in-context pairs, then the video's SVO block."""
-    return [
-        ChatMessage("system", prompts.AGGREGATION_SYSTEM),
-        ChatMessage("user", prompts.svo_user_message(prompts.AGGREGATION_EXAMPLE_INPUT_1)),
-        ChatMessage("assistant", prompts.AGGREGATION_EXAMPLE_RESPONSE_1),
-        ChatMessage("user", prompts.svo_user_message(prompts.AGGREGATION_EXAMPLE_INPUT_2)),
-        ChatMessage("assistant", prompts.AGGREGATION_EXAMPLE_RESPONSE_2),
-        ChatMessage("user", prompts.svo_user_message(svo_block)),
-    ]
+    return [*_STAGE2_HEAD, ChatMessage("user", prompts.svo_user_message(svo_block))]
 
 
 def parse_stage2_response(text: str) -> TaggedCaption:
@@ -411,14 +450,8 @@ def build_stage3_prompt(frame_phrase: str, categories: Sequence[str]) -> list[Ch
     """System instructions, five in-context pairs, then the phrase to classify."""
     if not categories:
         raise ValueError("categories must be non-empty")
-    messages = [ChatMessage("system", prompts.CLASSIFICATION_SYSTEM)]
-    for phrase, cats, response in prompts.CLASSIFICATION_EXAMPLES:
-        messages.append(ChatMessage("user", prompts.classification_user_message(phrase, cats)))
-        messages.append(ChatMessage("assistant", response))
-    messages.append(
-        ChatMessage("user", prompts.classification_user_message(frame_phrase, list(categories)))
-    )
-    return messages
+    user = prompts.classification_user_message(frame_phrase, list(categories))
+    return [*_STAGE3_HEAD, ChatMessage("user", user)]
 
 
 def parse_stage3_response(text: str, categories: Sequence[str]) -> Optional[str]:

@@ -10,6 +10,11 @@ accepted + rejected == N.
 :func:`run_pipeline`), ``aggregate`` and ``track`` all run their per-video
 work through it, so ``max_in_flight`` bounds the workers of each, and their
 results and warnings come out in input order whatever the worker count.
+
+A run tags each distinct frame caption once: :func:`run_pipeline` keeps a
+memo from caption to SVO relations beside the answers the clients share,
+bounded like them by :data:`~groundcap.llm.MEMO_CAPACITY` captions, least
+recently used dropped first.  The memo lives for one run, never the process.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .llm import (
     aggregate_video,
     track_by_language,
 )
-from .records import RecordValidationError, VideoAnnotation
+from .records import RecordValidationError, SvoFrame, SvoRelation, VideoAnnotation
 from .svo import extract_svo, pos_tag
 from .tubes import assemble_tracks, build_record
 
@@ -106,12 +111,22 @@ def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
     )
 
 
+def _caption_relations(caption: str) -> tuple[SvoRelation, ...]:
+    """The SVO relations of one frame caption."""
+    return extract_svo(pos_tag(caption), 0).relations
+
+
 def annotate_video(
     frames: Sequence[FrameGrounding],
     client: ChatClient,
     config: PipelineConfig = PipelineConfig(),
+    relations: Callable[[str], tuple[SvoRelation, ...]] = _caption_relations,
 ) -> PipelineResult:
-    """Run stages 2 and 3 plus assembly for one video's frame groundings."""
+    """Run stages 2 and 3 plus assembly for one video's frame groundings.
+
+    ``relations`` gives a caption's SVO relations; :func:`run_pipeline`
+    passes its run's memo of :func:`_caption_relations`.
+    """
     if not frames:
         raise ValueError("at least one frame grounding required")
     video_id = frames[0].video_id
@@ -125,7 +140,7 @@ def annotate_video(
             )
         width, height = next(iter(sizes))
         frame_count = max(f.frame_index for f in frames) + 1
-        svo_frames = [extract_svo(pos_tag(f.caption), f.frame_index) for f in frames]
+        svo_frames = [SvoFrame(f.frame_index, relations(f.caption)) for f in frames]
         caption = aggregate_video(svo_frames, client, config)
         frame_objects = collect_frame_objects(frames)
         assignments = track_by_language(frame_objects, caption.phrase_texts, client, config)
@@ -225,9 +240,15 @@ def run_pipeline(
     groundings_by_video: dict[str, list[FrameGrounding]],
     config: PipelineConfig,
 ) -> list[PipelineResult]:
-    """Annotate a batch of videos through :func:`map_videos`, in sorted video-id order."""
+    """Annotate a batch of videos through :func:`map_videos`, in sorted video-id order.
+
+    Each distinct caption is tagged once in the run, or once by each worker
+    that misses on it at the same moment, within
+    :data:`~groundcap.llm.MEMO_CAPACITY` captions.
+    """
+    relations = functools.lru_cache(maxsize=llm.MEMO_CAPACITY)(_caption_relations)
     return map_videos(
         [groundings_by_video[video_id] for video_id in sorted(groundings_by_video)],
-        lambda frames, client: annotate_video(frames, client, config),
+        lambda frames, client: annotate_video(frames, client, config, relations),
         config,
     )

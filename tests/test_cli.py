@@ -850,6 +850,11 @@ class TestMalformedStageInput:
                 [{"video_id": "v1", "frames": [{"frame_index": 0, "relations": [["a", "b"]]}]}],
                 "line 1: relation must be an object, got ['a', 'b']",
             ),
+            (
+                [{"video_id": "v1", "frames": [{"frame_index": 0, "relations": [{"verb": "x"}]}]}],
+                "line 1: 'subject' is a required property",
+            ),
+            ([svo_record(colour="red")], "line 1: unexpected property 'colour'"),
         ],
     )
     def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):
@@ -866,6 +871,19 @@ class TestMalformedStageInput:
         argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
         error = self.run_failing([*argv, "--endpoint", url], tmp_path, server, capsys)
         assert error == f"error: endpoint must be an http or https URL, got {url!r}: {reason}"
+
+    @pytest.mark.parametrize("url, reason", BAD_URLS)
+    def test_aggregate_names_a_bad_proxy_url(
+        self, tmp_path, server, capsys, monkeypatch, url, reason
+    ):
+        for name in ("HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", url)
+        svo = tmp_path / "svo.jsonl"
+        svo.write_text(json.dumps(svo_record()) + "\n", "utf-8")
+        argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == f"error: http proxy must be a URL, got {url!r}: {reason}"
 
     def test_track_names_the_line(self, tmp_path, stir_input, server, capsys):
         captions = tmp_path / "captions.jsonl"

@@ -198,6 +198,26 @@ class TestMaskToBox:
         with pytest.raises(SchemaError):
             mask_to_box([5, 5], 10, 10)
 
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [2, 0, 3, 4, 0],
+            [0, 2, 3, 0, 1, 3],
+            [4, 0, 0, 1, 4],  # one pixel between two empty runs
+            [1, 0, 1, 0, 1, 1, 5],
+            [0, 0, 9],  # only an empty foreground run: no pixels
+            [3, 0, 6, 0],
+        ],
+    )
+    def test_empty_foreground_runs_match_bruteforce(self, runs):
+        expected = rle_box_bruteforce(runs, 3, 3)
+        for counts in (runs, iter(runs)):
+            if expected is None:
+                with pytest.raises(EmptyMaskError):
+                    mask_to_box(counts, 3, 3)
+            else:
+                assert mask_to_box(counts, 3, 3).as_list() == list(expected)
+
     def test_random_masks_match_bruteforce(self):
         rng = random.Random(11)
         for _ in range(200):

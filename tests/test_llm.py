@@ -588,6 +588,72 @@ class TestHttpClientWithMockServer:
             client.complete(build_stage3_prompt("x", ["y"]))
 
 
+# model names and contents that JSON must escape: quotes, backslashes, control
+# characters, and text outside ASCII
+ESCAPED_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\u2028é漢'), st.characters()))
+
+
+class TestRequestBody:
+    """The body is built from cached parts, and must equal the plain ``json.dumps`` form."""
+
+    @staticmethod
+    def sent_bodies(client: HttpChatClient, messages, calls: int) -> list[bytes]:
+        """What ``calls`` completions of ``messages`` send, each failing so none is remembered."""
+        sent = []
+
+        def request(body: bytes) -> str:
+            sent.append(body)
+            raise TransportError("not sent")
+
+        client._request = request
+        for _ in range(calls):
+            with pytest.raises(TransportError):
+                client.complete(messages)
+        return sent
+
+    @given(
+        model=ESCAPED_TEXT,
+        temperature=st.one_of(
+            st.sampled_from([0.0, -0.0, 1e-300, 0.7, 0, 2]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        seed=st.one_of(st.none(), st.integers(), st.sampled_from([2**64, -(2**63), 0])),
+        head=st.sampled_from(
+            [[], build_stage2_prompt("[]")[:-1], build_stage3_prompt("a cup", ["a mug"])[:-1]]
+        ),
+        tail=st.lists(
+            st.builds(
+                llm.ChatMessage, st.sampled_from(llm.ROLES), ESCAPED_TEXT.filter(bool)
+            ),
+            max_size=3,
+        ),
+    )
+    def test_body_is_the_json_of_the_payload(self, model, temperature, seed, head, tail):
+        messages = head + tail
+        payload = {
+            "model": model,
+            "messages": [m.as_dict() for m in messages],
+            "temperature": temperature,
+        }
+        if seed is not None:
+            payload["seed"] = seed
+        expected = json.dumps(payload, allow_nan=False).encode("utf-8")
+        client = HttpChatClient(
+            endpoint="http://127.0.0.1:1/x", model=model, temperature=temperature, seed=seed
+        )
+        with closing(client):
+            assert self.sent_bodies(client, messages, 2) == [expected, expected]
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_temperature_is_refused_at_each_request(self, temperature):
+        messages = build_stage3_prompt("a cup", ["a mug"])
+        client = HttpChatClient(endpoint="http://127.0.0.1:1/x", model="m", temperature=temperature)
+        with closing(client):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="Out of range float values"):
+                    client.complete(messages)
+
+
 class TestMockServerConnections:
     CALLS = TestConnection.CALLS
 

@@ -1,7 +1,9 @@
+from collections import Counter
 from contextlib import closing
 
 import pytest
 
+import groundcap.pipeline as pipeline
 from groundcap import MockLlmServer, PipelineConfig, annotate_video, run_pipeline
 from groundcap.llm import HttpChatClient
 from groundcap.pipeline import http_client_factory
@@ -154,6 +156,28 @@ class TestSharedResponseMemo:
             requests_sent = server.request_count
         assert all(r.annotation is not None for r in results)
         assert requests_sent == 7
+
+    def test_each_run_tags_each_distinct_caption_itself(self, monkeypatch):
+        # the caption memo belongs to one run: a second run in the same
+        # process tags every caption again, and no run tags one more than
+        # once per worker
+        tagged = []
+        tag = pipeline.pos_tag
+
+        def counting_tag(sentence):
+            tagged.append(sentence)  # list.append: no count lost between workers
+            return tag(sentence)
+
+        monkeypatch.setattr(pipeline, "pos_tag", counting_tag)
+        captions = {f.caption for frames in self.GROUNDINGS.values() for f in frames}
+        with MockLlmServer(stirring_fixtures()) as server:
+            config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=2)
+            for _ in range(2):
+                tagged.clear()
+                results = run_pipeline(self.GROUNDINGS, config)
+                assert all(r.annotation is not None for r in results)
+                counts = Counter(tagged)
+                assert counts.keys() == captions and max(counts.values()) <= 2
 
     def test_clients_of_one_factory_share_answers(self):
         frames = stirring_frames()

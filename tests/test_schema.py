@@ -112,7 +112,7 @@ def mutate(record, data) -> None:
     new_value = st.one_of(VALUES, st.sampled_from([v for _, v in everything]).map(copy.deepcopy))
     kind = data.draw(
         st.sampled_from(
-            ["delete", "retype", "float", "int", "scalar", "key", "add", "grow", "both"]
+            ["delete", "retype", "float", "int", "scalar", "key", "add", "grow", "both", "split"]
         )
     )
     ints = [path for path, node in everything if type(node) is int and abs(node) < 2**1023]
@@ -125,6 +125,9 @@ def mutate(record, data) -> None:
     dicts = [node for _, node in everything if isinstance(node, dict)]
     lists = [node for _, node in everything if isinstance(node, list)]
     located = [node for node in dicts if "box" in node or "mask" in node]
+    runs = [  # the runs of a mask
+        path for path, node in everything if path[-2:-1] == ("mask",) and type(node) is int
+    ]
     if kind in ("delete", "retype") and len(everything) > 1:
         path, _ = data.draw(st.sampled_from(everything[1:]))
         parent = at(record, path[:-1])
@@ -147,6 +150,11 @@ def mutate(record, data) -> None:
         target[data.draw(KEYS)] = target.pop(old_key)
     elif kind == "grow" and lists:
         data.draw(st.sampled_from(lists)).append(data.draw(new_value))
+    elif kind == "split" and runs:  # run r -> [a, 0, r - a]: an empty run, the same pixels
+        path = data.draw(st.sampled_from(runs))
+        mask, index = at(record, path[:-1]), path[-1]
+        first = data.draw(st.integers(0, max(mask[index], 0)))
+        mask[index : index + 1] = [first, 0, mask[index] - first]
     elif kind == "both" and located:
         target = data.draw(st.sampled_from(located))
         target.setdefault("box", [0, 0, 1, 1])
@@ -199,6 +207,54 @@ def check_against_jsonschema(base: dict, name: str, parse, data) -> None:
 @given(st.data())
 def test_frame_records_accepted_as_jsonschema_does(data):
     check_against_jsonschema(FRAME, FRAME_SCHEMA, parse_frame_grounding, data)
+
+
+def frame_outcome(read, record):
+    """The record ``read`` builds from ``record``, else its error's type and text."""
+    try:
+        return read(record, 1)
+    except ingest.SchemaError as exc:
+        return type(exc), str(exc)
+
+
+def check_frame_read(record) -> None:
+    """The one-walk frame reader gives what the walker-then-build path gives."""
+    expected = frame_outcome(ingest._explained_frame, record)
+    assert frame_outcome(ingest._frame_grounding, record) == expected, record
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_frame_records_read_as_the_walker_explains(data):
+    check_frame_read(mutated(FRAME, data))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("frame_index",), True),
+        (("width",), True),
+        (("objects", 1, "mask", 0), True),
+        (("frame_index",), 2.0),
+        (("objects", 1, "mask", 0), 5.0),
+        (("height",), math.inf),  # what JSON's 1e400 reads as
+        (("objects", 0, "box", 1), math.inf),
+        (("objects", 1, "mask", 0), -1),
+        (("objects", 1, "mask"), [5, 0, 0, 2, 5]),  # an empty foreground run
+        (("objects", 1, "mask"), [5, 0, 7]),  # only an empty foreground run
+        (("objects", 1, "mask"), [5, 2, 4]),  # runs short of the frame
+        (("objects", 0, "box", 2), -2.5),  # a negative width
+        (("objects", 0, "box"), [0, 0, 2.5]),
+        (("objects", 0, "box", 0), 10**400),
+        (("objects", 0, "box", 0), int(sys.float_info.max) + 1),  # a float() rounds it down
+        (("objects", 0, "colour"), "red"),
+        (("colour",), "red"),
+    ],
+)
+def test_frame_edge_cases_read_as_the_walker_explains(path, value):
+    record = copy.deepcopy(FRAME)
+    at(record, path[:-1])[path[-1]] = value
+    check_frame_read(record)
 
 
 @settings(max_examples=300, deadline=None)
