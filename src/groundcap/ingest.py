@@ -11,16 +11,17 @@
 
 Records are checked against hand-written walkers of their schemas, which
 give JSON Schema's errors in its order, with two tightenings: numbers are
-finite doubles, and frame keys match whole.  Each line is checked and built
-in one walk: a frame line by its schema and its box and mask rules, an
-annotation line by its schema and by
-:func:`~groundcap.records.check_annotation`.  The walkers (and
-``check_annotation``) run only to explain a line that walk refuses, so the
-first error in their order is the one reported.  Masks are reduced to their
-pixel boxes as frame records are read.  All parsing is pure per record, so
-files can be processed in parallel.  A JSON-lines file is decoded, parsed
-and checked one line at a time, so the first faulty line in file order is
-the one reported, whatever its fault.
+finite doubles, and frame keys match whole.  This is the one module that
+knows the JSON forms, and each line has one builder that checks it and
+builds its record in one walk: :func:`_frame` a frame line, by its schema
+and its box and mask rules, and :func:`_annotation` an annotation line, by
+its schema and the record rules that :func:`check_annotation` states.  The
+walkers (and ``check_annotation``) run only to explain a line that walk
+refuses, so the first error in their order is the one reported.  Masks are
+reduced to their pixel boxes as frame records are read.  All parsing is pure
+per record, so files can be processed in parallel.  A JSON-lines file is
+decoded, parsed and checked one line at a time, so the first faulty line in
+file order is the one reported, whatever its fault.
 """
 
 from __future__ import annotations
@@ -35,17 +36,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, compress, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
-from .boxes import BoundingBox
+from .boxes import BoundingBox, box_fault
+from .captions import MalformedCaptionError, TaggedCaption
 from .captions import parse_tagged_caption, render_tagged_caption
 from .config import PipelineConfig
 from .jsonio import canonical_json
-from .records import (
-    PIXEL_EPS,
-    ObjectTrack,
-    RecordValidationError,
-    VideoAnnotation,
-    check_annotation,
-)
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation
 
 
 class SchemaError(ValueError):
@@ -68,6 +64,7 @@ class EmptyMaskError(ValueError):
 
 
 _DOUBLE_MAX = sys.float_info.max
+PIXEL_EPS = 1e-6  # how far a pixel box may pass the frame edge
 # a key of boxes or confidence; it takes only a str, so test the type first
 _FRAME_KEY = re.compile("0|[1-9][0-9]*").fullmatch
 
@@ -184,7 +181,8 @@ def _closed(fields: dict, required=None, frame_key=None, one_of=()) -> _Check:
 
 # The shipped input schemas, field by field; tests/test_schema.py holds the
 # walkers to the schema files.
-_BOX_ITEMS = ({int, float}, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
+_NUMBERS = {int, float}
+_BOX_ITEMS = (_NUMBERS, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
 _MASK_RUNS = ({int}, 0)
 _BOX = _array(_scalar("number"), 4, 4, *_BOX_ITEMS)
 _MASK = _array(_scalar("integer", minimum=0), 0, None, *_MASK_RUNS)
@@ -370,22 +368,28 @@ def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
 def _frame_grounding(obj: dict, line: int) -> FrameGrounding:
     """Check one frame-grounding record and build it in one walk; errors name ``line``.
 
-    A record that walk refuses is explained by :func:`_explained_frame`.
+    A record that walk refuses is explained by the walker, whose first error
+    is raised; past it, the walk's own fault is: a box of negative size or
+    mask runs that do not sum to the frame.
     """
     try:
-        return _frame(obj)
-    except ValueError:
-        return _explained_frame(obj, line)
+        return _frame(obj, line)
+    except ValueError as exc:
+        _check_schema(_frame_errors(obj), line)
+        if isinstance(exc, SchemaError):
+            raise
+        raise AssertionError(f"line {line}: a record the schema accepts was refused") from exc
 
 
 _FRAME_FIELDS = frozenset(("video_id", "frame_index", "width", "height", "caption", "objects"))
 
 
-def _frame(obj) -> FrameGrounding:
-    """The record of frame ``obj``; ValueError on any fault.
+def _frame(obj, line: int) -> FrameGrounding:
+    """The record of frame ``obj`` from ``line``; ValueError on any fault.
 
-    Integer fields go through ``int``, as the schema lets integral floats pass.
-    A mask whose runs are not all ints is left to :func:`_explained_frame`.
+    Integer fields and mask runs go through ``int``, as the schema lets
+    integral floats pass.  A box of negative size or mask runs that do not
+    sum to the frame are a SchemaError naming the line and the object.
     """
     if not (isinstance(obj, dict) and obj.keys() == _FRAME_FIELDS):
         raise ValueError("not a frame object")
@@ -403,7 +407,7 @@ def _frame(obj) -> FrameGrounding:
         raise ValueError("a field breaks the schema")
     frame_index, width, height = map(int, sizes)
     objects = []
-    for item in items:
+    for i, item in enumerate(items):
         if not (
             isinstance(item, dict)
             and len(item) == 2
@@ -412,55 +416,29 @@ def _frame(obj) -> FrameGrounding:
         ):
             raise ValueError("not an object with a phrase and a box or a mask")
         if "box" in item:
-            values = item["box"]
-            if not (isinstance(values, list) and len(values) == 4):
-                raise ValueError("not a box of 4 items")
-            if not _all_pass(values, *_BOX_ITEMS):
-                raise ValueError("not a box of finite numbers")
-            box = BoundingBox(*map(float, values))  # ValueError on a negative size
+            xywh = item["box"]
+            if not (isinstance(xywh, list) and len(xywh) == 4 and _all_pass(xywh, *_BOX_ITEMS)):
+                raise ValueError("not a box of 4 finite numbers")
+            try:
+                box = BoundingBox(*map(float, xywh))
+            except ValueError as exc:  # a negative size
+                raise SchemaError(str(exc), line, f"$.objects[{i}].box") from exc
         elif "mask" in item:
             runs = item["mask"]
             if not (isinstance(runs, list) and _all_pass(runs, *_MASK_RUNS)):
-                raise ValueError("not a mask of int runs")
+                if not (isinstance(runs, list) and all(map(_is_integer, runs))):
+                    raise ValueError("not a mask of integer runs")
+                runs = list(map(int, runs))  # the schema lets integral floats such as 5.0 pass
             try:
-                box = mask_to_box(runs, width, height)  # SchemaError when the runs do not add up
+                box = mask_to_box(runs, width, height)
             except EmptyMaskError:
-                box = None
+                box = None  # dropped, with a warning, by pipeline.collect_frame_objects
+            except SchemaError as exc:  # a negative run, or runs that do not sum to the frame
+                raise SchemaError(str(exc), line, f"$.objects[{i}].mask") from exc
         else:
             raise ValueError("neither a box nor a mask")
         objects.append(FrameObject(item["phrase"], box))
     return FrameGrounding(video_id, frame_index, width, height, caption, tuple(objects))
-
-
-def _explained_frame(obj, line: int) -> FrameGrounding:
-    """Check frame ``obj`` by the walker, then build it; the first fault raises, naming ``line``."""
-    _check_schema(_frame_errors(obj), line)
-    # the schema lets integral floats such as 2.0 pass as integers
-    width, height = int(obj["width"]), int(obj["height"])
-    objects = []
-    for i, item in enumerate(obj["objects"]):
-        if "box" in item:
-            x, y, w, h = (float(v) for v in item["box"])
-            try:
-                box = BoundingBox(x, y, w, h, normalized=False)
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=line, field_path=f"$.objects[{i}].box") from exc
-        else:
-            try:
-                box = mask_to_box(map(int, item["mask"]), width, height)
-            except EmptyMaskError:
-                box = None  # dropped, with a warning, by pipeline.collect_frame_objects
-            except SchemaError as exc:  # the runs do not sum to width * height
-                raise SchemaError(str(exc), line=line, field_path=f"$.objects[{i}].mask") from exc
-        objects.append(FrameObject(item["phrase"], box))
-    return FrameGrounding(
-        video_id=obj["video_id"],
-        frame_index=int(obj["frame_index"]),
-        width=width,
-        height=height,
-        caption=obj["caption"],
-        objects=tuple(objects),
-    )
 
 
 def group_frame_groundings(records: list[FrameGrounding]) -> dict[str, list[FrameGrounding]]:
@@ -507,9 +485,9 @@ def annotation_from_dict(obj: dict, line: Optional[int] = None) -> VideoAnnotati
 def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> VideoAnnotation:
     """Check annotation ``obj`` from ``line`` and build its record in one walk.
 
-    The rules of the schema and of :func:`~groundcap.records.check_annotation`
-    are tested in a few C-level passes over the boxes of all tracks and over
-    each track's flags and scores, and the frames scored below ``threshold``
+    The rules of the schema and of :func:`check_annotation` are tested in a
+    few C-level passes over the boxes of all tracks and over each track's
+    flags and scores, and the frames scored below ``threshold``
     are dropped as :func:`load_predictions` says.  A refused record is
     explained by the walker, then by ``check_annotation``, which raise the
     first error in their order.  After them come a ``video_id`` already in
@@ -518,7 +496,7 @@ def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> V
     """
     try:
         record, missing = _annotation(obj, threshold)
-    except (ValueError, OverflowError):
+    except ValueError:
         _check_schema(_annotation_errors(obj), line)
         try:
             check_annotation(obj)
@@ -540,25 +518,7 @@ def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> V
     return record
 
 
-_NUMBERS = {int, float}
 _REQUIRED_TRACK_KEYS = frozenset(_TRACK_REQUIRED)
-
-
-def _floats(values: list) -> list[float]:
-    """``values`` as floats, converted in C-level passes.
-
-    ValueError when one is not a number as the walker judges numbers, or is
-    NaN; OverflowError for an int past the double range.  Infinities pass:
-    the bounds the callers test refuse them.
-    """
-    kinds = set(map(type, values))
-    if not (kinds <= _NUMBERS or all(map(_is_number, values))):
-        raise ValueError("not a number")
-    floats = list(map(float, values))
-    # of finite values no sum is NaN, though it may overflow to an infinity
-    if kinds != {int} and math.isnan(sum(floats)):
-        raise ValueError("NaN")
-    return floats
 
 
 def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[int, list]]]:
@@ -602,7 +562,10 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
     box_lists = list(chain.from_iterable(item["boxes"].values() for item in items))
     if not (all(map(isinstance, box_lists, repeat(list))) and set(map(len, box_lists)) <= {4}):
         raise ValueError("a box is not an array of 4 numbers")
-    coords = _floats(list(chain.from_iterable(box_lists)))
+    coords = list(chain.from_iterable(box_lists))
+    if not _all_pass(coords, *_BOX_ITEMS):
+        raise ValueError("a coordinate is not a finite number")
+    coords = list(map(float, coords))
     xs, ys, ws, hs = coords[0::4], coords[1::4], coords[2::4], coords[3::4]
     if coords and not normalized and (
         min(xs) < -PIXEL_EPS
@@ -639,10 +602,10 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
             # keys of the boxes are frame keys, so the keys of the scores need no test of their own
             if not (isinstance(scores, dict) and scores.keys() <= boxes.keys()):
                 raise ValueError("a score breaks the schema or has no box")
-            values = _floats(list(scores.values()))
-            if values and not (min(values) >= 0 and max(values) <= 1):
-                raise ValueError("a score is outside [0, 1]")
-            confidence = dict(zip(map(int, scores), values))
+            values = list(scores.values())
+            if not (_all_pass(values, _NUMBERS, 0) and max(values, default=0) <= 1):
+                raise ValueError("a score is not a number in [0, 1]")
+            confidence = dict(zip(map(int, scores), map(float, values)))
             if threshold > 0.0 and missing is None and len(scores) < len(frames):
                 missing = index, sorted(track_boxes.keys() - confidence.keys())
             if threshold > 0.0 and missing is None:
@@ -652,12 +615,7 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
                     continue
                 confidence = dict(zip(track_boxes, map(confidence.__getitem__, track_boxes)))
         tracks.append(ObjectTrack(int(phrase_index), track_boxes, frame_count, confidence))
-    # Two tracks for one phrase are allowed (an object can be two tubes),
-    # but an identical box on a shared frame means a duplicated record.
-    for group in by_phrase.values():
-        for first, second in combinations(group, 2):
-            if any(first[t] == second[t] for t in first.keys() & second.keys()):
-                raise ValueError("two tracks of a phrase repeat a box")
+    _check_distinct_tracks(by_phrase)
     record = VideoAnnotation(
         video_id=video_id,
         frame_count=frame_count,
@@ -669,6 +627,93 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
         boxes_normalized=normalized,
     )
     return record, missing
+
+
+def check_annotation(obj: dict) -> TaggedCaption:
+    """The parsed caption of schema-valid plain-JSON annotation ``obj``, whose invariants hold.
+
+    Else :class:`RecordValidationError` for the first broken one: the caption
+    parses; each track in turn has valid boxes, at least one, inside its
+    presence vector and agreeing with its flags, and a box for each
+    confidence; then each track names a caption phrase and spans the video,
+    pixel boxes stay inside the frame, and no two tracks of one phrase
+    repeat a box.
+    """
+    try:
+        caption = parse_tagged_caption(obj["caption"])
+    except MalformedCaptionError as exc:
+        raise RecordValidationError("caption-malformed", str(exc)) from exc
+    normalized = obj["boxes_normalized"]
+    boxes_of = []  # per track: frame -> (x, y, w, h)
+    for item in obj["tracks"]:
+        boxes = {}
+        for key, coords in item["boxes"].items():
+            box = tuple(map(float, coords))
+            fault = box_fault(*box, normalized)
+            if fault is not None:
+                raise RecordValidationError("bad-box", f"frame {key}: {fault}")
+            boxes[int(key)] = box
+        if not boxes:
+            raise RecordValidationError("empty-track", "track has no present frames")
+        presence = item["presence"]
+        for t in boxes:
+            if t >= len(presence):
+                raise RecordValidationError(
+                    "frame-out-of-range", f"box frame {t} outside [0, {len(presence)})"
+                )
+        for t, flag in enumerate(presence):
+            if flag != (t in boxes):
+                raise RecordValidationError(
+                    "presence-box-mismatch",
+                    f"presence[{t}]={flag} but box "
+                    f"{'missing' if flag else 'present'} at that frame",
+                )
+        for t in map(int, item.get("confidence", ())):
+            if t not in boxes:
+                raise RecordValidationError(
+                    "bad-confidence", f"confidence at frame {t} without a box"
+                )
+        boxes_of.append(boxes)
+    phrases = len(caption.phrases)
+    frame_count, width, height = int(obj["frame_count"]), int(obj["width"]), int(obj["height"])
+    right, bottom = width + PIXEL_EPS, height + PIXEL_EPS
+    by_phrase: dict[int, list[dict]] = {}  # phrase index -> the boxes of each of its tracks
+    for item, boxes in zip(obj["tracks"], boxes_of):
+        phrase_index = int(item["phrase_index"])
+        if phrase_index >= phrases:
+            raise RecordValidationError(
+                "bad-phrase-index",
+                f"phrase_index {phrase_index} but caption has {phrases} phrases",
+            )
+        if len(item["presence"]) != frame_count:
+            raise RecordValidationError(
+                "presence-length",
+                f"track presence length {len(item['presence'])} != frame_count {frame_count}",
+            )
+        if not normalized:
+            for t, (x, y, w, h) in boxes.items():
+                if x < -PIXEL_EPS or y < -PIXEL_EPS or x + w > right or y + h > bottom:
+                    raise RecordValidationError(
+                        "box-out-of-frame",
+                        f"box {[x, y, w, h]} at frame {t} exceeds {width}x{height}",
+                    )
+        by_phrase.setdefault(phrase_index, []).append(boxes)
+    _check_distinct_tracks(by_phrase)
+    return caption
+
+
+def _check_distinct_tracks(by_phrase: dict[int, list[dict]]) -> None:
+    """RecordValidationError when two tracks of one phrase in ``by_phrase`` (phrase index ->
+    the boxes of each of its tracks) repeat a box on a shared frame.  Two tracks for one phrase
+    are allowed (an object can be two tubes), but that means a duplicated record."""
+    for phrase_index, group in by_phrase.items():
+        for first, second in combinations(group, 2):
+            for t in first.keys() & second.keys():
+                if first[t] == second[t]:
+                    raise RecordValidationError(
+                        "duplicate-track-box",
+                        f"tracks for phrase {phrase_index} repeat the same box at frame {t}",
+                    )
 
 
 def parse_video_annotation(data: bytes) -> VideoAnnotation:

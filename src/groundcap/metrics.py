@@ -222,6 +222,8 @@ class SimilarityBackend(Protocol):
 
     def similarity(self, a: str, b: str) -> float: ...
 
+    def close(self) -> None: ...
+
 
 _STOPWORDS = frozenset(
     """
@@ -264,6 +266,9 @@ class LexicalSimilarity:
         norm_a = sum(c * c for c in va.values())
         norm_b = sum(c * c for c in vb.values())
         return min(dot / math.sqrt(norm_a * norm_b), 1.0)
+
+    def close(self) -> None:
+        """Nothing to release."""
 
 
 class EmbeddingSimilarity:
@@ -322,6 +327,10 @@ class EmbeddingSimilarity:
         if denom == 0:
             return 0.0
         return min(max(sum(x * y for x, y in zip(va, vb)) / denom, 0.0), 1.0)
+
+    def close(self) -> None:
+        """Close the kept-alive connection to the endpoint."""
+        self._transport.close()
 
 
 _DEFAULT_BACKEND = LexicalSimilarity()
@@ -568,31 +577,35 @@ def evaluate(
     per_video: dict[str, dict] = {}
     candidates: dict[str, str] = {}
     references: dict[str, list[str]] = {}
-    for video_id in video_ids:
-        gt, pred = gt_by_id[video_id], pred_by_id.get(video_id)
-        detections = _box_rows(pred, seq_start=len(all_dets)) if pred is not None else []
-        gt_objects = _box_rows(gt)
-        gated, overlaps = (
-            _match_pool(detections, gt_objects, config.iou_thresh, config.sim_thresh, sim)
-            if gt_objects
-            else (set(), [])
-        )
-        candidates[video_id] = pred.caption.plain if pred is not None else ""
-        references[video_id] = [gt.caption.plain]
-        try:
-            meteor = meteor_best(candidates[video_id], references[video_id])
-        except ValueError as exc:  # the reader lets a caption of only whitespace pass
-            raise ValueError(f"ground-truth caption of video {video_id!r} has no words") from exc
-        per_video[video_id] = {
-            **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
-            "num_gt_boxes": len(gt_objects),
-            "num_pred_boxes": len(detections),
-            "meteor": meteor,
-        }
-        all_dets.extend(detections)
-        all_gated.update(gated)
-        all_overlaps.extend(overlaps)
-        total_gt += len(gt_objects)
+    try:  # the backend may hold a kept-alive connection
+        for video_id in video_ids:
+            gt, pred = gt_by_id[video_id], pred_by_id.get(video_id)
+            detections = _box_rows(pred, seq_start=len(all_dets)) if pred is not None else []
+            gt_objects = _box_rows(gt)
+            gated, overlaps = (
+                _match_pool(detections, gt_objects, config.iou_thresh, config.sim_thresh, sim)
+                if gt_objects
+                else (set(), [])
+            )
+            candidates[video_id] = pred.caption.plain if pred is not None else ""
+            references[video_id] = [gt.caption.plain]
+            try:
+                meteor = meteor_best(candidates[video_id], references[video_id])
+            except ValueError as exc:  # the reader lets a caption of only whitespace pass
+                message = f"ground-truth caption of video {video_id!r} has no words"
+                raise ValueError(message) from exc
+            per_video[video_id] = {
+                **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
+                "num_gt_boxes": len(gt_objects),
+                "num_pred_boxes": len(detections),
+                "meteor": meteor,
+            }
+            all_dets.extend(detections)
+            all_gated.update(gated)
+            all_overlaps.extend(overlaps)
+            total_gt += len(gt_objects)
+    finally:
+        backend.close()
     cider_corpus, cider_by_video = cider_scores(candidates, references)
     for video_id, scores in per_video.items():
         scores["cider"] = cider_by_video[video_id]

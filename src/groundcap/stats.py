@@ -38,7 +38,7 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
     total_instances = 0
     width_sum = 0.0
     height_sum = 0.0
-    tube_lengths: list[int] = []
+    tubes = tube_frames = 0  # a running count and sum of tube lengths
     for record in records:
         for track in record.tracks:
             total_instances += len(track.boxes)
@@ -49,7 +49,9 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
                 else:
                     width_sum += box.w
                     height_sum += box.h
-            tube_lengths.extend(end - start + 1 for start, end in derive_presence(track))
+            for start, end in derive_presence(track):
+                tubes += 1
+                tube_frames += end - start + 1
     n = len(records)
     return StatsReport(
         num_videos=n,
@@ -59,8 +61,6 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
         total_num_instances=total_instances,
         avg_box_width=width_sum / total_instances if total_instances else None,
         avg_box_height=height_sum / total_instances if total_instances else None,
-        avg_tube_length_frames=(
-            sum(tube_lengths) / len(tube_lengths) if tube_lengths else None
-        ),
+        avg_tube_length_frames=tube_frames / tubes if tubes else None,
         avg_caption_length_words=sum(len(r.caption.plain.split()) for r in records) / n,
     )

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 from .boxes import BoundingBox
 from .captions import TaggedCaption
 from .llm import PhraseAssignment
-from .ingest import annotation_to_dict
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation, check_annotation
+from .ingest import annotation_to_dict, check_annotation
+from .records import ObjectTrack, RecordValidationError, VideoAnnotation
 
 logger = logging.getLogger(__name__)
 

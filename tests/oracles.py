@@ -4,11 +4,12 @@ Everything here deliberately avoids the library's code paths: IoU by
 counting unit grid cells, masks by full decode, CIDEr with dense vectors
 over an enumerated vocabulary, AP by enumerating the PR curve, a
 recursive-descent parser for the rendered SVO block grammar, and a schema
-walker that interprets the schema dict at every node.  Two references use
-library types: the former per-run mask loop raises the library's errors, and
-the annotation-record reference at the end builds the library's plain record
-types, boxes and captions, and checks them the way the record constructors
-did when every construction checked every invariant.
+walker that interprets the schema dict at every node.  Three references use
+library types: the former per-run mask loop raises the library's errors, the
+frame-record reference builds the library's frame records by that walker and
+that loop, and the annotation-record reference at the end builds the
+library's plain record types, boxes and captions, and checks them the way
+the record constructors did when every construction checked every invariant.
 """
 
 from __future__ import annotations
@@ -89,6 +90,36 @@ def reference_mask_to_box(counts, width: int, height: int):
     return BoundingBox(
         float(min_x), float(min_y), float(max_x - min_x + 1), float(max_y - min_y + 1)
     )
+
+
+def reference_frame(obj, line: int):
+    """A frame-grounding record checked by :func:`schema_errors`, then built object by object,
+    masks by :func:`reference_mask_to_box`; the first fault raises, naming ``line``."""
+    from groundcap import BoundingBox, EmptyMaskError, FrameGrounding, FrameObject, SchemaError
+
+    for path, message in schema_errors(obj, load_schema("frame_grounding.schema.json")):
+        raise SchemaError(message, line=line, field_path=path)
+    width, height = int(obj["width"]), int(obj["height"])
+    objects = []
+    for i, item in enumerate(obj["objects"]):
+        if "box" in item:
+            x, y, w, h = (float(v) for v in item["box"])
+            if w < 0 or h < 0:
+                raise SchemaError(
+                    f"box has negative size: w={w}, h={h}", line, f"$.objects[{i}].box"
+                )
+            box = BoundingBox(x, y, w, h)
+        else:
+            try:
+                box = reference_mask_to_box([int(run) for run in item["mask"]], width, height)
+            except EmptyMaskError:
+                box = None
+            except SchemaError as exc:
+                raise SchemaError(str(exc), line, f"$.objects[{i}].mask") from exc
+        objects.append(FrameObject(item["phrase"], box))
+    frame_index = int(obj["frame_index"])
+    return FrameGrounding(obj["video_id"], frame_index, width, height, obj["caption"], objects)
+
 
 def _tokenize(text: str) -> list[str]:
     return re.findall(r"\w+|[^\w\s]", text.lower())
@@ -517,7 +548,8 @@ def reference_track_check(track, presence) -> None:
 
 def reference_record_check(record) -> None:
     """The former ``VideoAnnotation.__post_init__`` checks, in their order."""
-    from groundcap.records import PIXEL_EPS, RecordValidationError
+    from groundcap.ingest import PIXEL_EPS
+    from groundcap.records import RecordValidationError
 
     if not record.video_id:
         raise RecordValidationError("bad-video-id", "video_id must be non-empty")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import groundcap.ingest as ingest
-import groundcap.records as records
 from groundcap.boxes import box_fault
+from groundcap.ingest import check_annotation
 from groundcap import (
     BoundingBox,
     EmptyMaskError,
@@ -701,7 +701,7 @@ class TestRecordChecksMatchReference:
     def test_a_dropped_check_is_caught(self, monkeypatch):
         def without_duplicate_check(obj):  # the duplicate check runs last
             try:
-                return records.check_annotation(obj)
+                return check_annotation(obj)
             except RecordValidationError as exc:
                 if exc.code != "duplicate-track-box":
                     raise
@@ -717,7 +717,7 @@ class TestRecordChecksMatchReference:
                     fault = box_fault(*map(float, coords), obj["boxes_normalized"])
                     if fault is not None:
                         raise RecordValidationError("bad-box", f"frame {key}: {fault}")
-            return records.check_annotation(obj)
+            return check_annotation(obj)
 
         monkeypatch.setattr(ingest, "check_annotation", late)
         assert any(disagreements(obj) for obj in SWEEP)

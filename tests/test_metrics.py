@@ -30,8 +30,7 @@ from groundcap.metrics import (
     cider_scores,
     similarity_backend,
 )
-from groundcap.ingest import annotation_to_dict
-from groundcap.records import check_annotation
+from groundcap.ingest import annotation_to_dict, check_annotation
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
@@ -259,6 +258,48 @@ class TestEmbeddingSimilarity:
         message = f"embedding of 'a cup' from {re.escape(endpoint)} failed"
         with pytest.raises(ValueError, match=message):
             backend.similarity("a cup", "a mug")
+
+    @pytest.mark.parametrize("status", [200, 500])
+    def test_evaluate_closes_a_kept_alive_connection(self, status):
+        # an HTTP/1.1 server keeps the connection open after each answer, so a
+        # backend left open warns of an unclosed socket when it is collected,
+        # which the suite's error::ResourceWarning turns into a failure
+        import gc
+        import json as jsonlib
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):  # noqa: N802
+                self.rfile.read(int(self.headers["Content-Length"]))
+                payload = jsonlib.dumps({"vectors": [[1.0, 0.0]]}).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            host, port = server.server_address[:2]
+            config = PipelineConfig(embedding_endpoint=f"http://{host}:{port}/embed")
+            box = {0: {0: BoundingBox(10, 10, 20, 20)}}
+            gts = [annotation_with_tracks("v", box, tagged="<p>a cup</p> on a table")]
+            preds = [annotation_with_tracks("v", box, tagged="<p>a mug</p> on a table")]
+            if status == 200:
+                assert evaluate(preds, gts, config).frame_level.recall == 1.0
+            else:
+                with pytest.raises(ValueError, match="failed: HTTP 500"):
+                    evaluate(preds, gts, config)
+            gc.collect()
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_config_selects_backend(self, embedding_server):
         assert similarity_backend(PipelineConfig()).name == "lexical"
@@ -843,6 +884,9 @@ class TestPooledGroundingOracle:
             def similarity(self, a, b):
                 asked.append((a, b))
                 return lexical.similarity(a, b)
+
+            def close(self):
+                pass
 
         real_pool = metrics._match_pool
 

@@ -23,8 +23,9 @@ from hypothesis import given, settings, strategies as st
 
 import groundcap.ingest as ingest
 from groundcap import load_predictions, parse_frame_grounding
-from groundcap.records import RecordValidationError, check_annotation
-from oracles import SCHEMA_KEYWORDS, load_schema, schema_errors
+from groundcap.ingest import check_annotation
+from groundcap.records import RecordValidationError
+from oracles import SCHEMA_KEYWORDS, load_schema, reference_frame, schema_errors
 
 FRAME_SCHEMA = "frame_grounding.schema.json"
 ANNOTATION_SCHEMA = "video_annotation.schema.json"
@@ -125,8 +126,10 @@ def mutate(record, data) -> None:
     dicts = [node for _, node in everything if isinstance(node, dict)]
     lists = [node for _, node in everything if isinstance(node, list)]
     located = [node for node in dicts if "box" in node or "mask" in node]
-    runs = [  # the runs of a mask
-        path for path, node in everything if path[-2:-1] == ("mask",) and type(node) is int
+    runs = [  # the runs of a mask that is still an array
+        path
+        for path, node in everything
+        if path[-2:-1] == ("mask",) and type(node) is int and type(at(record, path[:-1])) is list
     ]
     if kind in ("delete", "retype") and len(everything) > 1:
         path, _ = data.draw(st.sampled_from(everything[1:]))
@@ -218,8 +221,8 @@ def frame_outcome(read, record):
 
 
 def check_frame_read(record) -> None:
-    """The one-walk frame reader gives what the walker-then-build path gives."""
-    expected = frame_outcome(ingest._explained_frame, record)
+    """The one-walk frame reader gives what the walker-then-build reference gives."""
+    expected = frame_outcome(reference_frame, record)
     assert frame_outcome(ingest._frame_grounding, record) == expected, record
 
 
@@ -249,12 +252,22 @@ def test_frame_records_read_as_the_walker_explains(data):
         (("objects", 0, "box", 0), int(sys.float_info.max) + 1),  # a float() rounds it down
         (("objects", 0, "colour"), "red"),
         (("colour",), "red"),
+        (("objects", 1, "mask"), [5.0, 2.0, 4.0]),  # integral-float runs short of the frame
     ],
 )
 def test_frame_edge_cases_read_as_the_walker_explains(path, value):
     record = copy.deepcopy(FRAME)
     at(record, path[:-1])[path[-1]] = value
     check_frame_read(record)
+
+
+def test_a_schema_fault_is_reported_before_an_earlier_negative_box():
+    record = copy.deepcopy(FRAME)
+    record["objects"][0]["box"][2] = -2.5  # a negative width in object 0
+    record["objects"][1]["phrase"] = ""  # a schema fault in object 1
+    check_frame_read(record)
+    with pytest.raises(ingest.SchemaError, match=re.escape("line 1: $.objects[1].phrase: ")):
+        ingest._frame_grounding(record, 1)
 
 
 @settings(max_examples=300, deadline=None)

@@ -47,3 +47,25 @@ def test_every_flag_is_a_config_field_or_a_name_the_runner_reads():
         dests = {action.dest for action in parser._actions if action.dest != "help"}
         assert sorted(dests - allowed) == [], command
         assert sorted(dests & files) == sorted(parser.get_default("inputs") or ()), command
+
+
+def test_no_broad_except_unless_it_reraises():
+    # a broad handler would swallow a bug as if it were an expected fault;
+    # BaseException is caught only to clean up on the way out
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {c.id for c in caught if isinstance(c, ast.Name)} if node.type else {"(bare)"}
+            reraises = any(
+                isinstance(sub, ast.Raise)
+                and (sub.exc is None or isinstance(sub.exc, ast.Name) and sub.exc.id == node.name)
+                for statement in node.body
+                for sub in ast.walk(statement)
+            )
+            broad = names & {"(bare)", "Exception"} or ("BaseException" in names and not reraises)
+            if broad:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
