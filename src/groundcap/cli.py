@@ -112,14 +112,16 @@ def _of_kind(value: T, kind: type, name: str) -> T:
 def _stage_file(raw: bytes, parse: Callable[[dict], T]) -> dict[str, T]:
     """``video_id -> parse(record)`` for each record of a stage output file, in file order.
 
-    A malformed record, or a ``video_id`` that is not a string or repeats an earlier
-    one, is a SchemaError naming its line.
+    A malformed record, or a ``video_id`` that is not a non-empty string or repeats an
+    earlier one, is a SchemaError naming its line.
     """
     parsed: dict[str, T] = {}
     for line, obj in iter_jsonl(raw):
         try:
             value = parse(obj)
             video_id = _of_kind(obj["video_id"], str, "'video_id'")
+            if not video_id:
+                raise ValueError("'video_id' must be a non-empty string, got ''")
             if video_id in parsed:
                 raise ValueError(f"duplicate video_id {video_id!r}")
             parsed[video_id] = value

@@ -9,15 +9,16 @@
   in ``$id``, title and description, so predictions are checked against the
   annotation schema).
 
-Records are checked against hand-written walkers of their schemas, which
-give JSON Schema's errors in its order, with two tightenings: numbers are
-finite doubles, and frame keys match whole.  This is the one module that
-knows the JSON forms, and each line has one builder that checks it and
-builds its record in one walk: :func:`_frame` a frame line, by its schema
-and its box and mask rules, and :func:`_annotation` an annotation line, by
-its schema and the record rules that :func:`check_annotation` states.  The
-walkers (and ``check_annotation``) run only to explain a line that walk
-refuses, so the first error in their order is the one reported.  Masks are
+This is the one module that knows the JSON forms, and each line has one
+builder that checks it and builds its record in one walk: :func:`_frame` a
+frame line, by its schema and its box and mask rules, and :func:`_annotation`
+an annotation line, by its schema and the record rules that
+:func:`check_annotation` states.  Every command asks the builder first,
+``validate`` too.  Only a line it refuses is explained, by :func:`_errors`,
+which walks the shipped schema file (read on first need) and gives JSON
+Schema's errors in its order with two tightenings (numbers are finite
+doubles, and frame keys match whole), and then by ``check_annotation``, so
+the first error in their order is the one reported.  Masks are
 reduced to their pixel boxes as frame records are read.  All parsing is pure
 per record, so files can be processed in parallel.  A JSON-lines file is
 decoded, parsed and checked one line at a time, so the first faulty line in
@@ -26,6 +27,7 @@ file order is the one reported, whatever its fault.
 
 from __future__ import annotations
 
+import importlib.resources
 import io
 import json
 import math
@@ -33,8 +35,9 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, repeat
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .boxes import BoundingBox, box_fault
 from .captions import MalformedCaptionError, TaggedCaption
@@ -89,36 +92,18 @@ def _show(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-# A check yields ``(path, message)`` per fault in walk order, the path relative to the
-# value; a parent puts its own segment in front, so a valid value builds no path string.
-_Check = Callable[[object], Iterator[tuple[str, str]]]
-
-_SCALAR_TYPES = {  # type -> (test, description in messages)
+_TYPES = {  # JSON Schema type -> (test, description in messages)
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "array": (lambda v: isinstance(v, list), "an array"),
     "number": (_is_number, "a finite number"),
     "integer": (_is_integer, "an integer"),
     "string": (lambda v: isinstance(v, str), "a string"),
     "boolean": (lambda v: isinstance(v, bool), "a boolean"),
 }
-
-
-def _scalar(kind: str, minimum=None, maximum=None, exclusive_minimum=None, min_length=None):
-    """The check of one number, integer, string or boolean: type, then bounds, then length."""
-    test, expected = _SCALAR_TYPES[kind]
-
-    def check(value) -> Iterator[tuple[str, str]]:
-        if not test(value):
-            yield "", f"expected {expected}, got {_show(value)}"
-            return
-        if minimum is not None and value < minimum:
-            yield "", f"{value!r} is less than the minimum of {minimum}"
-        if maximum is not None and value > maximum:
-            yield "", f"{value!r} is greater than the maximum of {maximum}"
-        if exclusive_minimum is not None and value <= exclusive_minimum:
-            yield "", f"{value!r} is not greater than {exclusive_minimum}"
-        if min_length is not None and len(value) < min_length:
-            yield "", f"shorter than {min_length} characters"
-
-    return check
+_NUMBERS = {int, float}
+_ITEM_KINDS = {"number": _NUMBERS, "integer": {int}, "boolean": {bool}}  # _all_pass kinds per type
+_BOX_ITEMS = (_NUMBERS, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
+_MASK_RUNS = ({int}, 0)
 
 
 def _all_pass(value: list, kinds: set, floor) -> bool:
@@ -131,107 +116,79 @@ def _all_pass(value: list, kinds: set, floor) -> bool:
     return in_range and not (float in seen and any(map(math.isnan, value)))
 
 
-def _array(items: _Check, min_items=0, max_items=None, kinds=None, floor=None) -> _Check:
-    """The check of an array: its length, then each item, unless :func:`_all_pass` with
-    ``kinds`` and ``floor`` finds they all pass."""
-
-    def check(value) -> Iterator[tuple[str, str]]:
-        if not isinstance(value, list):
-            yield "", f"expected an array, got {_show(value)}"
-            return
-        if len(value) < min_items:
-            yield "", f"has {len(value)} items, fewer than {min_items}"
-        if max_items is not None and len(value) > max_items:
-            yield "", f"has {len(value)} items, more than {max_items}"
-        if kinds is None or not _all_pass(value, kinds, floor):
-            for i, item in enumerate(value):
-                for path, message in items(item):
-                    yield f"[{i}]{path}", message
-
-    return check
+@lru_cache(maxsize=None)
+def _input_schema(name: str) -> dict:
+    """A shipped schema file, read the first time a refused line needs explaining."""
+    return json.loads(importlib.resources.files("groundcap.schemas").joinpath(name).read_bytes())
 
 
-def _closed(fields: dict, required=None, frame_key=None, one_of=()) -> _Check:
-    """The check of an object: missing ``required`` keys (every field by default), then each
-    key in turn as a field, as a frame key under ``frame_key``, or unexpected, then ``one_of``.
+def _errors(value, schema: dict) -> Iterator[tuple[str, str]]:
+    """``(path, message)`` for each way ``value`` breaks ``schema``, in walk order.
+
+    Keywords mean what JSON Schema says, with two tightenings: numbers are
+    finite doubles, and a pattern key matches whole (a key that is not a
+    string matches none).  Each path is relative to ``value``, and a parent
+    puts its own segment in front, so a valid value builds no path string.
+    An array of bare numbers, integers or flags that :func:`_all_pass`
+    vouches for is not walked item by item.
     """
-    required = tuple(fields) if required is None else required
-
-    def check(value) -> Iterator[tuple[str, str]]:
-        if not isinstance(value, dict):
-            yield "", f"expected an object, got {_show(value)}"
+    if "type" in schema:
+        test, expected = _TYPES[schema["type"]]
+        if not test(value):
+            yield "", f"expected {expected}, got {_show(value)}"
             return
-        for name in required:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            yield "", f"{value!r} is less than the minimum of {schema['minimum']}"
+        if "maximum" in schema and value > schema["maximum"]:
+            yield "", f"{value!r} is greater than the maximum of {schema['maximum']}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            yield "", f"{value!r} is not greater than {schema['exclusiveMinimum']}"
+    elif isinstance(value, dict):
+        for name in schema.get("required", ()):
             if name not in value:
                 yield "", f"{name!r} is a required property"
+        properties = schema.get("properties", {})
+        patterns = schema.get("patternProperties", {})
         for key, item in value.items():
-            sub = fields.get(key) or (isinstance(key, str) and _FRAME_KEY(key) and frame_key)
-            if not sub:
+            subs = [properties[key]] if key in properties else []
+            if patterns and isinstance(key, str):
+                subs += [sub for pattern, sub in patterns.items() if re.fullmatch(pattern, key)]
+            if not subs and schema.get("additionalProperties") is False:
                 yield "", f"unexpected property {key!r}"
-            else:
-                for path, message in sub(item):
+            for sub in subs:
+                for path, message in _errors(item, sub):
                     yield f".{key}{path}", message
-        if one_of:
-            valid = sum(name in value for name in one_of)
-            if valid != 1:
-                yield "", f"valid under {valid} of the {len(one_of)} oneOf schemas, expected 1"
-
-    return check
-
-
-# The shipped input schemas, field by field; tests/test_schema.py holds the
-# walkers to the schema files.
-_NUMBERS = {int, float}
-_BOX_ITEMS = (_NUMBERS, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
-_MASK_RUNS = ({int}, 0)
-_BOX = _array(_scalar("number"), 4, 4, *_BOX_ITEMS)
-_MASK = _array(_scalar("integer", minimum=0), 0, None, *_MASK_RUNS)
-
-_FRAME_RECORD = _closed(
-    {
-        "video_id": _scalar("string", min_length=1),
-        "frame_index": _scalar("integer", minimum=0),
-        "width": _scalar("integer", minimum=1),
-        "height": _scalar("integer", minimum=1),
-        "caption": _scalar("string"),
-        "objects": _array(
-            _closed(
-                {"phrase": _scalar("string", min_length=1), "box": _BOX, "mask": _MASK},
-                required=("phrase",),
-                one_of=("box", "mask"),
-            )
-        ),
-    }
-)
-
-_TRACK_FIELDS = {
-    "phrase_index": _scalar("integer", minimum=0),
-    "presence": _array(_scalar("boolean"), 1, kinds={bool}),
-    "boxes": _closed({}, frame_key=_BOX),
-    "confidence": _closed({}, frame_key=_scalar("number", minimum=0, maximum=1)),
-}
-_TRACK_REQUIRED = ("phrase_index", "presence", "boxes")
-_ANNOTATION_FIELDS = {
-    "video_id": _scalar("string", min_length=1),
-    "frame_count": _scalar("integer", minimum=1),
-    "fps": _scalar("number", exclusive_minimum=0),
-    "width": _scalar("integer", minimum=1),
-    "height": _scalar("integer", minimum=1),
-    "caption": _scalar("string"),
-    "boxes_normalized": _scalar("boolean"),
-    "tracks": _array(_closed(_TRACK_FIELDS, required=_TRACK_REQUIRED)),
-}
-_ANNOTATION_RECORD = _closed(_ANNOTATION_FIELDS)
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield "", f"has {len(value)} items, fewer than {schema['minItems']}"
+        if "maxItems" in schema and len(value) > schema["maxItems"]:
+            yield "", f"has {len(value)} items, more than {schema['maxItems']}"
+        items = schema.get("items", {})
+        kinds = _ITEM_KINDS.get(items.get("type")) if items.keys() <= {"type", "minimum"} else None
+        if not (kinds and _all_pass(value, kinds, items.get("minimum", -_DOUBLE_MAX))):
+            for i, item in enumerate(value):
+                for path, message in _errors(item, items):
+                    yield f"[{i}]{path}", message
+    elif isinstance(value, str) and len(value) < schema.get("minLength", 0):
+        yield "", f"shorter than {schema['minLength']} characters"
+    if "oneOf" in schema:
+        options = schema["oneOf"]
+        valid = sum(next(_errors(value, sub), None) is None for sub in options)
+        if valid != 1:
+            yield "", f"valid under {valid} of the {len(options)} oneOf schemas, expected 1"
 
 
 def _frame_errors(obj) -> Iterator[tuple[str, str]]:
     """``(json_path, message)`` for each way ``obj`` breaks ``frame_grounding.schema.json``."""
-    return (("$" + path, message) for path, message in _FRAME_RECORD(obj))
+    schema = _input_schema("frame_grounding.schema.json")
+    return (("$" + path, message) for path, message in _errors(obj, schema))
 
 
 def _annotation_errors(obj) -> Iterator[tuple[str, str]]:
     """``(json_path, message)`` for each way ``obj`` breaks ``video_annotation.schema.json``."""
-    return (("$" + path, message) for path, message in _ANNOTATION_RECORD(obj))
+    schema = _input_schema("video_annotation.schema.json")
+    return (("$" + path, message) for path, message in _errors(obj, schema))
 
 
 def _check_schema(errors: Iterator[tuple[str, str]], line: Optional[int]) -> None:
@@ -518,7 +475,11 @@ def _read_annotation(obj, line: Optional[int], threshold: float, seen: set) -> V
     return record
 
 
-_REQUIRED_TRACK_KEYS = frozenset(_TRACK_REQUIRED)
+_ANNOTATION_KEYS = frozenset(
+    ("video_id", "frame_count", "fps", "width", "height", "caption", "boxes_normalized", "tracks")
+)
+_REQUIRED_TRACK_KEYS = frozenset(("phrase_index", "presence", "boxes"))
+_TRACK_KEYS = _REQUIRED_TRACK_KEYS | {"confidence"}
 
 
 def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[int, list]]]:
@@ -527,7 +488,7 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
 
     Integer fields go through ``int``, as the schema lets integral floats pass.
     """
-    if not (isinstance(obj, dict) and obj.keys() == _ANNOTATION_FIELDS.keys()):
+    if not (isinstance(obj, dict) and obj.keys() == _ANNOTATION_KEYS):
         raise ValueError("not an annotation object")
     video_id, fps, text = obj["video_id"], obj["fps"], obj["caption"]
     normalized, items = obj["boxes_normalized"], obj["tracks"]
@@ -549,7 +510,7 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
     for item in items:
         if not (
             isinstance(item, dict)
-            and _REQUIRED_TRACK_KEYS <= item.keys() <= _TRACK_FIELDS.keys()
+            and _REQUIRED_TRACK_KEYS <= item.keys() <= _TRACK_KEYS
             and isinstance(item["boxes"], dict)
             and item["boxes"]
             # frame keys, tested before any goes through int
@@ -737,8 +698,15 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
     Covers the machine-checkable acceptance rules: the caption must parse,
     phrase spans index it correctly, boxes stay inside the declared frame,
-    and presence flags agree with the stored boxes.  No record is built.
+    and presence flags agree with the stored boxes.  A record the builder
+    accepts has none; a refused one gets up to ten schema errors, else the
+    first rule :func:`check_annotation` finds broken, else ``unexplained``.
     """
+    try:
+        _annotation(obj, 0.0)
+        return []
+    except ValueError:
+        pass
     errors = islice(_annotation_errors(obj), 10)
     reasons = [("schema", f"{field_path}: {message}") for field_path, message in errors]
     if reasons:
@@ -746,8 +714,8 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
     try:
         check_annotation(obj)
     except RecordValidationError as exc:
-        reasons.append((exc.code, exc.message))
-    return reasons
+        return [(exc.code, exc.message)]
+    return [("unexplained", "a record the schema and its checks accept was refused")]
 
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:

@@ -173,19 +173,13 @@ class _HeldRecords(logging.Filter):
         held.append(record)
         return False
 
-    def hold(self) -> list[logging.LogRecord]:
-        """Start holding this thread's records; returns the list they go to."""
-        self._local.held = []
-        return self._local.held
+    def hold(self, held: list[logging.LogRecord]) -> None:
+        """Start holding this thread's records in ``held``."""
+        self._local.held = held
 
     def release(self) -> None:
         """Stop holding this thread's records."""
         self._local.held = None
-
-
-def _handle(records: list[logging.LogRecord]) -> None:
-    for record in records:
-        logging.getLogger(record.name).handle(record)
 
 
 def map_videos(
@@ -197,37 +191,40 @@ def map_videos(
 
     Results, and the warnings logged while working on each item, come back
     in the order of ``items`` regardless of completion order, so batch
-    outputs and logs are deterministic.  Each worker thread makes its own
-    client with :func:`http_client_factory` of the config, closed when the
-    workers are done.
+    outputs and logs are deterministic.  An item that raises does so in its
+    turn, after the warnings of the items before it and its own.  Each worker
+    thread makes its own client with :func:`http_client_factory` of the
+    config, closed when the workers are done.
     """
     client_factory = http_client_factory(config)
     local = threading.local()
     clients: list[HttpChatClient] = []
     held_records = _HeldRecords()
 
-    def worker(item: T) -> tuple[R, list[logging.LogRecord]]:
+    def worker(item: T, held: list[logging.LogRecord]) -> R:
         if not hasattr(local, "client"):
             local.client = client_factory()
             clients.append(local.client)
-        held = held_records.hold()
+        held_records.hold(held)
         try:
-            result = work(item, local.client)
-        except BaseException:
+            return work(item, local.client)
+        finally:
             held_records.release()
-            _handle(held)  # an item that raised still shows what it logged
-            raise
-        held_records.release()
-        return result, held
 
     results = []
+    held_by_item = [[] for _ in items]  # the records each item logs, handled in its turn
     for source in _HeldRecords.loggers:
         source.addFilter(held_records)
     try:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            for result, held in pool.map(worker, items):
-                _handle(held)
-                results.append(result)
+            outcomes = pool.map(worker, items, held_by_item)
+            for held in held_by_item:
+                try:
+                    results.append(next(outcomes))
+                finally:  # an item that raised shows what it logged, then raises
+                    for record in held:
+                        logging.getLogger(record.name).handle(record)
+                    held.clear()
     finally:
         for source in _HeldRecords.loggers:
             source.removeFilter(held_records)

@@ -35,23 +35,17 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
     """Aggregate statistics over a dataset of annotation records."""
     if not records:
         raise ValueError("cannot compute statistics over an empty dataset")
-    total_instances = 0
-    width_sum = 0.0
-    height_sum = 0.0
-    tubes = tube_frames = 0  # a running count and sum of tube lengths
+    total_instances = tubes = 0
+    width_sum = height_sum = 0.0
     for record in records:
+        # a normalized box is a fraction of its frame; a pixel box keeps its size
+        scale_w, scale_h = (record.width, record.height) if record.boxes_normalized else (1, 1)
         for track in record.tracks:
             total_instances += len(track.boxes)
             for box in track.boxes.values():
-                if box.normalized:
-                    width_sum += box.w * record.width
-                    height_sum += box.h * record.height
-                else:
-                    width_sum += box.w
-                    height_sum += box.h
-            for start, end in derive_presence(track):
-                tubes += 1
-                tube_frames += end - start + 1
+                width_sum += box.w * scale_w
+                height_sum += box.h * scale_h
+            tubes += len(derive_presence(track))
     n = len(records)
     return StatsReport(
         num_videos=n,
@@ -61,6 +55,7 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
         total_num_instances=total_instances,
         avg_box_width=width_sum / total_instances if total_instances else None,
         avg_box_height=height_sum / total_instances if total_instances else None,
-        avg_tube_length_frames=tube_frames / tubes if tubes else None,
+        # every present frame lies in exactly one tube
+        avg_tube_length_frames=total_instances / tubes if tubes else None,
         avg_caption_length_words=sum(len(r.caption.plain.split()) for r in records) / n,
     )

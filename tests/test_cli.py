@@ -855,6 +855,16 @@ class TestMalformedStageInput:
                 "line 1: 'subject' is a required property",
             ),
             ([svo_record(colour="red")], "line 1: unexpected property 'colour'"),
+            (
+                [{"video_id": "", "frames": []}],
+                "line 1: 'video_id' must be a non-empty string, got ''",
+            ),
+            ([svo_record(frame_index=-1)], "line 1: negative frame_index -1"),
+            ([svo_record(subject="")], "line 1: relation subject and verb must be non-empty"),
+            (
+                [svo_record(adpositions=[["in", ""]])],
+                "line 1: adposition pairs must have non-empty members",
+            ),
         ],
     )
     def test_aggregate_names_the_line(self, tmp_path, server, capsys, records, message):
@@ -891,6 +901,10 @@ class TestMalformedStageInput:
         for record, message in [
             ({"video_id": "v1"}, "line 1: 'caption' is a required property"),
             ({"video_id": "x", "caption": 5}, "line 1: caption must be a string, got 5"),
+            (
+                {"video_id": "", "caption": "<p>A person</p> is stirring"},
+                "line 1: 'video_id' must be a non-empty string, got ''",
+            ),
         ]:
             captions.write_text(json.dumps(record) + "\n", "utf-8")
             assert self.run_failing(argv, tmp_path, server, capsys) == f"error: {message}"

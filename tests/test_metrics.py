@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from contextlib import closing
 
 import pytest
 from hypothesis import given, strategies as st
@@ -169,6 +170,9 @@ class TestMeteorLite:
 class TestEmbeddingSimilarity:
     @pytest.fixture
     def embedding_server(self):
+        # an HTTP/1.1 server keeps the connection open after each answer, so a
+        # backend left open warns of an unclosed socket when it is collected,
+        # which the suite's error::ResourceWarning turns into a failure
         import json as jsonlib
         import threading
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -186,6 +190,8 @@ class TestEmbeddingSimilarity:
         answers = {"a void": (200, {"vectors": []}), "a blank": (200, {}), "a fault": (500, {})}
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):  # noqa: N802
                 length = int(self.headers.get("Content-Length", "0"))
                 (text,) = jsonlib.loads(self.rfile.read(length))["texts"]
@@ -208,44 +214,37 @@ class TestEmbeddingSimilarity:
         server.shutdown()
         server.server_close()
 
-    def test_cosine_over_served_vectors(self, embedding_server):
+    @pytest.fixture
+    def backend(self, embedding_server):
         from groundcap.metrics import EmbeddingSimilarity
 
         backend = EmbeddingSimilarity(embedding_server)
+        yield backend
+        backend.close()
+
+    def test_cosine_over_served_vectors(self, backend):
         assert backend.similarity("a cup", "a cup") == 1.0
         assert backend.similarity("a cup", "a mug") == pytest.approx(0.8)
         assert backend.similarity("a cup", "a dog") == 0.0
         assert phrase_similarity("a cup", "a mug", backend) == pytest.approx(0.8)
 
     @pytest.mark.parametrize("text", ["a null", "a nan", "a flag"])
-    def test_vector_of_non_numbers_is_an_error(self, embedding_server, text):
+    def test_vector_of_non_numbers_is_an_error(self, backend, text):
         # a NaN similarity would pass the similarity gate against every phrase
-        from groundcap.metrics import EmbeddingSimilarity
-
-        backend = EmbeddingSimilarity(embedding_server)
         with pytest.raises(ValueError, match=f"embedding of '{text}'"):
             backend.similarity("a cup", text)
 
-    def test_vectors_of_different_lengths_are_an_error(self, embedding_server):
-        from groundcap.metrics import EmbeddingSimilarity
-
-        backend = EmbeddingSimilarity(embedding_server)
+    def test_vectors_of_different_lengths_are_an_error(self, backend):
         with pytest.raises(ValueError, match="'a cup' and 'a pair' differ in length"):
             backend.similarity("a cup", "a pair")
 
     @pytest.mark.parametrize("text", ["a void", "a blank"])
-    def test_answer_without_a_vector_is_an_error(self, embedding_server, text):
-        from groundcap.metrics import EmbeddingSimilarity
-
-        backend = EmbeddingSimilarity(embedding_server)
+    def test_answer_without_a_vector_is_an_error(self, backend, embedding_server, text):
         message = f"embedding of '{text}' from {re.escape(embedding_server)} is"
         with pytest.raises(ValueError, match=message):
             backend.similarity("a cup", text)
 
-    def test_server_error_is_an_error(self, embedding_server):
-        from groundcap.metrics import EmbeddingSimilarity
-
-        backend = EmbeddingSimilarity(embedding_server)
+    def test_server_error_is_an_error(self, backend, embedding_server):
         message = f"'a fault' from {re.escape(embedding_server)} failed: HTTP 500 from"
         with pytest.raises(ValueError, match=message):
             backend.similarity("a cup", "a fault")
@@ -254,57 +253,33 @@ class TestEmbeddingSimilarity:
         from groundcap.metrics import EmbeddingSimilarity
 
         endpoint = "http://127.0.0.1:1/embed"  # nothing listens there
-        backend = EmbeddingSimilarity(endpoint, timeout=0.2)
-        message = f"embedding of 'a cup' from {re.escape(endpoint)} failed"
-        with pytest.raises(ValueError, match=message):
-            backend.similarity("a cup", "a mug")
+        with closing(EmbeddingSimilarity(endpoint, timeout=0.2)) as backend:
+            message = f"embedding of 'a cup' from {re.escape(endpoint)} failed"
+            with pytest.raises(ValueError, match=message):
+                backend.similarity("a cup", "a mug")
 
     @pytest.mark.parametrize("status", [200, 500])
-    def test_evaluate_closes_a_kept_alive_connection(self, status):
-        # an HTTP/1.1 server keeps the connection open after each answer, so a
-        # backend left open warns of an unclosed socket when it is collected,
-        # which the suite's error::ResourceWarning turns into a failure
+    def test_evaluate_closes_a_kept_alive_connection(self, embedding_server, status):
+        # evaluate makes and closes its own backend; the server answers "a fault" with HTTP 500
         import gc
-        import json as jsonlib
-        import threading
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def do_POST(self):  # noqa: N802
-                self.rfile.read(int(self.headers["Content-Length"]))
-                payload = jsonlib.dumps({"vectors": [[1.0, 0.0]]}).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, *args):
-                pass
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            host, port = server.server_address[:2]
-            config = PipelineConfig(embedding_endpoint=f"http://{host}:{port}/embed")
-            box = {0: {0: BoundingBox(10, 10, 20, 20)}}
-            gts = [annotation_with_tracks("v", box, tagged="<p>a cup</p> on a table")]
-            preds = [annotation_with_tracks("v", box, tagged="<p>a mug</p> on a table")]
-            if status == 200:
-                assert evaluate(preds, gts, config).frame_level.recall == 1.0
-            else:
-                with pytest.raises(ValueError, match="failed: HTTP 500"):
-                    evaluate(preds, gts, config)
-            gc.collect()
-        finally:
-            server.shutdown()
-            server.server_close()
+        predicted = {200: "a mug", 500: "a fault"}[status]
+        config = PipelineConfig(embedding_endpoint=embedding_server)
+        box = {0: {0: BoundingBox(10, 10, 20, 20)}}
+        gts = [annotation_with_tracks("v", box, tagged="<p>a cup</p> on a table")]
+        preds = [annotation_with_tracks("v", box, tagged=f"<p>{predicted}</p> on a table")]
+        if status == 200:
+            assert evaluate(preds, gts, config).frame_level.recall == 1.0
+        else:
+            with pytest.raises(ValueError, match="failed: HTTP 500"):
+                evaluate(preds, gts, config)
+        gc.collect()
 
     def test_config_selects_backend(self, embedding_server):
         assert similarity_backend(PipelineConfig()).name == "lexical"
         config = PipelineConfig(embedding_endpoint=embedding_server)
-        assert similarity_backend(config).name == "embedding"
+        with closing(similarity_backend(config)) as backend:
+            assert backend.name == "embedding"
         with pytest.raises(ValueError, match="^endpoint must be an http or https URL, got ''$"):
             similarity_backend(PipelineConfig(embedding_endpoint=""))
 

@@ -1,3 +1,6 @@
+import gc
+import logging
+import threading
 from collections import Counter
 from contextlib import closing
 
@@ -5,7 +8,7 @@ import pytest
 
 import groundcap.pipeline as pipeline
 from groundcap import MockLlmServer, PipelineConfig, annotate_video, run_pipeline
-from groundcap.llm import HttpChatClient
+from groundcap.llm import ChatMessage, HttpChatClient
 from groundcap.pipeline import http_client_factory
 from conftest import (
     BEVERAGE_FRAME_PHRASES,
@@ -139,6 +142,51 @@ class TestRunPipeline:
         assert len(accepted) + len(rejected) == 5
         assert [r.video_id for r in rejected] == [broken_id]
         assert [code for code, _ in rejected[0].reasons] == ["no-caption-key"]
+
+
+class TestMapVideos:
+    def test_an_item_that_raises(self, monkeypatch):
+        # two workers: item 1 logs and raises while item 0 still works, and
+        # item 0 waits (briefly) for item 1's warning to reach the handlers
+        made, closed, handled = [], [], []
+        item_1_handled = threading.Event()
+
+        class Tracked(HttpChatClient):
+            def __post_init__(self):
+                super().__post_init__()
+                made.append(self)
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        class Seen(logging.Handler):
+            def emit(self, record):
+                handled.append(record.getMessage())
+                if record.getMessage() == "item 1":
+                    item_1_handled.set()
+
+        def work(item, client):
+            client.complete([ChatMessage("user", f"item {item}")])  # a kept-alive socket
+            pipeline.logger.warning("item %d", item)
+            if item == 1:
+                raise RuntimeError("item 1 failed")
+            item_1_handled.wait(0.2)
+            return item
+
+        monkeypatch.setattr(pipeline, "HttpChatClient", Tracked)
+        seen = Seen()
+        pipeline.logger.addHandler(seen)
+        try:
+            with MockLlmServer({}, default="ok") as server:
+                config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=2)
+                with pytest.raises(RuntimeError, match="^item 1 failed$"):
+                    pipeline.map_videos([0, 1], work, config)
+        finally:
+            pipeline.logger.removeHandler(seen)
+        assert handled == ["item 0", "item 1"]
+        assert len(made) == 2 and sorted(map(id, closed)) == sorted(map(id, made))
+        gc.collect()  # an unclosed socket would warn here
 
 
 class TestSharedResponseMemo:

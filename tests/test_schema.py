@@ -1,7 +1,8 @@
-"""The hand-written record walkers in ``ingest`` against two references.
+"""The record walkers in ``ingest`` against two references.
 
-``ingest._frame_errors`` and ``ingest._annotation_errors`` write out the
-shipped input schemas field by field.  Random mutations of valid
+``ingest._frame_errors`` and ``ingest._annotation_errors`` walk the shipped
+input schema files, which are read only to explain a line a builder
+refuses.  Random mutations of valid
 frame-grounding and annotation records, and a fixed sweep of edits at every
 field, must get exactly the errors of ``oracles.schema_errors``, the walker
 that reads the schema files at every node, in the same order.  The random

@@ -5,6 +5,8 @@ import ast
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 import groundcap
 from groundcap.cli import build_parser
 from groundcap.config import PipelineConfig
@@ -69,3 +71,12 @@ def test_no_broad_except_unless_it_reraises():
             if broad:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_the_input_schemas_ship_with_the_package():
+    # ingest reads them to explain a refused line, so an installed groundcap needs them
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+    assert "schemas/*.json" in pyproject["tool"]["setuptools"]["package-data"]["groundcap"]
+    for name in ("frame_grounding.schema.json", "video_annotation.schema.json"):
+        assert (SOURCE / "schemas" / name).is_file()
