@@ -8,28 +8,31 @@ mixed-mode arithmetic can be rejected instead of silently producing garbage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 NORMALIZED_EPS = 1e-6
 
 XYWH = tuple[float, float, float, float]  # a box's coordinates without its mode flag
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """An ``[x, y, w, h]`` box, pixel-space or normalized to frame size."""
-
+class _BoxFields(NamedTuple):
     x: float
     y: float
     w: float
     h: float
     normalized: bool = False
 
-    def __post_init__(self) -> None:
-        fault = box_fault(self.x, self.y, self.w, self.h, self.normalized)
+
+class BoundingBox(_BoxFields):
+    """An ``[x, y, w, h]`` box, pixel-space or normalized to frame size."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, w, h, normalized=False):
+        fault = box_fault(x, y, w, h, normalized)
         if fault is not None:
             raise ValueError(fault)
+        return tuple.__new__(cls, (x, y, w, h, normalized))
 
     @property
     def area(self) -> float:

@@ -10,7 +10,7 @@ of any tokenizer.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 OPEN_TAG = "<p>"
 CLOSE_TAG = "</p>"
@@ -22,8 +22,7 @@ class MalformedCaptionError(ValueError):
     """Raised when ``<p></p>`` tags are unbalanced, nested, or empty."""
 
 
-@dataclass(frozen=True)
-class PhraseSpan:
+class PhraseSpan(NamedTuple):
     """One tagged phrase: verbatim text plus [start, end) offsets in the plain caption."""
 
     text: str
@@ -31,31 +30,35 @@ class PhraseSpan:
     char_end: int
 
 
-@dataclass(frozen=True)
-class TaggedCaption:
+class _CaptionFields(NamedTuple):
+    plain: str
+    phrases: tuple[PhraseSpan, ...] = ()
+
+
+class TaggedCaption(_CaptionFields):
     """Caption text with its ordered, non-overlapping phrase spans."""
 
-    plain: str
-    phrases: tuple[PhraseSpan, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phrases", tuple(self.phrases))
-        if _TAG_RE.search(self.plain):
+    def __new__(cls, plain, phrases=()):
+        phrases = tuple(phrases)
+        if _TAG_RE.search(plain):
             raise MalformedCaptionError("plain caption text must not contain <p> or </p> literals")
         prev_end = 0
-        for span in self.phrases:
-            if not (0 <= span.char_start < span.char_end <= len(self.plain)):
+        for span in phrases:
+            if not (0 <= span.char_start < span.char_end <= len(plain)):
                 raise MalformedCaptionError(
-                    f"phrase span [{span.char_start}, {span.char_end}) outside caption of length {len(self.plain)}"
+                    f"phrase span [{span.char_start}, {span.char_end}) outside caption of length {len(plain)}"
                 )
             if span.char_start < prev_end:
                 raise MalformedCaptionError("phrase spans overlap or are out of order")
-            if self.plain[span.char_start : span.char_end] != span.text:
+            if plain[span.char_start : span.char_end] != span.text:
                 raise MalformedCaptionError(
                     f"phrase text {span.text!r} does not match caption slice "
-                    f"{self.plain[span.char_start:span.char_end]!r}"
+                    f"{plain[span.char_start:span.char_end]!r}"
                 )
             prev_end = span.char_end
+        return tuple.__new__(cls, (plain, phrases))
 
     @property
     def phrase_texts(self) -> list[str]:

@@ -22,7 +22,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -99,7 +98,7 @@ def _write_outputs(
 
 
 _KINDS = {str: "a string", list: "an array", dict: "an object"}
-_RELATION_FIELDS = frozenset(field.name for field in fields(SvoRelation))
+_RELATION_FIELDS = frozenset(SvoRelation._fields)
 
 
 def _of_kind(value: T, kind: type, name: str) -> T:
@@ -193,7 +192,11 @@ def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig, raw: bytes) ->
 def _cmd_svo(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     results = []
     for video_id, frames in group_frame_groundings(parse_frame_grounding(raw)).items():
-        svo_frames = [asdict(extract_svo(pos_tag(f.caption), f.frame_index)) for f in frames]
+        extracted = (extract_svo(pos_tag(f.caption), f.frame_index) for f in frames)
+        svo_frames = [
+            {"frame_index": s.frame_index, "relations": [r._asdict() for r in s.relations]}
+            for s in extracted
+        ]
         results.append((video_id, [{"video_id": video_id, "frames": svo_frames}], ()))
     _write_videos(args, results)
     print(f"extracted SVO frames for {len(results)} videos -> {args.out}")
@@ -252,7 +255,7 @@ def _cmd_track(
     def track(video_id: str, client) -> _VideoOutput:
         objects = collect_frame_objects(by_video[video_id])
         assignments = track_by_language(objects, captions[video_id], client, config)
-        lines = [{"video_id": video_id, "assignments": [asdict(a) for a in assignments]}]
+        lines = [{"video_id": video_id, "assignments": [a._asdict() for a in assignments]}]
         return video_id, lines, ()
 
     results = map_videos(video_ids, track, config)
@@ -416,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objectness-threshold", dest="objectness_threshold", type=float,
         help="temporal objectness cutoff applied to predictions "
-        f"(default {PipelineConfig.objectness_threshold})",
+        f"(default {PipelineConfig._field_defaults['objectness_threshold']})",
     )
     _add_config_flags(p)
     p.set_defaults(func=_cmd_eval, inputs=("pred", "gt"))
@@ -467,7 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"{args.command} --manifest requires --out")
         config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
         # every flag whose dest is a config field overrides it when given
-        config = config.override(**{f.name: getattr(args, f.name, None) for f in fields(config)})
+        config = config.override(**{name: getattr(args, name, None) for name in config._fields})
         _refuse_shared_outputs(args)
         paths = [getattr(args, name) for name in args.inputs]
         raw = {path: Path(path).read_bytes() for path in dict.fromkeys(paths)}  # each read once

@@ -14,9 +14,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, get_args, get_type_hints
+from typing import NamedTuple, Optional, get_args, get_type_hints
 
 from .jsonio import canonical_json, read_json_file
 
@@ -28,8 +27,7 @@ _JSON_TYPES = {
 }
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _ConfigFields(NamedTuple):
     endpoint: str = ""
     model: str = ""
     temperature: float = 0.0
@@ -44,7 +42,12 @@ class PipelineConfig:
     objectness_threshold: float = 0.5
     api_key_env: str = "GROUNDCAP_API_KEY"
 
-    def __post_init__(self) -> None:
+
+class PipelineConfig(_ConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for key, least in (("retries", 0), ("max_in_flight", 1)):
             value = getattr(self, key)
             if value < least:
@@ -59,6 +62,7 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r} must be finite, got {value}")
         if self.fps <= 0:
             raise ValueError(f"config key 'fps' must be > 0, got {self.fps}")
+        return self
 
     @classmethod
     def from_dict(cls, obj: object) -> "PipelineConfig":
@@ -91,11 +95,12 @@ class PipelineConfig:
     def override(self, **kwargs) -> "PipelineConfig":
         """A copy with the non-None keyword values replaced."""
         changes = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **changes) if changes else self
+        # through the constructor, which checks the values; _replace would not
+        return type(self)(**{**self._asdict(), **changes}) if changes else self
 
     def config_hash(self) -> str:
         """Digest of every field but ``max_in_flight``, which changes no output byte."""
-        hashed = asdict(self)
+        hashed = self._asdict()
         del hashed["max_in_flight"]
         return hashlib.sha256(canonical_json(hashed).encode("utf-8")).hexdigest()
 

@@ -34,10 +34,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, compress, islice, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .boxes import BoundingBox, box_fault
 from .captions import MalformedCaptionError, TaggedCaption
@@ -280,27 +279,29 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
 # Frame grounding (stage-1 output)
 
 
-@dataclass(frozen=True)
-class FrameObject:
+class FrameObject(NamedTuple):
     """One grounded phrase in a frame and its pixel box; None for an empty mask."""
 
     phrase: str
     box: Optional[BoundingBox]
 
 
-@dataclass(frozen=True)
-class FrameGrounding:
-    """The grounded caption of one video frame."""
-
+class _FrameFields(NamedTuple):
     video_id: str
     frame_index: int
     width: int
     height: int
     caption: str
-    objects: tuple[FrameObject, ...] = field(default_factory=tuple)
+    objects: tuple[FrameObject, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "objects", tuple(self.objects))
+
+class FrameGrounding(_FrameFields):
+    """The grounded caption of one video frame."""
+
+    __slots__ = ()
+
+    def __new__(cls, video_id, frame_index, width, height, caption, objects=()):
+        return tuple.__new__(cls, (video_id, frame_index, width, height, caption, tuple(objects)))
 
 
 def parse_frame_grounding(data: bytes) -> list[FrameGrounding]:
@@ -728,7 +729,8 @@ def read_annotations(data: bytes) -> list[VideoAnnotation]:
 
 
 def load_predictions(
-    data: bytes, objectness_threshold: float = PipelineConfig.objectness_threshold
+    data: bytes,
+    objectness_threshold: float = PipelineConfig._field_defaults["objectness_threshold"],
 ) -> list[VideoAnnotation]:
     """Read prediction records and apply the temporal objectness threshold.
 

@@ -22,8 +22,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, NamedTuple, Optional, Protocol, Sequence
 
 from . import prompts
 from .boxes import BoundingBox
@@ -48,16 +47,19 @@ REJECT_TRANSPORT = "transport"
 NONE_CLASS = "None"
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class _MessageFields(NamedTuple):
     role: str
     content: str
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"role must be one of {ROLES}, got {self.role!r}")
-        if not self.content:
+
+class ChatMessage(_MessageFields):
+    # no __slots__: json_text is cached in the instance dict, once per message
+    def __new__(cls, role, content):
+        if role not in ROLES:
+            raise ValueError(f"role must be one of {ROLES}, got {role!r}")
+        if not content:
             raise ValueError("message content must be non-empty")
+        return tuple.__new__(cls, (role, content))
 
     def as_dict(self) -> dict[str, str]:
         return {"role": self.role, "content": self.content}
@@ -98,8 +100,7 @@ class ResponseRejection(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class PhraseAssignment:
+class PhraseAssignment(NamedTuple):
     """A frame-level phrase mapped to a video-level phrase, or dropped."""
 
     frame_index: int
@@ -170,8 +171,9 @@ class JsonEndpoint:
     """
 
     def __init__(self, url: str, timeout: float, headers: Optional[dict[str, str]] = None):
-        # loaded with the first client: http.client costs a process ~35 ms
-        # that commands which never reach an endpoint should not pay
+        # loaded with the first client: after groundcap, http.client costs a
+        # process ~18 ms of CPU (~20 ms with urllib.request and base64) that
+        # commands which never reach an endpoint should not pay
         import base64
         import http.client
         import urllib.request
@@ -266,7 +268,6 @@ class JsonEndpoint:
         self._conn.close()
 
 
-@dataclass
 class HttpChatClient:
     """Chat-completions client: JSON over HTTP POST.
 
@@ -285,17 +286,14 @@ class HttpChatClient:
     is not sent twice.
     """
 
-    endpoint: str
-    model: str
-    temperature: float = 0.0
-    seed: Optional[int] = 0
-    api_key: Optional[str] = None
-    timeout: float = 60.0
-    memo: ResponseMemo = field(default_factory=ResponseMemo, repr=False)
-
-    def __post_init__(self) -> None:
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else None
-        self._endpoint = JsonEndpoint(self.endpoint, self.timeout, headers)
+    def __init__(
+        self, endpoint, model, temperature=0.0, seed=0, api_key=None, timeout=60.0, memo=None
+    ) -> None:
+        self.endpoint, self.model, self.temperature, self.seed = endpoint, model, temperature, seed
+        self.api_key, self.timeout = api_key, timeout
+        self.memo = ResponseMemo() if memo is None else memo
+        headers = {"Authorization": f"Bearer {api_key}"} if api_key else None
+        self._endpoint = JsonEndpoint(endpoint, timeout, headers)
 
     @functools.cached_property
     def _envelope(self) -> tuple[str, str]:

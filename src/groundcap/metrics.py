@@ -23,7 +23,6 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, count, repeat
 from operator import attrgetter, truediv
@@ -486,18 +485,16 @@ def _ranked_flags(detections: list[_BoxRow], matched: set[int]) -> list[bool]:
 # Report
 
 
-@dataclass(frozen=True)
-class LevelScores:
+class LevelScores(NamedTuple):
     ap50: Optional[float]
     miou: Optional[float]
     recall: Optional[float]
 
     def as_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     frame_level: LevelScores
     video_level: LevelScores
     meteor: float
@@ -507,9 +504,9 @@ class MetricsReport:
     num_videos: int
 
     def as_dict(self) -> dict:
-        """The plain form, equal to ``dataclasses.asdict`` of the report."""
+        """The plain form: the fields, with each score, video and config as a dict."""
         return {
-            **vars(self),
+            **self._asdict(),
             "frame_level": self.frame_level.as_dict(),
             "video_level": self.video_level.as_dict(),
             "per_video": {video_id: dict(scores) for video_id, scores in self.per_video.items()},

@@ -26,6 +26,9 @@ from .llm import ChatMessage
 
 MessageLike = Union[ChatMessage, Mapping[str, str]]
 
+# Seconds between serve_forever's checks for a shutdown, so the most stop() waits
+POLL_INTERVAL = 0.05
+
 
 def request_hash(messages: Sequence[MessageLike]) -> str:
     """Stable hash of a chat request's messages (roles and contents only)."""
@@ -145,7 +148,9 @@ class MockLlmServer:
         return f"http://{host}:{port}/v1/chat/completions"
 
     def start(self) -> "MockLlmServer":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
         return self
 

@@ -23,8 +23,7 @@ import functools
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from . import llm, tubes
 from .boxes import BoundingBox
@@ -50,8 +49,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """One video's outcome: the record, or None and why it was rejected."""
 
     video_id: str

@@ -1,6 +1,6 @@
 """Video-level record types: object tracks, annotations and SVO frames.
 
-Tracks and annotations are plain immutable values, and
+Tracks and annotations are immutable named tuples, and
 :class:`RecordValidationError` is the fault of a record that breaks their
 rules.  A track is its boxes: its presence flags are derived from the box
 frames, so in memory they cannot disagree.  This module reads no JSON: the
@@ -12,9 +12,8 @@ built by hand the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .boxes import BoundingBox
 from .captions import TaggedCaption
@@ -29,8 +28,14 @@ class RecordValidationError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class ObjectTrack:
+class _TrackFields(NamedTuple):
+    phrase_index: int
+    boxes: Mapping[int, BoundingBox]
+    frame_count: int
+    confidence: Optional[Mapping[int, float]] = None
+
+
+class ObjectTrack(_TrackFields):
     """One caption phrase bound to per-frame boxes, with gaps allowed.
 
     The track spans the video's ``frame_count`` frames; ``presence`` is
@@ -38,15 +43,13 @@ class ObjectTrack:
     (prediction records only) maps a present frame to a score in [0, 1].
     """
 
-    phrase_index: int
-    boxes: Mapping[int, BoundingBox]
-    frame_count: int
-    confidence: Optional[Mapping[int, float]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "boxes", MappingProxyType(dict(self.boxes)))
-        if self.confidence is not None:
-            object.__setattr__(self, "confidence", MappingProxyType(dict(self.confidence)))
+    def __new__(cls, phrase_index, boxes, frame_count, confidence=None):
+        boxes = MappingProxyType(dict(boxes))
+        if confidence is not None:
+            confidence = MappingProxyType(dict(confidence))
+        return tuple.__new__(cls, (phrase_index, boxes, frame_count, confidence))
 
     @property
     def presence(self) -> tuple[bool, ...]:
@@ -58,44 +61,54 @@ class ObjectTrack:
         return sorted(self.boxes)
 
 
-@dataclass(frozen=True)
-class VideoAnnotation:
-    """One video record: caption with phrase tags plus its object tracks."""
-
+class _AnnotationFields(NamedTuple):
     video_id: str
     frame_count: int
     fps: float
     width: int
     height: int
     caption: TaggedCaption
-    tracks: tuple[ObjectTrack, ...] = field(default_factory=tuple)
+    tracks: tuple[ObjectTrack, ...] = ()
     boxes_normalized: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tracks", tuple(self.tracks))
+
+class VideoAnnotation(_AnnotationFields):
+    """One video record: caption with phrase tags plus its object tracks."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, video_id, frame_count, fps, width, height, caption, tracks=(), boxes_normalized=False
+    ):
+        tracks = tuple(tracks)
+        return tuple.__new__(
+            cls, (video_id, frame_count, fps, width, height, caption, tracks, boxes_normalized)
+        )
 
     @property
     def duration_seconds(self) -> float:
         return self.frame_count / self.fps
 
 
-@dataclass(frozen=True)
-class SvoRelation:
-    """A (subject, verb, object) relation with optional adposition pairs."""
-
+class _RelationFields(NamedTuple):
     subject: str
     verb: str
     object: Optional[str] = None
-    adpositions: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    adpositions: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
-        for key in ("subject", "verb", "object"):
-            value = getattr(self, key)
+
+class SvoRelation(_RelationFields):
+    """A (subject, verb, object) relation with optional adposition pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject, verb, object=None, adpositions=()):
+        for key, value in (("subject", subject), ("verb", verb), ("object", object)):
             if not isinstance(value, str) and (key != "object" or value is not None):
                 raise TypeError(f"relation {key} must be a string, got {value!r}")
-        if not self.subject or not self.verb:
+        if not subject or not verb:
             raise ValueError("relation subject and verb must be non-empty")
-        adpositions = tuple(self.adpositions)
+        adpositions = tuple(adpositions)
         for pair in adpositions:
             # a list or tuple, as a two-letter string would unpack too
             is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
@@ -103,19 +116,24 @@ class SvoRelation:
                 raise TypeError(f"adposition must be a pair of strings, got {pair!r}")
             if not all(pair):
                 raise ValueError("adposition pairs must have non-empty members")
-        object.__setattr__(self, "adpositions", tuple(tuple(p) for p in adpositions))
+        pairs = tuple(tuple(p) for p in adpositions)
+        return tuple.__new__(cls, (subject, verb, object, pairs))
 
 
-@dataclass(frozen=True)
-class SvoFrame:
+class _SvoFrameFields(NamedTuple):
+    frame_index: int
+    relations: tuple[SvoRelation, ...] = ()
+
+
+class SvoFrame(_SvoFrameFields):
     """All relations extracted from one frame's caption."""
 
-    frame_index: int
-    relations: tuple[SvoRelation, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if isinstance(self.frame_index, bool) or not isinstance(self.frame_index, int):
-            raise TypeError(f"frame_index must be an integer, got {self.frame_index!r}")
-        if self.frame_index < 0:
-            raise ValueError(f"negative frame_index {self.frame_index}")
+    def __new__(cls, frame_index, relations=()):
+        relations = tuple(relations)
+        if isinstance(frame_index, bool) or not isinstance(frame_index, int):
+            raise TypeError(f"frame_index must be an integer, got {frame_index!r}")
+        if frame_index < 0:
+            raise ValueError(f"negative frame_index {frame_index}")
+        return tuple.__new__(cls, (frame_index, relations))

@@ -8,15 +8,13 @@ by their frame size) and averaged per instance.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .records import VideoAnnotation
 from .tubes import derive_presence
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     num_videos: int
     avg_num_frames: float
     avg_duration_seconds: float
@@ -28,7 +26,7 @@ class StatsReport:
     avg_caption_length_words: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:

@@ -287,6 +287,13 @@ class TestEval:
         out = tmp_path / "report.json"
         assert main(["eval", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == 1
 
+    def test_help_names_the_objectness_default(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eval", "--help"])
+        assert excinfo.value.code == 0
+        # argparse wraps the help text, so runs of white space are joined first
+        assert "(default 0.5)" in " ".join(capsys.readouterr().out.split())
+
     def test_embedding_endpoint_down_exits_one(self, tmp_path, rng, capsys):
         # the first phrase is renamed, so its boxes reach the similarity gate
         obj = json.loads(serialize_video_annotation(make_corpus(rng, 1)[0]))

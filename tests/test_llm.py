@@ -32,6 +32,7 @@ from groundcap import (
 )
 from groundcap import prompts
 from groundcap.llm import TransportError
+from groundcap.mockllm import POLL_INTERVAL
 from conftest import ScriptedClient, caption_response, category_response
 
 GOLD = __import__("pathlib").Path(__file__).parent / "golden"
@@ -382,7 +383,9 @@ class StubServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
 
     @property
     def url(self) -> str:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -32,6 +31,7 @@ from groundcap.metrics import (
     similarity_backend,
 )
 from groundcap.ingest import annotation_to_dict, check_annotation
+from groundcap.mockllm import POLL_INTERVAL
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
 
@@ -207,7 +207,7 @@ class TestEmbeddingSimilarity:
                 pass
 
         server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(target=server.serve_forever, args=(POLL_INTERVAL,), daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         yield f"http://{host}:{port}/embed"
@@ -750,11 +750,11 @@ def _noisy_prediction(rng, gt):
                 rng.randrange(phrases), {t: box}, gt.frame_count, {t: rng.choice(CONFIDENCES)}
             )
         )
-    prediction = dataclasses.replace(gt, tracks=tuple(tracks))
+    prediction = gt._replace(tracks=tuple(tracks))
     try:
         check_annotation(annotation_to_dict(prediction))
     except RecordValidationError:  # a duplicate came out identical to its original
-        return dataclasses.replace(gt, tracks=tuple(tracks[:1]))
+        return gt._replace(tracks=tuple(tracks[:1]))
     return prediction
 
 
@@ -764,7 +764,7 @@ def _oracle_corpus(rng):
     for i in range(rng.randint(2, 8)):
         gt = make_annotation(rng, f"pool-{i}", frame_count=rng.randint(1, 4))
         if rng.random() < 0.15:
-            gt = dataclasses.replace(gt, tracks=())  # no ground-truth boxes
+            gt = gt._replace(tracks=())  # no ground-truth boxes
         gts.append(gt)
         if rng.random() < 0.2:
             continue  # no prediction for this video
@@ -893,7 +893,7 @@ class TestSummationOrder:
             pred = _noisy_prediction(rng, gt)
             extra = rng.choice(("slowly", "the cup", "again and again", "near a bowl"))
             caption = parse_tagged_caption(f"{render_tagged_caption(gt.caption)} {extra}")
-            preds.append(dataclasses.replace(pred, caption=caption))
+            preds.append(pred._replace(caption=caption))
         report = evaluate(preds, gts)
 
         cider_total = 0.0

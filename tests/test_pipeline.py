@@ -152,8 +152,8 @@ class TestMapVideos:
         item_1_handled = threading.Event()
 
         class Tracked(HttpChatClient):
-            def __post_init__(self):
-                super().__post_init__()
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 made.append(self)
 
             def close(self):

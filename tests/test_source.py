@@ -2,7 +2,9 @@
 
 import argparse
 import ast
-from dataclasses import fields
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,7 +44,7 @@ def test_every_flag_is_a_config_field_or_a_name_the_runner_reads():
     # that is neither a field nor one of these would be dropped without a word
     files = {"input", "captions", "pred", "gt"}  # read through the subcommand's ``inputs``
     handled = files | {"out", "rejected", "config", "manifest", "fixtures", "host", "port"}
-    allowed = handled | {f.name for f in fields(PipelineConfig)}
+    allowed = handled | set(PipelineConfig._fields)
     actions = build_parser()._actions
     (subparsers,) = (a for a in actions if isinstance(a, argparse._SubParsersAction))
     for command, parser in subparsers.choices.items():
@@ -80,3 +82,32 @@ def test_the_input_schemas_ship_with_the_package():
     assert "schemas/*.json" in pyproject["tool"]["setuptools"]["package-data"]["groundcap"]
     for name in ("frame_grounding.schema.json", "video_annotation.schema.json"):
         assert (SOURCE / "schemas" / name).is_file()
+
+
+def test_no_module_imports_dataclasses():
+    # the records are named tuples; dataclasses, and the inspect it loads, would
+    # add their import and the decorating of every record class to each process
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.partition(".")[0] == "dataclasses" for module in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    loaded = (
+        "import sys; before = set(sys.modules); import groundcap.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", loaded],
+        env={**os.environ, "PYTHONPATH": str(SOURCE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert child.stdout == "[]\n"
