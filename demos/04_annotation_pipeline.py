@@ -71,10 +71,14 @@ for phrase, category in classification.items():
 with MockLlmServer(fixtures) as server:
     print("mock endpoint:", server.url)
     with closing(HttpChatClient(endpoint=server.url, model="demo-model")) as client:
-        result = annotate_video(frames, client, PipelineConfig(fps=5.0, backoff=0.0))
+        events = []  # warnings about the video: objects dropped, phrases demoted
+        config = PipelineConfig(fps=5.0, backoff=0.0)
+        result = annotate_video(frames, client, config, events=events)
     calls = server.request_count
 
 print("status:", "accepted" if result.annotation is not None else f"rejected {result.reasons}")
+for event in events:
+    print(f"event {event.code}: {event.message}")
 annotation = result.annotation
 print("caption:", annotation.caption.plain)
 for track in annotation.tracks:

@@ -52,6 +52,7 @@ from .metrics import (
 from .mockllm import MockLlmServer, request_hash
 from .pipeline import annotate_video, run_pipeline
 from .records import (
+    Event,
     ObjectTrack,
     RecordValidationError,
     SvoFrame,
@@ -68,6 +69,7 @@ __all__ = [
     "BoundingBox",
     "ChatMessage",
     "EmptyMaskError",
+    "Event",
     "FrameGrounding",
     "FrameObject",
     "HttpChatClient",

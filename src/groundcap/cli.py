@@ -42,12 +42,10 @@ from .jsonio import canonical_json, canonical_jsonl_bytes
 from .llm import ResponseRejection, aggregate_video, track_by_language
 from .metrics import evaluate
 from .mockllm import serve_fixtures
-from .pipeline import collect_frame_objects, map_videos, run_pipeline
+from .pipeline import collect_frame_objects, log_events, map_videos, run_pipeline
 from .records import SvoFrame, SvoRelation
 from .stats import dataset_stats
 from .svo import extract_svo, pos_tag
-
-logger = logging.getLogger("groundcap")
 
 T = TypeVar("T")
 _VideoOutput = tuple[str, list[dict], Sequence[tuple[str, str]]]  # video id, output lines, reasons
@@ -162,13 +160,12 @@ def _write_videos(
 
 def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
     records = parse_frame_grounding(raw)
-    dropped = 0
+    events = []  # each one an object dropped
     results = []
     for video_id, frames in group_frame_groundings(records).items():
         lines = []
         for record in frames:
-            objects = collect_frame_objects([record])
-            dropped += len(record.objects) - len(objects)
+            objects = collect_frame_objects([record], events=events)
             lines.append(
                 {
                     "video_id": record.video_id,
@@ -183,7 +180,8 @@ def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig, raw: bytes) ->
                 }
             )
         results.append((video_id, lines, ()))
-    counts = {"frames": len(records), "dropped_objects": dropped}
+    log_events(events)
+    counts = {"frames": len(records), "dropped_objects": len(events)}
     _write_videos(args, results, counts)
     print(f"ingested {len(records)} frames across {len(results)} videos -> {Path(args.out)}")
     return 0
@@ -221,7 +219,7 @@ def _cmd_aggregate(args: argparse.Namespace, config: PipelineConfig, raw: bytes)
 
     videos = _stage_file(raw, lambda obj: list(map(frame, _of_kind(obj["frames"], list, "frames"))))
 
-    def aggregate(video: tuple[str, list[SvoFrame]], client) -> _VideoOutput:
+    def aggregate(video: tuple[str, list[SvoFrame]], client, _events) -> _VideoOutput:
         video_id, frames = video
         try:
             caption = render_tagged_caption(aggregate_video(frames, client, config))
@@ -252,9 +250,9 @@ def _cmd_track(
         if video_id not in by_video:
             raise ValueError(f"no frame groundings for video {video_id!r}")
 
-    def track(video_id: str, client) -> _VideoOutput:
-        objects = collect_frame_objects(by_video[video_id])
-        assignments = track_by_language(objects, captions[video_id], client, config)
+    def track(video_id: str, client, events) -> _VideoOutput:
+        objects = collect_frame_objects(by_video[video_id], events=events)
+        assignments = track_by_language(objects, captions[video_id], client, config, events=events)
         lines = [{"video_id": video_id, "assignments": [a._asdict() for a in assignments]}]
         return video_id, lines, ()
 

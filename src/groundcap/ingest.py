@@ -390,7 +390,7 @@ def _frame(obj, line: int) -> FrameGrounding:
             try:
                 box = mask_to_box(runs, width, height)
             except EmptyMaskError:
-                box = None  # dropped, with a warning, by pipeline.collect_frame_objects
+                box = None  # dropped, with an empty-mask event, by pipeline.collect_frame_objects
             except SchemaError as exc:  # a negative run, or runs that do not sum to the frame
                 raise SchemaError(str(exc), line, f"$.objects[{i}].mask") from exc
         else:

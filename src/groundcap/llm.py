@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import re
 import threading
 import time
@@ -28,19 +27,15 @@ from . import prompts
 from .boxes import BoundingBox
 from .captions import MalformedCaptionError, TaggedCaption, parse_tagged_caption
 from .config import PipelineConfig
-from .records import SvoFrame
+from .records import Event, SvoFrame
 from .svo import render_svo_block
-
-logger = logging.getLogger(__name__)
 
 ROLES = ("system", "user", "assistant")
 
-# Rejection reason codes.
+# Rejection reason codes; _dict_body_value names no-caption-key and no-category-key.
 REJECT_NO_DICTIONARY = "no-dictionary"
-REJECT_NO_CAPTION_KEY = "no-caption-key"
 REJECT_MALFORMED_TAGS = "malformed-tags"
 REJECT_NO_PHRASES = "no-phrases"
-REJECT_NO_CATEGORY_KEY = "no-category-key"
 REJECT_UNKNOWN_CATEGORY = "unknown-category"
 REJECT_TRANSPORT = "transport"
 
@@ -530,13 +525,15 @@ def track_by_language(
     video_phrases: Sequence[str],
     client: ChatClient,
     config: PipelineConfig = PipelineConfig(),
+    *,
+    events: list[Event],
 ) -> list[PhraseAssignment]:
     """Stage 3: classify every frame-level phrase into a video-level phrase.
 
     Each distinct phrase string is classified once per video; a phrase that
     already equals a video phrase is assigned without a model call.  A
-    rejection on one phrase demotes it to the None-class with a warning
-    instead of failing the video.
+    rejection on one phrase demotes it to the None-class, with a
+    ``none-class`` event appended to ``events``, instead of failing the video.
     """
     if not video_phrases:
         raise ValueError("video_phrases must be non-empty")
@@ -544,7 +541,7 @@ def track_by_language(
     assignments = []
     for frame_index, phrase, _box in frame_objects:
         if phrase not in memo:
-            memo[phrase] = _classify_phrase(phrase, video_phrases, client, config)
+            memo[phrase] = _classify_phrase(phrase, video_phrases, client, config, events)
         assignments.append(PhraseAssignment(frame_index, phrase, memo[phrase]))
     return assignments
 
@@ -554,6 +551,7 @@ def _classify_phrase(
     video_phrases: Sequence[str],
     client: ChatClient,
     config: PipelineConfig,
+    events: list[Event],
 ) -> Optional[str]:
     if phrase in video_phrases:
         return phrase
@@ -566,5 +564,6 @@ def _classify_phrase(
             config,
         )
     except ResponseRejection as exc:
-        logger.warning("phrase %r dropped to None-class: %s (%s)", phrase, exc.message, exc.code)
+        message = f"phrase {phrase!r} dropped to None-class: {exc.message} ({exc.code})"
+        events.append(Event("none-class", __name__, message))
         return None

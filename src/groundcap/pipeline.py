@@ -9,7 +9,10 @@ accepted + rejected == N.
 :func:`map_videos` is the one batch driver: ``build`` (through
 :func:`run_pipeline`), ``aggregate`` and ``track`` all run their per-video
 work through it, so ``max_in_flight`` bounds the workers of each, and their
-results and warnings come out in input order whatever the worker count.
+results come out in input order whatever the worker count.  The warnings
+about a video are :class:`~groundcap.records.Event` values that its work
+appends to a list of its own; the main thread logs each list, with
+:func:`log_events`, in input order too.
 
 A run tags each distinct frame caption once: :func:`run_pipeline` keeps a
 memo from caption to SVO relations beside the answers the clients share,
@@ -25,7 +28,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
-from . import llm, tubes
+from . import llm
 from .boxes import BoundingBox
 from .config import PipelineConfig
 from .ingest import FrameGrounding
@@ -37,11 +40,9 @@ from .llm import (
     aggregate_video,
     track_by_language,
 )
-from .records import RecordValidationError, SvoFrame, SvoRelation, VideoAnnotation
+from .records import Event, RecordValidationError, SvoFrame, SvoRelation, VideoAnnotation
 from .svo import extract_svo, pos_tag
 from .tubes import assemble_tracks, build_record
-
-logger = logging.getLogger(__name__)
 
 REJECT_INCONSISTENT_FRAMES = "inconsistent-frames"
 
@@ -58,35 +59,35 @@ class PipelineResult(NamedTuple):
 
 
 def collect_frame_objects(
-    frames: Sequence[FrameGrounding],
+    frames: Sequence[FrameGrounding], *, events: list[Event]
 ) -> list[tuple[int, str, BoundingBox]]:
     """Flatten frame objects to (frame_index, phrase, pixel box) triples.
 
     Objects whose mask was empty (``box is None``) and boxes that vanish
-    when clamped to the frame are dropped with a warning.
+    when clamped to the frame are dropped, each with an ``empty-mask`` or
+    ``clamped-away`` event appended to ``events``.
     """
     objects: list[tuple[int, str, BoundingBox]] = []
     for frame in frames:
+        where = f"video {frame.video_id} frame {frame.frame_index}"
         for obj in frame.objects:
             if obj.box is None:
-                logger.warning(
-                    "video %s frame %d: phrase %r has an empty mask, dropped",
-                    frame.video_id,
-                    frame.frame_index,
-                    obj.phrase,
-                )
+                message = f"{where}: phrase {obj.phrase!r} has an empty mask, dropped"
+                events.append(Event("empty-mask", __name__, message))
                 continue
             box = obj.box.clamped(frame.width, frame.height)
             if box.area == 0:
-                logger.warning(
-                    "video %s frame %d: box for %r vanished after clamping, dropped",
-                    frame.video_id,
-                    frame.frame_index,
-                    obj.phrase,
-                )
+                message = f"{where}: box for {obj.phrase!r} vanished after clamping, dropped"
+                events.append(Event("clamped-away", __name__, message))
                 continue
             objects.append((frame.frame_index, obj.phrase, box))
     return objects
+
+
+def log_events(events: Sequence[Event]) -> None:
+    """Log each event as a warning of the logger its source names, in order."""
+    for event in events:
+        logging.getLogger(event.source).warning(event.message)  # no args: never %-formatted
 
 
 def http_client_factory(config: PipelineConfig) -> Callable[[], HttpChatClient]:
@@ -119,11 +120,14 @@ def annotate_video(
     client: ChatClient,
     config: PipelineConfig = PipelineConfig(),
     relations: Callable[[str], tuple[SvoRelation, ...]] = _caption_relations,
+    *,
+    events: list[Event],
 ) -> PipelineResult:
     """Run stages 2 and 3 plus assembly for one video's frame groundings.
 
     ``relations`` gives a caption's SVO relations; :func:`run_pipeline`
-    passes its run's memo of :func:`_caption_relations`.
+    passes its run's memo of :func:`_caption_relations`.  The video's
+    warnings are appended to ``events``, a rejected video's too.
     """
     if not frames:
         raise ValueError("at least one frame grounding required")
@@ -140,92 +144,57 @@ def annotate_video(
         frame_count = max(f.frame_index for f in frames) + 1
         svo_frames = [SvoFrame(f.frame_index, relations(f.caption)) for f in frames]
         caption = aggregate_video(svo_frames, client, config)
-        frame_objects = collect_frame_objects(frames)
-        assignments = track_by_language(frame_objects, caption.phrase_texts, client, config)
-        tracks = assemble_tracks(assignments, frame_objects, caption, frame_count)
+        frame_objects = collect_frame_objects(frames, events=events)
+        assignments = track_by_language(
+            frame_objects, caption.phrase_texts, client, config, events=events
+        )
+        tracks = assemble_tracks(assignments, frame_objects, caption, frame_count, events=events)
         annotation = build_record(
-            video_id, frame_count, config.fps, width, height, caption, tracks
+            video_id, frame_count, config.fps, width, height, caption, tracks, events=events
         )
     except (ResponseRejection, RecordValidationError) as exc:
         return PipelineResult(video_id, None, ((exc.code, exc.message),))
     return PipelineResult(video_id, annotation)
 
 
-class _HeldRecords(logging.Filter):
-    """Holds back the log records of threads that are working on a video.
-
-    Workers finish videos in any order; holding each video's records until
-    its result is collected lets them reach the handlers in input order.
-    """
-
-    loggers = (logger, llm.logger, tubes.logger)  # the modules per-video work logs from
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._local = threading.local()
-
-    def filter(self, record: logging.LogRecord) -> bool:
-        held = getattr(self._local, "held", None)
-        if held is None:
-            return True
-        held.append(record)
-        return False
-
-    def hold(self, held: list[logging.LogRecord]) -> None:
-        """Start holding this thread's records in ``held``."""
-        self._local.held = held
-
-    def release(self) -> None:
-        """Stop holding this thread's records."""
-        self._local.held = None
-
-
 def map_videos(
     items: Sequence[T],
-    work: Callable[[T, ChatClient], R],
+    work: Callable[[T, ChatClient, list[Event]], R],
     config: PipelineConfig,
 ) -> list[R]:
-    """``work(item, client)`` for each item, with up to ``max_in_flight`` workers.
+    """``work(item, client, events)`` for each item, with up to ``max_in_flight`` workers.
 
-    Results, and the warnings logged while working on each item, come back
-    in the order of ``items`` regardless of completion order, so batch
-    outputs and logs are deterministic.  An item that raises does so in its
-    turn, after the warnings of the items before it and its own.  Each worker
-    thread makes its own client with :func:`http_client_factory` of the
-    config, closed when the workers are done.
+    Results come back in the order of ``items`` regardless of completion
+    order, and so do the events each item's work appends to its own
+    ``events``, which the calling thread logs with :func:`log_events` as it
+    collects the item; batch outputs and logs are deterministic.  An item
+    that raises does so in its turn, after the events of the items before it
+    and its own.  Each worker thread makes its own client with
+    :func:`http_client_factory` of the config, closed when the workers are
+    done.
     """
     client_factory = http_client_factory(config)
     local = threading.local()
     clients: list[HttpChatClient] = []
-    held_records = _HeldRecords()
 
-    def worker(item: T, held: list[logging.LogRecord]) -> R:
+    def worker(item: T, events: list[Event]) -> R:
         if not hasattr(local, "client"):
             local.client = client_factory()
             clients.append(local.client)
-        held_records.hold(held)
-        try:
-            return work(item, local.client)
-        finally:
-            held_records.release()
+        return work(item, local.client, events)
 
     results = []
-    held_by_item = [[] for _ in items]  # the records each item logs, handled in its turn
-    for source in _HeldRecords.loggers:
-        source.addFilter(held_records)
+    events_by_item = [[] for _ in items]
     try:
         with ThreadPoolExecutor(max_workers=config.max_in_flight) as pool:
-            outcomes = pool.map(worker, items, held_by_item)
-            for held in held_by_item:
+            outcomes = pool.map(worker, items, events_by_item)
+            for events in events_by_item:
                 try:
                     results.append(next(outcomes))
-                finally:  # an item that raised shows what it logged, then raises
-                    for record in held:
-                        logging.getLogger(record.name).handle(record)
-                    held.clear()
+                finally:  # an item that raised shows its events, then raises
+                    log_events(events)
+                    events.clear()
     finally:
-        for source in _HeldRecords.loggers:
-            source.removeFilter(held_records)
         for client in clients:
             client.close()
     return results
@@ -244,6 +213,8 @@ def run_pipeline(
     relations = functools.lru_cache(maxsize=llm.MEMO_CAPACITY)(_caption_relations)
     return map_videos(
         [groundings_by_video[video_id] for video_id in sorted(groundings_by_video)],
-        lambda frames, client: annotate_video(frames, client, config, relations),
+        lambda frames, client, events: annotate_video(
+            frames, client, config, relations, events=events
+        ),
         config,
     )

@@ -1,8 +1,9 @@
-"""Video-level record types: object tracks, annotations and SVO frames.
+"""Video-level record types: object tracks, annotations, SVO frames and events.
 
 Tracks and annotations are immutable named tuples, and
 :class:`RecordValidationError` is the fault of a record that breaks their
-rules.  A track is its boxes: its presence flags are derived from the box
+rules.  An :class:`Event` is a warning about one video that its build keeps
+going past.  A track is its boxes: its presence flags are derived from the box
 frames, so in memory they cannot disagree.  This module reads no JSON: the
 rules are checked on the plain-JSON form, once, where a record enters, by
 :func:`groundcap.ingest.check_annotation`.  :func:`groundcap.tubes.build_record`
@@ -26,6 +27,21 @@ class RecordValidationError(ValueError):
         super().__init__(message)
         self.code = code
         self.message = message
+
+
+class Event(NamedTuple):
+    """A warning about one video: a code, the logger name of its module, and its text.
+
+    The codes: ``empty-mask`` and ``clamped-away`` (an object dropped for an
+    empty mask, or for a box that vanished when clamped to the frame),
+    ``none-class`` (a phrase demoted after its answer failed), ``two-boxes``
+    (the smaller of two boxes for one phrase in one frame dropped) and
+    ``no-track`` (a caption phrase kept without boxes).
+    """
+
+    code: str
+    source: str
+    message: str
 
 
 class _TrackFields(NamedTuple):

@@ -7,16 +7,13 @@ are dropped, and no box-overlap tracking is involved.
 
 from __future__ import annotations
 
-import logging
 from typing import Optional, Sequence
 
 from .boxes import BoundingBox
 from .captions import TaggedCaption
 from .llm import PhraseAssignment
 from .ingest import annotation_to_dict, check_annotation
-from .records import ObjectTrack, RecordValidationError, VideoAnnotation
-
-logger = logging.getLogger(__name__)
+from .records import Event, ObjectTrack, RecordValidationError, VideoAnnotation
 
 REJECT_NO_TRACKS = "no-tracks"
 
@@ -26,12 +23,14 @@ def assemble_tracks(
     frame_objects: Sequence[tuple[int, str, BoundingBox]],
     caption: TaggedCaption,
     frame_count: int,
+    *,
+    events: list[Event],
 ) -> list[ObjectTrack]:
     """Group assigned frame boxes into one track per caption phrase.
 
     None-class objects are dropped.  When two boxes in one frame map to the
-    same phrase, the larger box wins and a warning is logged.  Phrases that
-    received no boxes simply yield no track.
+    same phrase, the larger box wins and a ``two-boxes`` event is appended
+    to ``events``.  Phrases that received no boxes simply yield no track.
     """
     assigned_by_key: dict[tuple[int, str], Optional[str]] = {}
     for assignment in assignments:
@@ -55,12 +54,11 @@ def assemble_tracks(
         frames = boxes_per_phrase.setdefault(phrase_index, {})
         if frame_index in frames:
             kept = frames[frame_index] if frames[frame_index].area >= box.area else box
-            logger.warning(
-                "frame %d: two boxes for phrase %r, keeping the larger (%.1f px^2)",
-                frame_index,
-                assigned,
-                kept.area,
+            message = (
+                f"frame {frame_index}: two boxes for phrase {assigned!r}, "
+                f"keeping the larger ({kept.area:.1f} px^2)"
             )
+            events.append(Event("two-boxes", __name__, message))
             frames[frame_index] = kept
         else:
             frames[frame_index] = box
@@ -89,8 +87,13 @@ def build_record(
     height: int,
     caption: TaggedCaption,
     tracks: Sequence[ObjectTrack],
+    *,
+    events: list[Event],
 ) -> VideoAnnotation:
     """Assemble the final record and check it, once, as it leaves the build.
+
+    Each caption phrase without a track appends a ``no-track`` event to
+    ``events``; the phrase stays in the caption.
 
     Raises:
         RecordValidationError: ``no-tracks`` when no track survived, else the
@@ -100,11 +103,12 @@ def build_record(
         raise RecordValidationError(REJECT_NO_TRACKS, "no caption phrase received any box")
     ungrounded = set(range(len(caption.phrases))) - {t.phrase_index for t in tracks}
     for index in sorted(ungrounded):
-        logger.warning(
-            "video %s: caption phrase %r has no boxes; kept in caption without a track",
-            video_id,
-            caption.phrases[index].text,
+        phrase = caption.phrases[index].text
+        message = (
+            f"video {video_id}: caption phrase {phrase!r} has no boxes; "
+            "kept in caption without a track"
         )
+        events.append(Event("no-track", __name__, message))
     annotation = VideoAnnotation(
         video_id=video_id,
         frame_count=frame_count,

@@ -227,6 +227,63 @@ class TestBuild:
         assert len(warnings) == 6 * 3
 
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stderr_logs_every_kind_of_event_in_input_order(self, tmp_path, workers):
+        # vid-0 drops an empty mask and an off-frame box, demotes its salt-word
+        # phrase (no fixture: HTTP 404) and has two boxes for one phrase in
+        # frame 0; vid-1 has no box for "A person" and drops an empty mask
+        # whose phrase holds '%' and '{}'; vid-2 drops its only object and is
+        # rejected with no-tracks, after its event
+        records, fixtures = [], {}
+        for video_id in ("vid-0", "vid-1", "vid-2"):
+            fixtures.update(stirring_fixtures(video_id, salted=True))
+            lines = frames_jsonl(stirring_frames(video_id, salted=True)).splitlines()
+            records.append([json.loads(line) for line in lines])
+        vid0, vid1, vid2 = records
+        vid0[0]["objects"].append({"phrase": "food", "box": [130, 110, 10, 10]})
+        vid0[1]["objects"].append({"phrase": f"a {salt_word('vid-0')}", "box": [1, 1, 5, 5]})
+        vid0[2]["objects"].append({"phrase": "a cup", "mask": [455 * 256]})
+        vid0[3]["objects"].append({"phrase": "a cup", "box": [500, 300, 10, 10]})
+        for frame in vid1:
+            frame["objects"] = [o for o in frame["objects"] if o["phrase"] != "a person"]
+        vid1[0]["objects"].append({"phrase": "a 100% {0} %s %(name)s {} cup", "mask": [455 * 256]})
+        for frame in vid2:
+            frame["objects"] = []
+        vid2[2]["objects"] = [{"phrase": "food", "mask": [455 * 256]}]
+        frames_path = tmp_path / "frames.jsonl"
+        frames_path.write_text("".join(json.dumps(r) + "\n" for v in records for r in v), "utf-8")
+        with MockLlmServer(fixtures) as server:
+            command = [
+                sys.executable, "-m", "groundcap.cli", "build",
+                "--input", str(frames_path),
+                "--out", str(tmp_path / "dataset.jsonl"),
+                "--rejected", str(tmp_path / "rejected.jsonl"),
+                "--config", str(write_config(tmp_path, server)),
+                "--max-in-flight", str(workers),
+            ]
+            run = subprocess.run(command, capture_output=True, text=True, timeout=120, check=True)
+        stderr = run.stderr.replace(server.url, "<endpoint>").splitlines()
+        assert stderr == [
+            "WARNING groundcap.pipeline: video vid-0 frame 2: phrase 'a cup' has an empty mask, "
+            "dropped",
+            "WARNING groundcap.pipeline: video vid-0 frame 3: box for 'a cup' vanished after "
+            "clamping, dropped",
+            "WARNING groundcap.llm: phrase 'a qehpimi' dropped to None-class: HTTP 404 from "
+            "<endpoint> (transport)",
+            "WARNING groundcap.tubes: frame 0: two boxes for phrase 'food in a bowl', keeping the "
+            "larger (12600.0 px^2)",
+            "WARNING groundcap.pipeline: video vid-1 frame 0: phrase 'a 100% {0} %s %(name)s {} "
+            "cup' has an empty mask, dropped",
+            "WARNING groundcap.tubes: video vid-1: caption phrase 'A person' has no boxes; kept "
+            "in caption without a track",
+            "WARNING groundcap.pipeline: video vid-2 frame 2: phrase 'food' has an empty mask, "
+            "dropped",
+        ]
+        rejected = [json.loads(l) for l in (tmp_path / "rejected.jsonl").read_text().splitlines()]
+        assert [(r["video_id"], r["reasons"][0]["code"]) for r in rejected] == [
+            ("vid-2", "no-tracks")
+        ]
+
 class TestEval:
     def test_self_evaluation_is_perfect(self, tmp_path, rng):
         records = make_corpus(rng, 4)

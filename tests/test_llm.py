@@ -236,40 +236,54 @@ class TestTrackByLanguage:
         categories = ["a woman", "a beverage"]
         responses = [category_response("a beverage")] * 3
         client = ScriptedClient(responses)
+        events = []
         assignments = track_by_language(
             [obj(0, "a green beverage"), obj(1, "a glass"), obj(2, "a glass of green liquid")],
             categories,
             client,
+            events=events,
         )
         assert [a.assigned for a in assignments] == ["a beverage"] * 3
+        assert events == []
 
     def test_exact_match_short_circuits(self):
         client = ScriptedClient([])  # any call would fail
-        assignments = track_by_language([obj(0, "a woman")], ["a woman", "a cup"], client)
+        assignments = track_by_language(
+            [obj(0, "a woman")], ["a woman", "a cup"], client, events=[]
+        )
         assert assignments[0].assigned == "a woman"
         assert client.calls == []
 
     def test_none_class_for_unrelated_phrase(self):
         client = ScriptedClient([category_response(None)])
-        assignments = track_by_language([obj(4, "table")], ["a person", "a bowl"], client)
+        events = []
+        assignments = track_by_language(
+            [obj(4, "table")], ["a person", "a bowl"], client, events=events
+        )
         assert assignments[0].assigned is None
+        assert events == []  # the model's own choice demotes nothing
 
     def test_memoized_per_distinct_phrase(self):
         client = ScriptedClient([category_response("a bowl")])
         objects = [obj(0, "the bowl"), obj(1, "the bowl"), obj(2, "the bowl")]
-        assignments = track_by_language(objects, ["a person", "a bowl"], client)
+        assignments = track_by_language(objects, ["a person", "a bowl"], client, events=[])
         assert len(client.calls) == 1
         assert [a.assigned for a in assignments] == ["a bowl"] * 3
         assert [a.frame_index for a in assignments] == [0, 1, 2]
 
-    def test_rejection_downgrades_phrase_with_warning(self, caplog):
+    def test_rejection_downgrades_phrase_with_warning(self):
         client = ScriptedClient(["eh?"] * 3)
-        with caplog.at_level("WARNING"):
-            assignments = track_by_language(
-                [obj(0, "a thing")], ["a person"], client, PipelineConfig(retries=2, backoff=0.0)
-            )
-        assert assignments[0].assigned is None
-        assert any("None-class" in r.message for r in caplog.records)
+        events = []
+        config = PipelineConfig(retries=2, backoff=0.0)
+        objects = [obj(0, "a thing"), obj(1, "a thing")]  # one phrase, one demotion
+        assignments = track_by_language(objects, ["a person"], client, config, events=events)
+        assert [a.assigned for a in assignments] == [None, None]
+        assert [(e.code, e.source, e.message) for e in events] == [(
+            "none-class",
+            "groundcap.llm",
+            "phrase 'a thing' dropped to None-class: response contains no dictionary "
+            "(no-dictionary)",
+        )]
 
 
 class TestRetryPolicy:
@@ -308,9 +322,15 @@ class TestRetryPolicy:
     def test_missing_fixture_fails_after_one_request_without_sleeping(self, sleeps):
         with MockLlmServer({}) as server:
             with closing(HttpChatClient(endpoint=server.url, model="test-model")) as client:
-                assignments = track_by_language([obj(0, "a thing")], ["a person"], client)
+                events = []
+                objects = [obj(0, "a thing")]
+                assignments = track_by_language(objects, ["a person"], client, events=events)
             assert server.request_count == 1
         assert assignments[0].assigned is None
+        assert [(e.code, e.message) for e in events] == [(
+            "none-class",
+            f"phrase 'a thing' dropped to None-class: HTTP 404 from {server.url} (transport)",
+        )]
         assert sleeps == []
 
     def test_connection_error_is_retried(self, sleeps):

@@ -7,9 +7,18 @@ from contextlib import closing
 import pytest
 
 import groundcap.pipeline as pipeline
-from groundcap import MockLlmServer, PipelineConfig, annotate_video, run_pipeline
+from groundcap import (
+    BoundingBox,
+    Event,
+    FrameGrounding,
+    FrameObject,
+    MockLlmServer,
+    PipelineConfig,
+    annotate_video,
+    run_pipeline,
+)
 from groundcap.llm import ChatMessage, HttpChatClient
-from groundcap.pipeline import http_client_factory
+from groundcap.pipeline import collect_frame_objects, http_client_factory, log_events
 from conftest import (
     BEVERAGE_FRAME_PHRASES,
     ReplayClient,
@@ -26,8 +35,10 @@ CONFIG = PipelineConfig(backoff=0.0, fps=5.0)
 class TestAnnotateVideo:
     def test_stirring_video_end_to_end(self):
         client = ReplayClient(stirring_fixtures())
-        result = annotate_video(stirring_frames(), client, CONFIG)
+        events = []
+        result = annotate_video(stirring_frames(), client, CONFIG, events=events)
         assert result.annotation is not None and result.reasons == ()
+        assert events == []
         annotation = result.annotation
         assert annotation.caption.plain == "A person is stirring food in a bowl using a spoon"
         assert annotation.caption.phrase_texts == ["A person", "food in a bowl"]
@@ -41,7 +52,7 @@ class TestAnnotateVideo:
 
     def test_beverage_video_single_track(self):
         client = ReplayClient(beverage_fixtures())
-        result = annotate_video(beverage_frames(), client, CONFIG)
+        result = annotate_video(beverage_frames(), client, CONFIG, events=[])
         assert result.annotation is not None and result.reasons == ()
         by_phrase = {t.phrase_index: t for t in result.annotation.tracks}
         beverage_track = by_phrase[1]
@@ -51,7 +62,7 @@ class TestAnnotateVideo:
 
     def test_memoization_bounds_model_calls(self):
         client = ReplayClient(stirring_fixtures())
-        annotate_video(stirring_frames(), client, CONFIG)
+        annotate_video(stirring_frames(), client, CONFIG, events=[])
         # 1 aggregation + one call per distinct non-exact-match phrase
         assert client.call_count == 1 + 6
 
@@ -60,9 +71,12 @@ class TestAnnotateVideo:
         svo_key = next(iter(stirring_fixtures()))
         fixtures[svo_key] = "I cannot answer."
         client = ReplayClient(fixtures)
-        result = annotate_video(stirring_frames(), client, CONFIG.override(retries=1))
+        events = []
+        config = CONFIG.override(retries=1)
+        result = annotate_video(stirring_frames(), client, config, events=events)
         assert result.annotation is None
         assert [code for code, _ in result.reasons] == ["no-dictionary"]
+        assert events == []  # rejected before its objects were read
 
     @pytest.mark.parametrize("fps", [0.0, -1.0])
     def test_nonpositive_fps_refused_by_config(self, fps):
@@ -72,7 +86,7 @@ class TestAnnotateVideo:
     def test_mixed_videos_rejected(self):
         frames = stirring_frames("a") + stirring_frames("b")
         with pytest.raises(ValueError):
-            annotate_video(frames, ReplayClient({}), CONFIG)
+            annotate_video(frames, ReplayClient({}), CONFIG, events=[])
 
     def test_inconsistent_dimensions_rejected(self):
         frames = stirring_frames()
@@ -84,16 +98,66 @@ class TestAnnotateVideo:
             caption=frames[1].caption,
             objects=frames[1].objects,
         )
-        result = annotate_video([frames[0], bad], ReplayClient({}), CONFIG)
+        result = annotate_video([frames[0], bad], ReplayClient({}), CONFIG, events=[])
         assert result.annotation is None
         assert [code for code, _ in result.reasons] == ["inconsistent-frames"]
 
     def test_deterministic_output(self):
         results = [
-            annotate_video(stirring_frames(), ReplayClient(stirring_fixtures()), CONFIG)
+            annotate_video(stirring_frames(), ReplayClient(stirring_fixtures()), CONFIG, events=[])
             for _ in range(2)
         ]
         assert results[0].annotation == results[1].annotation
+
+
+class TestCollectFrameObjects:
+    def test_drops_name_the_object_and_its_frame(self):
+        frame = FrameGrounding(
+            "v1",
+            3,
+            455,
+            256,
+            "a cup and a bowl on a table.",
+            (
+                FrameObject("a cup", None),  # an empty mask
+                FrameObject("a bowl", BoundingBox(460, 10, 20, 20)),  # right of the frame
+                FrameObject("a table", BoundingBox(440, 200, 40, 80)),  # clamped, kept
+            ),
+        )
+        events = []
+        objects = collect_frame_objects([frame], events=events)
+        assert objects == [(3, "a table", BoundingBox(440, 200, 15, 56))]
+        assert events == [
+            Event("empty-mask", "groundcap.pipeline",
+                  "video v1 frame 3: phrase 'a cup' has an empty mask, dropped"),
+            Event("clamped-away", "groundcap.pipeline",
+                  "video v1 frame 3: box for 'a bowl' vanished after clamping, dropped"),
+        ]
+
+    def test_a_message_reaches_the_handler_as_written(self):
+        # a phrase is never a format string: '%' and '{}' in it stay as they are
+        phrase = "a 100% {0} %s %(name)s {} cup"
+        frame = FrameGrounding("v%d", 0, 8, 8, "a cup.", (FrameObject(phrase, None),))
+        events = []
+        collect_frame_objects([frame], events=events)
+        handled = []
+
+        class Seen(logging.Handler):
+            def emit(self, record):
+                handled.append(self.format(record))
+
+        seen = Seen()
+        seen.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        source = logging.getLogger("groundcap.pipeline")
+        source.addHandler(seen)
+        try:
+            log_events(events)
+        finally:
+            source.removeHandler(seen)
+        assert handled == [
+            "WARNING groundcap.pipeline: video v%d frame 0: "
+            "phrase 'a 100% {0} %s %(name)s {} cup' has an empty mask, dropped"
+        ]
 
 
 class TestRunPipeline:
@@ -146,8 +210,9 @@ class TestRunPipeline:
 
 class TestMapVideos:
     def test_an_item_that_raises(self, monkeypatch):
-        # two workers: item 1 logs and raises while item 0 still works, and
-        # item 0 waits (briefly) for item 1's warning to reach the handlers
+        # two workers: item 1 adds an event and raises while item 0 still
+        # works, and item 0 waits (briefly) for item 1's event to reach the
+        # handlers
         made, closed, handled = [], [], []
         item_1_handled = threading.Event()
 
@@ -166,9 +231,9 @@ class TestMapVideos:
                 if record.getMessage() == "item 1":
                     item_1_handled.set()
 
-        def work(item, client):
+        def work(item, client, events):
             client.complete([ChatMessage("user", f"item {item}")])  # a kept-alive socket
-            pipeline.logger.warning("item %d", item)
+            events.append(Event("test", "groundcap.pipeline", f"item {item}"))
             if item == 1:
                 raise RuntimeError("item 1 failed")
             item_1_handled.wait(0.2)
@@ -176,14 +241,15 @@ class TestMapVideos:
 
         monkeypatch.setattr(pipeline, "HttpChatClient", Tracked)
         seen = Seen()
-        pipeline.logger.addHandler(seen)
+        source = logging.getLogger("groundcap.pipeline")
+        source.addHandler(seen)
         try:
             with MockLlmServer({}, default="ok") as server:
                 config = CONFIG.override(endpoint=server.url, model="mock", max_in_flight=2)
                 with pytest.raises(RuntimeError, match="^item 1 failed$"):
                     pipeline.map_videos([0, 1], work, config)
         finally:
-            pipeline.logger.removeHandler(seen)
+            source.removeHandler(seen)
         assert handled == ["item 0", "item 1"]
         assert len(made) == 2 and sorted(map(id, closed)) == sorted(map(id, made))
         gc.collect()  # an unclosed socket would warn here
@@ -234,10 +300,10 @@ class TestSharedResponseMemo:
             make = http_client_factory(config)
             for client in (make(), make()):
                 with closing(client):
-                    annotate_video(frames, client, config)
+                    annotate_video(frames, client, config, events=[])
             assert server.request_count == 7
             with closing(http_client_factory(config)()) as client:
-                annotate_video(frames, client, config)
+                annotate_video(frames, client, config, events=[])
             assert server.request_count == 14
 
 

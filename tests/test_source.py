@@ -17,24 +17,35 @@ SOURCE = Path(groundcap.__file__).parent
 
 
 def test_every_module_level_definition_is_exported_or_used():
-    # a def or class that nothing names is a second copy waiting to drift
+    # a def, class or module-level name that nothing reads is a second copy
+    # waiting to drift; a name only assigned to, or only imported, is not read
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    names = set()
+    read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+
+    def defined(node: ast.stmt) -> list[str]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            return []
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
     unused = [
-        f"{module}: {node.name}"
+        f"{module}: {name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in groundcap.__all__
-        and node.name not in names
+        for name in defined(node)
+        if name not in groundcap.__all__ and name not in read
     ]
     assert unused == []
 

@@ -24,7 +24,7 @@ class TestAssembleTracks:
     def test_contiguous_boxes_build_one_track(self):
         objects = [(t, "a drink", BoundingBox(5, 5, 20, 20)) for t in range(3)]
         assignments = [PhraseAssignment(t, "a drink", "a beverage") for t in range(3)]
-        tracks = assemble_tracks(assignments, objects, CAPTION, 5)
+        tracks = assemble_tracks(assignments, objects, CAPTION, 5, events=[])
         assert len(tracks) == 1
         assert tracks[0].phrase_index == 1
         assert list(tracks[0].presence) == [True, True, True, False, False]
@@ -33,7 +33,7 @@ class TestAssembleTracks:
         phrases = ["a green beverage", "a glass", "a glass of green liquid"]
         objects = [(t, p, BoundingBox(5 + t, 5, 20, 20)) for t, p in enumerate(phrases)]
         assignments = [PhraseAssignment(t, p, "a beverage") for t, p in enumerate(phrases)]
-        tracks = assemble_tracks(assignments, objects, CAPTION, 3)
+        tracks = assemble_tracks(assignments, objects, CAPTION, 3, events=[])
         assert len(tracks) == 1
         assert tracks[0].present_frames == [0, 1, 2]
 
@@ -43,27 +43,35 @@ class TestAssembleTracks:
             PhraseAssignment(0, "table", None),
             PhraseAssignment(0, "a lady", "a woman"),
         ]
-        tracks = assemble_tracks(assignments, objects, CAPTION, 1)
+        tracks = assemble_tracks(assignments, objects, CAPTION, 1, events=[])
         assert len(tracks) == 1
         assert tracks[0].phrase_index == 0
 
-    def test_duplicate_phrase_in_frame_keeps_larger_box(self, caplog):
+    def test_duplicate_phrase_in_frame_keeps_larger_box(self):
         objects = [
             (4, "a cup", BoundingBox(0, 0, 10, 10)),  # area 100
             (4, "a mug", BoundingBox(50, 50, 8, 5)),  # area 40
+            (5, "a mug", BoundingBox(50, 50, 8, 5)),
+            (5, "a cup", BoundingBox(0, 0, 10, 10)),  # the larger comes second
         ]
         assignments = [
             PhraseAssignment(4, "a cup", "a beverage"),
             PhraseAssignment(4, "a mug", "a beverage"),
+            PhraseAssignment(5, "a mug", "a beverage"),
+            PhraseAssignment(5, "a cup", "a beverage"),
         ]
-        with caplog.at_level("WARNING"):
-            tracks = assemble_tracks(assignments, objects, CAPTION, 6)
-        assert tracks[0].boxes[4] == BoundingBox(0, 0, 10, 10)
-        assert any("two boxes" in r.message for r in caplog.records)
+        events = []
+        tracks = assemble_tracks(assignments, objects, CAPTION, 6, events=events)
+        assert tracks[0].boxes[4] == tracks[0].boxes[5] == BoundingBox(0, 0, 10, 10)
+        message = "frame {}: two boxes for phrase 'a beverage', keeping the larger (100.0 px^2)"
+        assert [(e.code, e.source, e.message) for e in events] == [
+            ("two-boxes", "groundcap.tubes", message.format(4)),
+            ("two-boxes", "groundcap.tubes", message.format(5)),
+        ]
 
     def test_missing_assignment_is_error(self):
         with pytest.raises(ValueError):
-            assemble_tracks([], [(0, "a cup", BoundingBox(0, 0, 1, 1))], CAPTION, 1)
+            assemble_tracks([], [(0, "a cup", BoundingBox(0, 0, 1, 1))], CAPTION, 1, events=[])
 
 
 class TestDerivePresence:
@@ -87,32 +95,39 @@ class TestDerivePresence:
 class TestBuildRecord:
     def test_no_tracks_rejected(self):
         with pytest.raises(RecordValidationError) as excinfo:
-            build_record("v1", 10, 5.0, 455, 256, CAPTION, [])
+            build_record("v1", 10, 5.0, 455, 256, CAPTION, [], events=[])
         assert excinfo.value.code == "no-tracks"
 
     def test_accepted_with_tracks(self):
         tracks = [track_from({0, 1}, 4, 0), track_from({2}, 4, 1)]
-        annotation = build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks)
+        events = []
+        annotation = build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks, events=events)
         assert len(annotation.tracks) == 2
+        assert events == []
 
-    def test_ungrounded_phrase_kept_with_warning(self, caplog):
+    def test_ungrounded_phrase_kept_with_warning(self):
         tracks = [track_from({0}, 2, 0)]  # phrase 1 has no boxes
-        with caplog.at_level("WARNING"):
-            annotation = build_record("v1", 2, 5.0, 455, 256, CAPTION, tracks)
+        events = []
+        annotation = build_record("v1", 2, 5.0, 455, 256, CAPTION, tracks, events=events)
         assert annotation.caption.phrase_texts == ["a woman", "a beverage"]
-        assert any("no boxes" in r.message for r in caplog.records)
+        assert [(e.code, e.source, e.message) for e in events] == [(
+            "no-track",
+            "groundcap.tubes",
+            "video v1: caption phrase 'a beverage' has no boxes; kept in caption without a track",
+        )]
 
     def test_invariant_violation_becomes_rejection(self):
         bad = track_from({0}, 3, phrase_index=7)  # phrase index out of range
         with pytest.raises(RecordValidationError) as excinfo:
-            build_record("v1", 3, 5.0, 455, 256, CAPTION, [bad])
+            build_record("v1", 3, 5.0, 455, 256, CAPTION, [bad], events=[])
         assert excinfo.value.code == "bad-phrase-index"
 
     def test_acceptance_monotone_under_added_boxes(self):
         base = [track_from({0}, 4, 0)]
         richer = [track_from({0, 1}, 4, 0), track_from({3}, 4, 1)]
         for tracks in (base, richer):
-            assert build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks).tracks == tuple(tracks)
+            annotation = build_record("v1", 4, 5.0, 455, 256, CAPTION, tracks, events=[])
+            assert annotation.tracks == tuple(tracks)
 
 
 def test_track_count_never_exceeds_phrase_count(rng):
@@ -132,7 +147,7 @@ def test_track_count_never_exceeds_phrase_count(rng):
         for a in assignments:
             seen[(a.frame_index, a.frame_phrase)] = a
         assignments = list(seen.values())
-        tracks = assemble_tracks(assignments, objects, CAPTION, frame_count)
+        tracks = assemble_tracks(assignments, objects, CAPTION, frame_count, events=[])
         assert len(tracks) <= len(CAPTION.phrases)
         for track in tracks:
             assert sum(track.presence) <= frame_count
