@@ -56,8 +56,8 @@ pred = [
 ]
 
 report = evaluate(pred, gt, PipelineConfig(iou_thresh=0.5, sim_thresh=0.5))
-print("frame level :", report.frame_level.as_dict())
-print("video level :", report.video_level.as_dict())
+print("frame level :", report.frame_level._asdict())
+print("video level :", report.video_level._asdict())
 print(f"meteor {report.meteor:.4f}   cider {report.cider:.4f}")
 print("\nfull report as canonical JSON:")
 print(canonical_json(report.as_dict())[:400], "...")

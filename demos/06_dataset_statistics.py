@@ -41,5 +41,5 @@ def random_record(video_id):
 
 records = [random_record(f"synth-{i:03d}") for i in range(50)]
 report = dataset_stats(records)
-for key, value in report.as_dict().items():
+for key, value in report._asdict().items():
     print(f"{key:32s} {value}")

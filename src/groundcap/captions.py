@@ -89,8 +89,7 @@ def parse_tagged_caption(text_with_tags: str) -> TaggedCaption:
                 raise MalformedCaptionError(f"</p> without matching <p> at character {match.start()}")
             if plain_len == open_start:
                 raise MalformedCaptionError(f"empty <p></p> pair at character {match.start()}")
-            plain = "".join(plain_parts)
-            phrases.append(PhraseSpan(plain[open_start:plain_len], open_start, plain_len))
+            phrases.append(PhraseSpan(chunk, open_start, plain_len))
             open_start = None
         pos = match.end()
     if open_start is not None:

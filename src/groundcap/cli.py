@@ -326,7 +326,7 @@ def _cmd_validate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) 
 
 
 def _cmd_stats(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
-    report = dataset_stats(read_annotations(raw)).as_dict()
+    report = dataset_stats(read_annotations(raw))._asdict()
     payload = canonical_json(report).encode("utf-8") + b"\n"
     _write_outputs(args, {args.out: payload}, {"videos": report["num_videos"]})
     for key, value in report.items():

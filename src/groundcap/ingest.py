@@ -13,16 +13,18 @@ This is the one module that knows the JSON forms, and each line has one
 builder that checks it and builds its record in one walk: :func:`_frame` a
 frame line, by its schema and its box and mask rules, and :func:`_annotation`
 an annotation line, by its schema and the record rules that
-:func:`check_annotation` states.  Every command asks the builder first,
-``validate`` too.  Only a line it refuses is explained, by :func:`_errors`,
-which walks the shipped schema file (read on first need) and gives JSON
-Schema's errors in its order with two tightenings (numbers are finite
-doubles, and frame keys match whole), and then by ``check_annotation``, so
-the first error in their order is the one reported.  Masks are
-reduced to their pixel boxes as frame records are read.  All parsing is pure
-per record, so files can be processed in parallel.  A JSON-lines file is
-decoded, parsed and checked one line at a time, so the first faulty line in
-file order is the one reported, whatever its fault.
+:func:`check_annotation` states.  The builder is the only acceptor: every
+record, built ones included, must pass it, and ``build`` checks each record
+it emits with ``annotation_from_dict(annotation_to_dict(record))``.  Every
+command asks the builder first, ``validate`` too.  Only a line it refuses is
+explained, by :func:`_errors`, which walks the shipped schema file (read on
+first need) and gives JSON Schema's errors in its order with two tightenings
+(numbers are finite doubles, and frame keys match whole), and then by
+``check_annotation``, so the first error in their order is the one reported.
+Masks are reduced to their pixel boxes as frame records are read.  All
+parsing is pure per record, so files can be processed in parallel.  A
+JSON-lines file is decoded, parsed and checked one line at a time, so the
+first faulty line in file order is the one reported, whatever its fault.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from itertools import accumulate, chain, combinations, compress, islice, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .boxes import BoundingBox, box_fault
-from .captions import MalformedCaptionError, TaggedCaption
+from .captions import MalformedCaptionError
 from .captions import parse_tagged_caption, render_tagged_caption
 from .config import PipelineConfig
 from .jsonio import canonical_json
@@ -591,10 +593,10 @@ def _annotation(obj, threshold: float) -> tuple[VideoAnnotation, Optional[tuple[
     return record, missing
 
 
-def check_annotation(obj: dict) -> TaggedCaption:
-    """The parsed caption of schema-valid plain-JSON annotation ``obj``, whose invariants hold.
+def check_annotation(obj: dict) -> None:
+    """Explain why the builder refused schema-valid plain-JSON annotation ``obj``.
 
-    Else :class:`RecordValidationError` for the first broken one: the caption
+    A :class:`RecordValidationError` for the first broken rule: the caption
     parses; each track in turn has valid boxes, at least one, inside its
     presence vector and agreeing with its flags, and a box for each
     confidence; then each track names a caption phrase and spans the video,
@@ -661,7 +663,6 @@ def check_annotation(obj: dict) -> TaggedCaption:
                     )
         by_phrase.setdefault(phrase_index, []).append(boxes)
     _check_distinct_tracks(by_phrase)
-    return caption
 
 
 def _check_distinct_tracks(by_phrase: dict[int, list[dict]]) -> None:

@@ -3,9 +3,10 @@ the reading of whole-file JSON documents (configs and fixtures).
 
 Python's ``json`` module ties float formatting to ``repr``, which is exact but
 noisy for golden files, so this serializer pins the canonical form instead:
-keys sorted (numerically when every key is a digit string, e.g. frame
-indices), floats with exactly six decimal places, UTF-8 with no ASCII
-escaping, and ``\n`` separators for JSON-lines.
+keys sorted (numerically, ties such as ``"1"`` and ``"01"`` by string, when
+every key is an ASCII digit string, e.g. frame indices), floats with exactly
+six decimal places, UTF-8 with no ASCII escaping, and ``\n`` separators for
+JSON-lines.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ def _format_float(value: float) -> str:
 
 def _sorted_keys(obj: dict) -> list:
     keys = list(obj.keys())
-    if keys and all(isinstance(k, str) and k.isdigit() for k in keys):
-        return sorted(keys, key=int)
+    if keys and all(isinstance(k, str) and k.isascii() and k.isdigit() for k in keys):
+        return sorted(sorted(keys), key=int)  # stable: equal numbers stay in string order
     return sorted(keys)
 
 

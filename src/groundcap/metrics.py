@@ -490,9 +490,6 @@ class LevelScores(NamedTuple):
     miou: Optional[float]
     recall: Optional[float]
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 class MetricsReport(NamedTuple):
     frame_level: LevelScores
@@ -507,8 +504,8 @@ class MetricsReport(NamedTuple):
         """The plain form: the fields, with each score, video and config as a dict."""
         return {
             **self._asdict(),
-            "frame_level": self.frame_level.as_dict(),
-            "video_level": self.video_level.as_dict(),
+            "frame_level": self.frame_level._asdict(),
+            "video_level": self.video_level._asdict(),
             "per_video": {video_id: dict(scores) for video_id, scores in self.per_video.items()},
             "config": dict(self.config),
         }
@@ -592,7 +589,7 @@ def evaluate(
                 message = f"ground-truth caption of video {video_id!r} has no words"
                 raise ValueError(message) from exc
             per_video[video_id] = {
-                **_grounding_scores(detections, gated, overlaps, len(gt_objects)).as_dict(),
+                **_grounding_scores(detections, gated, overlaps, len(gt_objects))._asdict(),
                 "num_gt_boxes": len(gt_objects),
                 "num_pred_boxes": len(detections),
                 "meteor": meteor,

@@ -75,6 +75,8 @@ class MockLlmServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ):
+        if not 0 <= port <= 65535:  # socket.bind would raise OverflowError
+            raise ValueError(f"port {port} outside 0..65535")
         # loaded here so that importing groundcap does not load a server stack
         from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 

@@ -5,10 +5,11 @@ Tracks and annotations are immutable named tuples, and
 rules.  An :class:`Event` is a warning about one video that its build keeps
 going past.  A track is its boxes: its presence flags are derived from the box
 frames, so in memory they cannot disagree.  This module reads no JSON: the
-rules are checked on the plain-JSON form, once, where a record enters, by
-:func:`groundcap.ingest.check_annotation`.  :func:`groundcap.tubes.build_record`
-runs it on ``annotation_to_dict`` of the record it emits; check a record
-built by hand the same way.
+rules are checked on the plain-JSON form, once, by the reader's builder in
+:mod:`groundcap.ingest`, which every record must pass, built ones included.
+:func:`groundcap.tubes.build_record` runs
+``annotation_from_dict(annotation_to_dict(record))`` on the record it emits;
+check a record built by hand the same way.
 """
 
 from __future__ import annotations

@@ -25,9 +25,6 @@ class StatsReport(NamedTuple):
     avg_tube_length_frames: Optional[float]
     avg_caption_length_words: float
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
 
 def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
     """Aggregate statistics over a dataset of annotation records."""

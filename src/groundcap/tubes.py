@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 from .boxes import BoundingBox
 from .captions import TaggedCaption
 from .llm import PhraseAssignment
-from .ingest import annotation_to_dict, check_annotation
+from .ingest import annotation_from_dict, annotation_to_dict
 from .records import Event, ObjectTrack, RecordValidationError, VideoAnnotation
 
 REJECT_NO_TRACKS = "no-tracks"
@@ -90,7 +90,7 @@ def build_record(
     *,
     events: list[Event],
 ) -> VideoAnnotation:
-    """Assemble the final record and check it, once, as it leaves the build.
+    """Assemble the final record and check it, once, with the reader's builder.
 
     Each caption phrase without a track appends a ``no-track`` event to
     ``events``; the phrase stays in the caption.
@@ -98,6 +98,7 @@ def build_record(
     Raises:
         RecordValidationError: ``no-tracks`` when no track survived, else the
             first invariant the tracks or the record break.
+        SchemaError: a field the annotation schema refuses, such as an ``fps`` of 0.
     """
     if not tracks:
         raise RecordValidationError(REJECT_NO_TRACKS, "no caption phrase received any box")
@@ -119,5 +120,5 @@ def build_record(
         tracks=tuple(tracks),
         boxes_normalized=False,
     )
-    check_annotation(annotation_to_dict(annotation))
+    annotation_from_dict(annotation_to_dict(annotation))
     return annotation

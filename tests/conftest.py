@@ -264,12 +264,11 @@ def make_corpus(rng: random.Random, size: int, prefix: str = "vid") -> list[Vide
 def record_checks(monkeypatch):
     """Video ids of the records checked at ingest or build, one per check.
 
-    At ingest a check is a walk of the annotation reader or a
-    ``check_annotation`` call, which explains a refusal; at build it is the
-    ``check_annotation`` call on each emitted record.
+    A check is a walk of the annotation reader, which a read line and each
+    record ``build`` emits both get, or a ``check_annotation`` call, which
+    explains a refused line.
     """
     import groundcap.ingest as ingest
-    import groundcap.tubes as tubes
 
     checked = []
 
@@ -281,8 +280,7 @@ def record_checks(monkeypatch):
         return count
 
     monkeypatch.setattr(ingest, "_read_annotation", counting(ingest._read_annotation))
-    for module in (ingest, tubes):
-        monkeypatch.setattr(module, "check_annotation", counting(module.check_annotation))
+    monkeypatch.setattr(ingest, "check_annotation", counting(ingest.check_annotation))
     return checked
 
 

@@ -550,6 +550,16 @@ class TestStats:
         assert error == "error: ground-truth caption of video 'v2' has no words\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["gt.jsonl"]
 
+    def test_eval_scores_a_video_whose_id_is_a_non_ascii_digit(self, tmp_path, rng):
+        # "²" passes str.isdigit() but not int(); the report keys it by string order
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(serialize_video_annotation(make_annotation(rng, "²")) + b"\n")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(path), "--gt", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text("utf-8"))
+        assert list(report["per_video"]) == ["²"]
+        assert report["frame_level"]["ap50"] == 1.0
+
 
     def test_outputs_given_as_links_are_written_through_them(self, tmp_path, rng, capsys):
         path = tmp_path / "data.jsonl"
@@ -1325,9 +1335,33 @@ def test_mock_llm_refuses_malformed_fixtures(tmp_path, capsys, document, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("port", [-1, 65536, 99999])
+def test_mock_llm_refuses_a_port_outside_the_range(tmp_path, capsys, port):
+    fixtures_path = tmp_path / "fixtures.json"
+    fixtures_path.write_text("{}", "utf-8")
+    # refused before a socket is bound, so no server starts and the command returns
+    assert main(["mock-llm", "--fixtures", str(fixtures_path), "--port", str(port)]) == 1
+    assert capsys.readouterr().err == f"error: port {port} outside 0..65535\n"
+
+
 def test_canonical_json_float_format():
     assert canonical_json({"x": 0.5, "n": 3, "s": "é"}) == '{"n": 3, "s": "é", "x": 0.500000}'
     assert canonical_json({"10": 1, "2": 2}) == '{"2": 2, "10": 1}'
+
+
+@pytest.mark.parametrize(
+    "keys, order",
+    [
+        (["2", "10", "1", "01"], ["01", "1", "2", "10"]),  # equal numbers tie-break by string
+        (["²"], ["²"]),  # str.isdigit() accepts it, int() refuses it
+        (["²", "10", "9"], ["10", "9", "²"]),  # a non-ASCII digit key sorts them all as strings
+        (["١", "1"], ["1", "١"]),  # Arabic-Indic one, which int() reads as 1
+    ],
+)
+def test_canonical_json_key_order_does_not_depend_on_insertion(keys, order):
+    expected = "{" + ", ".join(f'"{key}": 0' for key in order) + "}"
+    assert canonical_json(dict.fromkeys(keys, 0)) == expected
+    assert canonical_json(dict.fromkeys(reversed(keys), 0)) == expected
 
 
 @pytest.mark.parametrize(

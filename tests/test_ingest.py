@@ -706,11 +706,10 @@ class TestRecordChecksMatchReference:
     def test_a_dropped_check_is_caught(self, monkeypatch):
         def without_duplicate_check(obj):  # the duplicate check runs last
             try:
-                return check_annotation(obj)
+                check_annotation(obj)
             except RecordValidationError as exc:
                 if exc.code != "duplicate-track-box":
                     raise
-                return parse_tagged_caption(obj["caption"])
 
         monkeypatch.setattr(ingest, "check_annotation", without_duplicate_check)
         assert any(disagreements(obj) for obj in SWEEP)
@@ -722,7 +721,7 @@ class TestRecordChecksMatchReference:
                     fault = box_fault(*map(float, coords), obj["boxes_normalized"])
                     if fault is not None:
                         raise RecordValidationError("bad-box", f"frame {key}: {fault}")
-            return check_annotation(obj)
+            check_annotation(obj)
 
         monkeypatch.setattr(ingest, "check_annotation", late)
         assert any(disagreements(obj) for obj in SWEEP)

@@ -30,7 +30,7 @@ from groundcap.metrics import (
     cider_scores,
     similarity_backend,
 )
-from groundcap.ingest import annotation_to_dict, check_annotation
+from groundcap.ingest import annotation_from_dict, annotation_to_dict
 from groundcap.mockllm import POLL_INTERVAL
 from conftest import make_annotation, make_corpus
 from oracles import _oracle_boxes, _oracle_match, ap_oracle, cider_oracle, grounding_oracle
@@ -752,7 +752,7 @@ def _noisy_prediction(rng, gt):
         )
     prediction = gt._replace(tracks=tuple(tracks))
     try:
-        check_annotation(annotation_to_dict(prediction))
+        annotation_from_dict(annotation_to_dict(prediction))
     except RecordValidationError:  # a duplicate came out identical to its original
         return gt._replace(tracks=tuple(tracks[:1]))
     return prediction

@@ -122,3 +122,23 @@ def test_no_module_imports_dataclasses():
         check=True,
     )
     assert child.stdout == "[]\n"
+
+
+def test_only_ingest_calls_check_annotation():
+    # the reader's builder is the one acceptor; check_annotation only explains
+    # a line it refused, so a call anywhere else would be a second rule set
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")]
+            else:
+                continue
+            if "check_annotation" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

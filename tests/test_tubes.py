@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from groundcap import (
@@ -5,13 +7,18 @@ from groundcap import (
     ObjectTrack,
     PhraseAssignment,
     RecordValidationError,
+    SchemaError,
+    VideoAnnotation,
     assemble_tracks,
     build_record,
     derive_presence,
     parse_tagged_caption,
 )
+from groundcap.ingest import annotation_from_dict, annotation_to_dict
 
 CAPTION = parse_tagged_caption("<p>a woman</p> pours <p>a beverage</p>")
+BOX = BoundingBox(0, 0, 2, 2)
+NAN_BOX = BoundingBox(math.nan, 1, 2, 2)
 
 
 def track_from(frames, frame_count, phrase_index=0):
@@ -121,6 +128,28 @@ class TestBuildRecord:
         with pytest.raises(RecordValidationError) as excinfo:
             build_record("v1", 3, 5.0, 455, 256, CAPTION, [bad], events=[])
         assert excinfo.value.code == "bad-phrase-index"
+
+    @pytest.mark.parametrize(
+        "video_id, fps, track, field_path",
+        [
+            ("v1", 0.0, track_from({0}, 3), "$.fps"),
+            ("v1", math.nan, track_from({0}, 3), "$.fps"),
+            ("v1", math.inf, track_from({0}, 3), "$.fps"),
+            ("", 5.0, track_from({0}, 3), "$.video_id"),
+            ("v1", 5.0, track_from({0}, 3, phrase_index=-1), "$.tracks[0].phrase_index"),
+            ("v1", 5.0, ObjectTrack(0, {0: NAN_BOX}, 3), "$.tracks[0].boxes.0[0]"),
+            ("v1", 5.0, ObjectTrack(0, {0: BOX}, 3, {0: 2.0}), "$.tracks[0].confidence.0"),
+        ],
+        ids=["fps-0", "fps-nan", "fps-inf", "empty-id", "phrase-index", "nan-box", "confidence"],
+    )
+    def test_records_the_reader_refuses_are_refused(self, video_id, fps, track, field_path):
+        record = VideoAnnotation(video_id, 3, fps, 455, 256, CAPTION, (track,))
+        with pytest.raises(SchemaError) as read:
+            annotation_from_dict(annotation_to_dict(record))
+        with pytest.raises(SchemaError) as built:
+            build_record(video_id, 3, fps, 455, 256, CAPTION, [track], events=[])
+        assert built.value.field_path == read.value.field_path == field_path
+        assert str(built.value) == str(read.value)
 
     def test_acceptance_monotone_under_added_boxes(self):
         base = [track_from({0}, 4, 0)]
