@@ -28,9 +28,12 @@ from typing import Callable, Optional, Sequence, TypeVar
 from . import __version__
 from .config import PipelineConfig
 from .ingest import (
+    FrameObject,
     SchemaError,
     annotation_to_dict,
+    frame_to_dict,
     group_frame_groundings,
+    iter_annotations,
     iter_jsonl,
     load_predictions,
     parse_frame_grounding,
@@ -166,19 +169,8 @@ def _cmd_ingest(args: argparse.Namespace, config: PipelineConfig, raw: bytes) ->
         lines = []
         for record in frames:
             objects = collect_frame_objects([record], events=events)
-            lines.append(
-                {
-                    "video_id": record.video_id,
-                    "frame_index": record.frame_index,
-                    "width": record.width,
-                    "height": record.height,
-                    "caption": record.caption,
-                    "objects": [
-                        {"phrase": phrase, "box": [float(v) for v in box.as_list()]}
-                        for _frame, phrase, box in objects
-                    ],
-                }
-            )
+            kept = tuple(FrameObject(phrase, box) for _frame, phrase, box in objects)
+            lines.append(frame_to_dict(record._replace(objects=kept)))
         results.append((video_id, lines, ()))
     log_events(events)
     counts = {"frames": len(records), "dropped_objects": len(events)}
@@ -210,12 +202,28 @@ def _cmd_aggregate(args: argparse.Namespace, config: PipelineConfig, raw: bytes)
         unexpected = [key for key in given if key not in _RELATION_FIELDS]
         if unexpected:
             raise ValueError(f"unexpected property {unexpected[0]!r}")
-        return SvoRelation(**given)
+        subject, verb, obj, pairs = SvoRelation(**given)  # the defaults fill in the rest
+        for name, value in (("subject", subject), ("verb", verb), ("object", obj)):
+            if not isinstance(value, str) and (name != "object" or value is not None):
+                raise TypeError(f"relation {name} must be a string, got {value!r}")
+        if not subject or not verb:
+            raise ValueError("relation subject and verb must be non-empty")
+        for pair in pairs:
+            is_pair = isinstance(pair, list) and len(pair) == 2  # not a two-letter string
+            if not is_pair or not all(isinstance(member, str) for member in pair):
+                raise TypeError(f"adposition must be a pair of strings, got {pair!r}")
+            if not all(pair):
+                raise ValueError("adposition pairs must have non-empty members")
+        return SvoRelation(subject, verb, obj, tuple(map(tuple, pairs)))
 
     def frame(item) -> SvoFrame:
         index = _of_kind(item, dict, "frame")["frame_index"]
-        relations = _of_kind(item["relations"], list, "relations")
-        return SvoFrame(index, tuple(map(relation, relations)))
+        relations = tuple(map(relation, _of_kind(item["relations"], list, "relations")))
+        if isinstance(index, bool) or not isinstance(index, int):
+            raise TypeError(f"frame_index must be an integer, got {index!r}")
+        if index < 0:
+            raise ValueError(f"negative frame_index {index}")
+        return SvoFrame(index, relations)
 
     videos = _stage_file(raw, lambda obj: list(map(frame, _of_kind(obj["frames"], list, "frames"))))
 
@@ -326,7 +334,7 @@ def _cmd_validate(args: argparse.Namespace, config: PipelineConfig, raw: bytes) 
 
 
 def _cmd_stats(args: argparse.Namespace, config: PipelineConfig, raw: bytes) -> int:
-    report = dataset_stats(read_annotations(raw))._asdict()
+    report = dataset_stats(iter_annotations(raw))._asdict()
     payload = canonical_json(report).encode("utf-8") + b"\n"
     _write_outputs(args, {args.out: payload}, {"videos": report["num_videos"]})
     for key, value in report.items():

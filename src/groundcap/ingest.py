@@ -9,22 +9,24 @@
   in ``$id``, title and description, so predictions are checked against the
   annotation schema).
 
-This is the one module that knows the JSON forms, and each line has one
-builder that checks it and builds its record in one walk: :func:`_frame` a
-frame line, by its schema and its box and mask rules, and :func:`_annotation`
-an annotation line, by its schema and the record rules that
-:func:`check_annotation` states.  The builder is the only acceptor: every
-record, built ones included, must pass it, and ``build`` checks each record
-it emits with ``annotation_from_dict(annotation_to_dict(record))``.  Every
-command asks the builder first, ``validate`` too.  Only a line it refuses is
-explained, by :func:`_errors`, which walks the shipped schema file (read on
-first need) and gives JSON Schema's errors in its order with two tightenings
-(numbers are finite doubles, and frame keys match whole), and then by
-``check_annotation``, so the first error in their order is the one reported.
-Masks are reduced to their pixel boxes as frame records are read.  All
-parsing is pure per record, so files can be processed in parallel.  A
-JSON-lines file is decoded, parsed and checked one line at a time, so the
-first faulty line in file order is the one reported, whatever its fault.
+This module reads and writes the frame and annotation forms; :mod:`.cli`
+reads, checks and writes the stage files (SVO, captions, assignments and
+rejection logs), and :mod:`.records` holds values and raises nothing.  Each
+line has one builder that checks it and builds its record in one walk:
+:func:`_frame` a frame line, by its schema and its box and mask rules, and
+:func:`_annotation` an annotation line, by its schema and the record rules
+that :func:`check_annotation` states.  The builder is the only acceptor: every
+record, built ones included, must pass it, and ``build`` checks each record it
+emits with ``annotation_from_dict(annotation_to_dict(record))``.  Every command
+asks the builder first, ``validate`` too.  Only a line it refuses is explained,
+by :func:`_errors`, which walks the shipped schema file (read on first need)
+and gives JSON Schema's errors in its order with two tightenings (numbers are
+finite doubles, and frame keys match whole), and then by ``check_annotation``,
+so the first error in their order is the one reported.  Masks are reduced to
+their pixel boxes as frame records are read.  All parsing is pure per record,
+so files can be processed in parallel.  A JSON-lines file is decoded, parsed
+and checked one line at a time, so the first faulty line in file order is the
+one reported, whatever its fault.
 """
 
 from __future__ import annotations
@@ -401,6 +403,12 @@ def _frame(obj, line: int) -> FrameGrounding:
     return FrameGrounding(video_id, frame_index, width, height, caption, tuple(objects))
 
 
+def frame_to_dict(frame: FrameGrounding) -> dict:
+    """Plain-JSON form of a frame whose objects all have boxes; :func:`_frame` reads it back."""
+    objects = [{"phrase": p, "box": [float(v) for v in box.as_list()]} for p, box in frame.objects]
+    return {**frame._asdict(), "objects": objects}
+
+
 def group_frame_groundings(records: list[FrameGrounding]) -> dict[str, list[FrameGrounding]]:
     """Group sorted frame records by video id, preserving frame order."""
     by_video: dict[str, list[FrameGrounding]] = {}
@@ -722,7 +730,14 @@ def validate_annotation_dict(obj: dict) -> list[tuple[str, str]]:
 
 def read_annotations(data: bytes) -> list[VideoAnnotation]:
     """Read a JSON-lines dataset of annotation records."""
-    return load_predictions(data, 0.0)
+    return list(iter_annotations(data))
+
+
+def iter_annotations(data: bytes, threshold: float = 0.0) -> Iterator[VideoAnnotation]:
+    """:func:`load_predictions` at ``threshold``, one record at a time as its line is reached."""
+    seen: set[str] = set()
+    for line, obj in iter_jsonl(data):
+        yield _read_annotation(obj, line, threshold, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +760,4 @@ def load_predictions(
     """
     if not 0.0 <= objectness_threshold <= 1.0:
         raise ValueError(f"objectness threshold {objectness_threshold} outside [0, 1]")
-    seen: set[str] = set()
-    return [
-        _read_annotation(obj, line, objectness_threshold, seen) for line, obj in iter_jsonl(data)
-    ]
+    return list(iter_annotations(data, objectness_threshold))

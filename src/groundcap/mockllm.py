@@ -96,6 +96,8 @@ class MockLlmServer:
             def do_POST(self) -> None:  # noqa: N802 - http.server API
                 try:
                     length = int(self.headers.get("Content-Length", "0"))
+                    if length < 0:  # read(-1) would wait for the end of the stream
+                        raise ValueError(f"negative Content-Length {length}")
                     body = json.loads(self.rfile.read(length).decode("utf-8"))
                     key = request_hash(body["messages"])
                 except (ValueError, KeyError, TypeError):

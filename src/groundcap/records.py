@@ -1,15 +1,16 @@
 """Video-level record types: object tracks, annotations, SVO frames and events.
 
-Tracks and annotations are immutable named tuples, and
-:class:`RecordValidationError` is the fault of a record that breaks their
-rules.  An :class:`Event` is a warning about one video that its build keeps
-going past.  A track is its boxes: its presence flags are derived from the box
-frames, so in memory they cannot disagree.  This module reads no JSON: the
-rules are checked on the plain-JSON form, once, by the reader's builder in
-:mod:`groundcap.ingest`, which every record must pass, built ones included.
+Every type is an immutable named tuple, and :class:`RecordValidationError`
+is the fault of a record that breaks their rules.  An :class:`Event` is a
+warning about one video that its build keeps going past.  A track is its
+boxes: its presence flags are derived from the box frames, so in memory they
+cannot disagree.  This module holds values: it reads no JSON and raises
+nothing.  Each JSON form is checked once, where it is read: SVO lines by the
+``aggregate`` reader in :mod:`groundcap.cli`, annotation lines by the
+reader's builder in :mod:`groundcap.ingest`, which every record must pass.
 :func:`groundcap.tubes.build_record` runs
-``annotation_from_dict(annotation_to_dict(record))`` on the record it emits;
-check a record built by hand the same way.
+``annotation_from_dict(annotation_to_dict(record))`` on each record it emits;
+check one built by hand the same way.
 """
 
 from __future__ import annotations
@@ -107,50 +108,17 @@ class VideoAnnotation(_AnnotationFields):
         return self.frame_count / self.fps
 
 
-class _RelationFields(NamedTuple):
+class SvoRelation(NamedTuple):
+    """A (subject, verb, object) relation with optional adposition pairs."""
+
     subject: str
     verb: str
     object: Optional[str] = None
     adpositions: tuple[tuple[str, str], ...] = ()
 
 
-class SvoRelation(_RelationFields):
-    """A (subject, verb, object) relation with optional adposition pairs."""
-
-    __slots__ = ()
-
-    def __new__(cls, subject, verb, object=None, adpositions=()):
-        for key, value in (("subject", subject), ("verb", verb), ("object", object)):
-            if not isinstance(value, str) and (key != "object" or value is not None):
-                raise TypeError(f"relation {key} must be a string, got {value!r}")
-        if not subject or not verb:
-            raise ValueError("relation subject and verb must be non-empty")
-        adpositions = tuple(adpositions)
-        for pair in adpositions:
-            # a list or tuple, as a two-letter string would unpack too
-            is_pair = isinstance(pair, (list, tuple)) and len(pair) == 2
-            if not is_pair or not all(isinstance(member, str) for member in pair):
-                raise TypeError(f"adposition must be a pair of strings, got {pair!r}")
-            if not all(pair):
-                raise ValueError("adposition pairs must have non-empty members")
-        pairs = tuple(tuple(p) for p in adpositions)
-        return tuple.__new__(cls, (subject, verb, object, pairs))
-
-
-class _SvoFrameFields(NamedTuple):
-    frame_index: int
-    relations: tuple[SvoRelation, ...] = ()
-
-
-class SvoFrame(_SvoFrameFields):
+class SvoFrame(NamedTuple):
     """All relations extracted from one frame's caption."""
 
-    __slots__ = ()
-
-    def __new__(cls, frame_index, relations=()):
-        relations = tuple(relations)
-        if isinstance(frame_index, bool) or not isinstance(frame_index, int):
-            raise TypeError(f"frame_index must be an integer, got {frame_index!r}")
-        if frame_index < 0:
-            raise ValueError(f"negative frame_index {frame_index}")
-        return tuple.__new__(cls, (frame_index, relations))
+    frame_index: int
+    relations: tuple[SvoRelation, ...] = ()

@@ -8,7 +8,7 @@ by their frame size) and averaged per instance.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from .records import VideoAnnotation
 from .tubes import derive_presence
@@ -26,13 +26,15 @@ class StatsReport(NamedTuple):
     avg_caption_length_words: float
 
 
-def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
-    """Aggregate statistics over a dataset of annotation records."""
-    if not records:
-        raise ValueError("cannot compute statistics over an empty dataset")
-    total_instances = tubes = 0
+def dataset_stats(records: Iterable[VideoAnnotation]) -> StatsReport:
+    """Aggregate statistics over a dataset of annotation records, read in one pass."""
+    frames = words = total_instances = tubes = 0
     width_sum = height_sum = 0.0
+    durations = []  # added by sum() at the end: from 3.12 it rounds unlike a running total
     for record in records:
+        frames += record.frame_count
+        durations.append(record.duration_seconds)
+        words += len(record.caption.plain.split())
         # a normalized box is a fraction of its frame; a pixel box keeps its size
         scale_w, scale_h = (record.width, record.height) if record.boxes_normalized else (1, 1)
         for track in record.tracks:
@@ -41,16 +43,18 @@ def dataset_stats(records: Sequence[VideoAnnotation]) -> StatsReport:
                 width_sum += box.w * scale_w
                 height_sum += box.h * scale_h
             tubes += len(derive_presence(track))
-    n = len(records)
+    n = len(durations)
+    if not n:
+        raise ValueError("cannot compute statistics over an empty dataset")
     return StatsReport(
         num_videos=n,
-        avg_num_frames=sum(r.frame_count for r in records) / n,
-        avg_duration_seconds=sum(r.duration_seconds for r in records) / n,
+        avg_num_frames=frames / n,
+        avg_duration_seconds=sum(durations) / n,
         avg_num_instances_per_video=total_instances / n,
         total_num_instances=total_instances,
         avg_box_width=width_sum / total_instances if total_instances else None,
         avg_box_height=height_sum / total_instances if total_instances else None,
         # every present frame lies in exactly one tube
         avg_tube_length_frames=total_instances / tubes if tubes else None,
-        avg_caption_length_words=sum(len(r.caption.plain.split()) for r in records) / n,
+        avg_caption_length_words=words / n,
     )

@@ -948,6 +948,37 @@ class TestMalformedStageInput:
         error = self.run_failing(argv, tmp_path, server, capsys)
         assert error == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([svo_record(frame_index=1.5, verb=7)], "relation verb must be a string, got 7"),
+            (
+                [svo_record(subject="", adpositions=["in"])],
+                "relation subject and verb must be non-empty",
+            ),
+            ([svo_record(subject=5, colour="red")], "unexpected property 'colour'"),
+            ([{"frames": [7]}], "frame must be an object, got 7"),
+            (
+                [svo_record(frame_index=-1, adpositions=[["in", ""]])],
+                "adposition pairs must have non-empty members",
+            ),
+            ([svo_record(subject="", object=5)], "relation object must be a string, got 5"),
+            (
+                [svo_record(adpositions=[["in", ""], ["on", 3]])],
+                "adposition pairs must have non-empty members",
+            ),
+            ([svo_record(frame_index=-1, adpositions=5)], "'int' object is not iterable"),
+        ],
+    )
+    def test_aggregate_reports_the_first_of_several_faults(
+        self, tmp_path, server, capsys, records, message
+    ):
+        svo = tmp_path / "svo.jsonl"
+        svo.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+        argv = ["aggregate", "--input", str(svo), "--rejected", str(tmp_path / "rejected.jsonl")]
+        error = self.run_failing(argv, tmp_path, server, capsys)
+        assert error == f"error: line 1: {message}"
+
     @pytest.mark.parametrize("url, reason", BAD_URLS)
     def test_aggregate_names_a_bad_endpoint_url(self, tmp_path, server, capsys, url, reason):
         svo = tmp_path / "svo.jsonl"

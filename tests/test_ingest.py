@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 import groundcap.ingest as ingest
 from groundcap.boxes import box_fault
 from groundcap.ingest import check_annotation
+from groundcap.pipeline import collect_frame_objects
 from groundcap import (
     BoundingBox,
     EmptyMaskError,
+    FrameObject,
     ObjectTrack,
     RecordValidationError,
     SchemaError,
@@ -151,6 +153,26 @@ class TestParseFrameGrounding:
         assert (cup.phrase, cup.box) == ("a cup", mask_to_box(runs, 455, 256))
         assert cup.box == BoundingBox(100, 0, 6, 1)
         assert (bowl.phrase, bowl.box) == ("a bowl", None)
+
+    def test_frame_to_dict_is_read_back_as_the_clamped_boxes(self):
+        line = frame_line(
+            objects=[
+                {"phrase": "a cup", "mask": [100, 6, 455 * 256 - 106]},
+                {"phrase": "a bowl", "mask": [455 * 256]},  # empty, so dropped
+                {"phrase": "a woman", "box": [400.5, -20, 100, 200]},  # past two edges
+                {"phrase": "a wall", "box": [500, 10, 20, 20]},  # outside, so dropped
+            ]
+        )
+        (record,) = parse_frame_grounding(to_jsonl([line]))
+        events = []
+        objects = collect_frame_objects([record], events=events)
+        kept = tuple(FrameObject(phrase, box) for _frame, phrase, box in objects)
+        assert [o.phrase for o in kept] == ["a cup", "a woman"]
+        assert kept[1].box == BoundingBox(400.5, 0, 54.5, 180)
+        written = ingest.frame_to_dict(record._replace(objects=kept))
+        assert written["objects"][1] == {"phrase": "a woman", "box": [400.5, 0.0, 54.5, 180.0]}
+        assert ingest._frame(written, 1) == record._replace(objects=kept)
+        assert parse_frame_grounding(to_jsonl([written])) == [record._replace(objects=kept)]
 
 
 

@@ -342,6 +342,87 @@ class TestRetryPolicy:
         assert excinfo.value.code == "transport"
         assert sleeps == [0.5, 1.0]
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                b"not json",
+                "answer from <url> is not JSON: Expecting value: line 1 column 1 (char 0)",
+            ),
+            (b"[]", "malformed completion envelope: []"),
+            (b'{"choices": []}', "malformed completion envelope: {'choices': []}"),
+            (
+                b'{"choices": [{"message": {}}]}',
+                "malformed completion envelope: {'choices': [{'message': {}}]}",
+            ),
+            (b'{"choices": [{"message": {"content": 5}}]}', "completion content is not text: 5"),
+            (
+                b'{"choices": [{"message": {"content": null}}]}',
+                "completion content is not text: None",
+            ),
+        ],
+    )
+    def test_unusable_answer_is_a_transport_failure(self, body, message, sleeps):
+        with StubServer(lambda n, request: (200, body, {})) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                with pytest.raises(ResponseRejection) as excinfo:
+                    aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.5))
+        assert excinfo.value.code == "transport"
+        assert excinfo.value.message == message.replace("<url>", server.url)
+        assert len(server.lines) == 3  # a failed call is not remembered, so each one is sent
+        assert sleeps == [0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            ("{`CAPTION': 5}", "CAPTION value is not a quoted string"),
+            ("{`CAPTION': `<p>a cat</p> sits}", "CAPTION value is not closed"),
+        ],
+    )
+    def test_bare_or_unclosed_caption_is_refused(self, answer, message, sleeps):
+        # above temperature 0 each attempt is sent, not answered from the memo
+        with StubServer(lambda n, request: (200, envelope(answer), {})) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m", temperature=0.5)) as client:
+                with pytest.raises(ResponseRejection) as excinfo:
+                    aggregate_video(FRAMES, client, PipelineConfig(retries=2, backoff=0.5))
+        assert (excinfo.value.code, excinfo.value.message) == ("no-caption-key", message)
+        assert len(server.lines) == 3
+        assert sleeps == []  # a refused answer is asked again at once
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            ("{`CATEGORY': None}", "CATEGORY value is not a quoted string"),
+            ("{`CATEGORY': `a person}", "CATEGORY value is not closed"),
+        ],
+    )
+    def test_bare_or_unclosed_category_demotes_the_phrase(self, answer, message, sleeps):
+        with StubServer(lambda n, request: (200, envelope(answer), {})) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m", temperature=0.5)) as client:
+                events = []
+                config = PipelineConfig(retries=1)
+                objects = [obj(0, "a thing"), obj(1, "a thing")]
+                assignments = track_by_language(
+                    objects, ["a person"], client, config, events=events
+                )
+        assert [a.assigned for a in assignments] == [None, None]
+        assert [(e.code, e.message) for e in events] == [(
+            "none-class",
+            f"phrase 'a thing' dropped to None-class: {message} (no-category-key)",
+        )]
+        assert len(server.lines) == 2
+
+    def test_reset_on_a_fresh_connection_is_not_sent_again(self, sleeps):
+        with StubServer(lambda n, request: None) as server:
+            with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
+                with pytest.raises(ResponseRejection) as excinfo:
+                    aggregate_video(FRAMES, client, PipelineConfig(retries=0))
+        assert excinfo.value.code == "transport"
+        assert excinfo.value.message == (
+            f"POST to {server.url} failed: Remote end closed connection without response"
+        )
+        assert len(server.lines) == 1
+
     def test_backoff_is_capped(self, sleeps):
         retries = 1100  # 0.5 * 2**1100 s does not fit a float
         client = ScriptedClient([TransportError("down")] * (retries + 1))
@@ -362,7 +443,8 @@ def echo(n: int, request: dict) -> tuple[int, bytes, dict]:
 
 class StubServer:
     """An HTTP/1.1 server on 127.0.0.1 answering POST number ``n`` with
-    ``answer(n, request) -> (status, body, headers)``.
+    ``answer(n, request) -> (status, body, headers)``, or closing the
+    connection without an answer when that gives None.
 
     It keeps connections alive unless ``drop`` is set, in which case it
     closes each one after its first answer without saying so.  ``lines``,
@@ -389,7 +471,11 @@ class StubServer:
                     outer.lines.append(self.requestline)
                     outer.ports.append(self.client_address[1])
                     outer.headers.append(dict(self.headers))
-                status, body, headers = answer(n, request)
+                reply = answer(n, request)
+                if reply is None:  # the connection is closed without an answer
+                    self.close_connection = True
+                    return
+                status, body, headers = reply
                 threading.Event().wait(delay)  # not time.sleep, which tests count
                 self.send_response(status)
                 for name, value in headers.items():
@@ -735,6 +821,20 @@ class TestMockServerConnections:
             with closing(HttpChatClient(endpoint=server.url, model="m")) as client:
                 assert client.complete(self.CALLS[0]) == "yes"
             assert server.request_count == 1
+
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_refused_at_once(self, length):
+        with MockLlmServer({}, default="yes") as server:
+            address = urlsplit(server.url)
+            with socket.create_connection((address.hostname, address.port), timeout=2) as sock:
+                head = f"POST /v1/chat/completions HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                sock.sendall(head.encode("ascii") + b'{"messages": []}')
+                response = http.client.HTTPResponse(sock)
+                response.begin()  # a timeout here: the server waits for the end of the stream
+                assert (response.status, response.will_close) == (400, True)
+                assert json.loads(response.read()) == {"error": "malformed request"}
+                assert sock.recv(1) == b""
+            assert server.request_count == 0
 
     def test_stop_ends_the_connections_clients_still_hold(self):
         before = set(threading.enumerate())

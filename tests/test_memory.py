@@ -8,9 +8,12 @@ per 1000 videos, must stay under the command's bound.
 
 The bounds are the growth measured when they were set (``make_corpus`` data
 at 250 and 1000 videos, Python 3.11, Linux), plus the larger of 1.5 MiB and
-25%: validate 1.0 -> 2.5, stats 4.9 -> 6.5, eval 13.9 -> 17.5 MiB per 1000
-videos.  Keeping every decoded line a second time grows them to 5.1, 8.5 and
-22.6, past every bound.  A change that streams a command lowers its bound.
+25%: validate 1.0 -> 2.5, stats 0.9 -> 2.5 (since ``stats`` reads its
+records as they are built; it was 4.9 -> 6.5), eval 13.9 -> 17.5 MiB per
+1000 videos.  Keeping every decoded line a second time grows validate and
+eval to 5.1 and 22.6, and holding every stats record, as ``stats`` once did,
+grows it to 4.0, past every bound.  A change that streams a command lowers
+its bound.
 """
 
 import os
@@ -27,7 +30,7 @@ from conftest import make_annotation, make_corpus
 
 SRC = str(Path(groundcap.__file__).resolve().parents[1])
 SIZES = (250, 1000)
-BOUNDS = {"validate": 2.5, "stats": 6.5, "eval": 17.5}  # MiB per 1000 videos
+BOUNDS = {"validate": 2.5, "stats": 2.5, "eval": 17.5}  # MiB per 1000 videos
 # runs the command line it is given, then prints its own peak RSS line, if it has one
 CHILD = """\
 import sys

@@ -142,3 +142,19 @@ def test_only_ingest_calls_check_annotation():
             if "check_annotation" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_records_raise_nothing_and_cli_writes_no_frame_line():
+    # each JSON form is checked and written by one module: the reader of SVO
+    # lines checks their values, so records holds values only, and frame
+    # lines are written by ingest.frame_to_dict, beside their reader
+    records = ast.parse((SOURCE / "records.py").read_text("utf-8"))
+    assert [node.lineno for node in ast.walk(records) if isinstance(node, ast.Raise)] == []
+    cli = ast.parse((SOURCE / "cli.py").read_text("utf-8"))
+    frame_dicts = [
+        node.lineno
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(key, ast.Constant) and key.value == "objects" for key in node.keys)
+    ]
+    assert frame_dicts == []

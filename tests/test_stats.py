@@ -65,8 +65,18 @@ class TestDatasetStats:
         assert both.avg_duration_seconds == (2.0 + 2.0) / 2
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            dataset_stats([])
+        for records in ([], iter(())):
+            with pytest.raises(ValueError, match="empty dataset"):
+                dataset_stats(records)
+
+    def test_a_generator_gives_the_report_of_a_list(self, rng):
+        records = make_corpus(rng, 40)
+        report = dataset_stats(record for record in records)
+        assert report == dataset_stats(records)
+        # each mean is the sum the report was always made from, bit for bit
+        n = len(records)
+        assert report.avg_duration_seconds == sum(r.duration_seconds for r in records) / n
+        assert report.avg_num_frames == sum(r.frame_count for r in records) / n
 
     def test_tubes_respect_gaps(self):
         caption = parse_tagged_caption("<p>a cup</p> appears")

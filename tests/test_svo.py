@@ -218,3 +218,11 @@ EXAMPLE_2_FRAMES = [
 )
 def test_in_context_blocks_reproduced_byte_for_byte(frames, expected):
     assert render_svo_block(frames) == expected
+
+
+def test_relation_and_frame_are_plain_named_tuples():
+    assert SvoRelation._fields == ("subject", "verb", "object", "adpositions")
+    assert SvoRelation._field_defaults == {"object": None, "adpositions": ()}
+    assert SvoFrame._fields == ("frame_index", "relations")
+    assert SvoFrame._field_defaults == {"relations": ()}
+    assert SvoFrame(3) == (3, ())
