@@ -49,7 +49,8 @@ class BoundingBox(_BoxFields):
         y = min(max(self.y, 0.0), height)
         x2 = min(max(self.x + self.w, 0.0), width)
         y2 = min(max(self.y + self.h, 0.0), height)
-        return BoundingBox(x, y, max(x2 - x, 0.0), max(y2 - y, 0.0), normalized=False)
+        # max(..., 0.0) leaves no size below 0, the one fault box_fault finds in a pixel box
+        return tuple.__new__(BoundingBox, (x, y, max(x2 - x, 0.0), max(y2 - y, 0.0), False))
 
 
 def box_fault(x: float, y: float, w: float, h: float, normalized: bool) -> Optional[str]:

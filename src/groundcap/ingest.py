@@ -106,7 +106,6 @@ _TYPES = {  # JSON Schema type -> (test, description in messages)
 _NUMBERS = {int, float}
 _ITEM_KINDS = {"number": _NUMBERS, "integer": {int}, "boolean": {bool}}  # _all_pass kinds per type
 _BOX_ITEMS = (_NUMBERS, -_DOUBLE_MAX)  # (kinds, floor) with which every item passes
-_MASK_RUNS = ({int}, 0)
 
 
 def _all_pass(value: list, kinds: set, floor) -> bool:
@@ -238,10 +237,14 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
 
     Works directly on the runs without materializing the grid, so masks cost
     O(number of runs) regardless of frame size.  The runs are reduced in a
-    fixed number of C-level passes, with no Python step per run:
-    ``accumulate`` gives each run's end, slices and ``compress`` keep the
-    non-empty foreground runs (the odd ones), y comes from the first and last
-    of those, and x from their columns unless some run spans rows.
+    fixed number of C-level passes, with no Python step per run: ``min``
+    tests the signs, ``accumulate`` gives each run's end, slices give the
+    foreground runs (the odd ones) and their first pixels, ``compress`` and
+    ``filter`` drop the empty ones, y comes from the first and last of them,
+    and x from each run's first column and that column plus its length.  A
+    run spans rows exactly when that sum is larger than ``width``, and then
+    touches both frame edges; otherwise the largest sum is one past the
+    rightmost column.
 
     Raises:
         EmptyMaskError: when the mask has no foreground pixels.
@@ -258,22 +261,18 @@ def mask_to_box(counts: Iterable[int], width: int, height: int) -> BoundingBox:
     if total != width * height:
         raise SchemaError(f"mask runs sum to {total}, expected {width * height}")
     # foreground runs are the odd ones, each starting where the run before ends
-    lengths = runs[1::2]
-    firsts, stops = ends[0:-1:2], ends[1::2]
+    lengths, firsts = runs[1::2], ends[0:-1:2]
     if not all(lengths):  # keep the non-empty ones
-        firsts, stops = list(compress(firsts, lengths)), compress(stops, lengths)
+        firsts, lengths = list(compress(firsts, lengths)), list(filter(None, lengths))
     if not firsts:
         raise EmptyMaskError("mask has no foreground pixels")
-    lasts = list(map(operator.sub, stops, repeat(1)))
-    min_y, max_y = firsts[0] // width, lasts[-1] // width
+    min_y, max_y = firsts[0] // width, (firsts[-1] + lengths[-1] - 1) // width
     first_cols = list(map(operator.mod, firsts, repeat(width)))
-    last_cols = list(map(operator.mod, lasts, repeat(width)))
-    # a run spans rows when it is longer than a row or ends in a column left
-    # of the one it starts in; such a run touches both frame edges
-    if max(lengths) > width or any(map(operator.gt, first_cols, last_cols)):
+    reach = max(map(operator.add, first_cols, lengths))
+    if reach > width:  # some run spans rows
         min_x, max_x = 0, width - 1
     else:
-        min_x, max_x = min(first_cols), max(last_cols)
+        min_x, max_x = min(first_cols), reach - 1
     return BoundingBox(
         float(min_x), float(min_y), float(max_x - min_x + 1), float(max_y - min_y + 1)
     )
@@ -386,8 +385,9 @@ def _frame(obj, line: int) -> FrameGrounding:
             except ValueError as exc:  # a negative size
                 raise SchemaError(str(exc), line, f"$.objects[{i}].box") from exc
         elif "mask" in item:
-            runs = item["mask"]
-            if not (isinstance(runs, list) and _all_pass(runs, *_MASK_RUNS)):
+            runs = item["mask"]  # non-negative ints whose sum fits a double are schema numbers
+            plain = isinstance(runs, list) and set(map(type, runs)) <= {int}
+            if not (plain and width * height <= _DOUBLE_MAX):  # mask_to_box tests sign and sum
                 if not (isinstance(runs, list) and all(map(_is_integer, runs))):
                     raise ValueError("not a mask of integer runs")
                 runs = list(map(int, runs))  # the schema lets integral floats such as 5.0 pass

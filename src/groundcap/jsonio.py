@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring  # what json.dumps(s, ensure_ascii=False) calls
 from pathlib import Path
 from typing import Any
 
@@ -42,7 +43,7 @@ def _write(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -57,7 +58,7 @@ def _write(obj: Any, out: list[str]) -> None:
                 out.append(", ")
             if not isinstance(key, str):
                 raise TypeError(f"object keys must be strings, got {type(key).__name__}")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(": ")
             _write(obj[key], out)
         out.append("}")

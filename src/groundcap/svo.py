@@ -54,33 +54,30 @@ def pos_tag(sentence: str) -> list[TaggedToken]:
 
     Each token is looked up in the lexicon, then falls back to suffix rules
     and finally to NOUN, the right default for caption objects; a
-    left-to-right pass then repairs two context errors.
+    left-to-right pass over the tags then repairs two context errors.
     """
     lexicon = _lexicon()
-    tokens = [
-        TaggedToken(text, _lookup(lexicon, text, position))
-        for position, text in enumerate(_TOKEN_RE.findall(sentence))
-    ]
-    for i, token in enumerate(tokens):
-        prev_pos = tokens[i - 1].pos if i > 0 else None
-        next_pos = tokens[i + 1].pos if i + 1 < len(tokens) else None
+    texts = _TOKEN_RE.findall(sentence)
+    tags = [lexicon.get(text.lower()) or _lookup(lexicon, text, i) for i, text in enumerate(texts)]
+    for i in range(1, len(tags)):
+        pos, prev_pos = tags[i], tags[i - 1]
         # "a cutting board": verb reading between a determiner and a noun
         # is a compound modifier.
-        if token.pos == "VERB" and prev_pos in ("DET", "ADJ") and next_pos in _NOUN_TAGS:
-            tokens[i] = TaggedToken(token.text, "NOUN")
+        if pos == "VERB":
+            if prev_pos in ("DET", "ADJ") and i + 1 < len(tags) and tags[i + 1] in _NOUN_TAGS:
+                tags[i] = "NOUN"
         # "is painting": noun reading of an -ing form after an auxiliary
         # is a progressive verb.
-        elif token.pos == "NOUN" and prev_pos == "AUX" and token.text.lower().endswith("ing"):
-            tokens[i] = TaggedToken(token.text, "VERB")
-    return tokens
+        elif pos == "NOUN" and prev_pos == "AUX" and texts[i].lower().endswith("ing"):
+            tags[i] = "VERB"
+    return list(map(TaggedToken, texts, tags))
 
 
 def _lookup(lexicon: dict[str, str], text: str, position: int) -> str:
-    lowered = text.lower()
-    if lowered in lexicon:
-        return lexicon[lowered]
+    """The tag of a token that ``lexicon`` lacks, at ``position`` in its sentence."""
     if not text[0].isalpha():
         return "OTHER"
+    lowered = text.lower()
     if position > 0 and text[0].isupper():
         return "PROPN"
     if lowered.endswith("ing") and len(lowered) > 4:

@@ -4,12 +4,14 @@ Everything here deliberately avoids the library's code paths: IoU by
 counting unit grid cells, masks by full decode, CIDEr with dense vectors
 over an enumerated vocabulary, AP by enumerating the PR curve, a
 recursive-descent parser for the rendered SVO block grammar, and a schema
-walker that interprets the schema dict at every node.  Three references use
+walker that interprets the schema dict at every node.  Four references use
 library types: the former per-run mask loop raises the library's errors, the
-frame-record reference builds the library's frame records by that walker and
-that loop, and the annotation-record reference at the end builds the
-library's plain record types, boxes and captions, and checks them the way
-the record constructors did when every construction checked every invariant.
+former token-by-token tagger builds the library's tokens from the shipped
+lexicon, the frame-record reference builds the library's frame records by
+that walker and that loop, and the annotation-record reference at the end
+builds the library's plain record types, boxes and captions, and checks them
+the way the record constructors did when every construction checked every
+invariant.
 """
 
 from __future__ import annotations
@@ -381,6 +383,50 @@ class SvoBlockParser:
 
 def parse_svo_block(text: str) -> list[list[dict]]:
     return SvoBlockParser(text).parse()
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z'\-]*|\d+(?:\.\d+)?|[^\sA-Za-z\d]")
+
+
+def reference_pos_tag(sentence: str):
+    """The former ``pos_tag``: one ``TaggedToken`` per token as it is looked up, then a
+    left-to-right pass that rebuilds each repaired token, over the shipped lexicon."""
+    from groundcap.svo import TaggedToken, _lexicon
+
+    lexicon = _lexicon()
+    tokens = [
+        TaggedToken(text, _reference_lookup(lexicon, text, position))
+        for position, text in enumerate(_REFERENCE_TOKEN_RE.findall(sentence))
+    ]
+    for i, token in enumerate(tokens):
+        prev_pos = tokens[i - 1].pos if i > 0 else None
+        next_pos = tokens[i + 1].pos if i + 1 < len(tokens) else None
+        if token.pos == "VERB" and prev_pos in ("DET", "ADJ") and next_pos in ("NOUN", "PROPN"):
+            tokens[i] = TaggedToken(token.text, "NOUN")
+        elif token.pos == "NOUN" and prev_pos == "AUX" and token.text.lower().endswith("ing"):
+            tokens[i] = TaggedToken(token.text, "VERB")
+    return tokens
+
+
+def _reference_lookup(lexicon: dict, text: str, position: int) -> str:
+    lowered = text.lower()
+    if lowered in lexicon:
+        return lexicon[lowered]
+    if not text[0].isalpha():
+        return "OTHER"
+    if position > 0 and text[0].isupper():
+        return "PROPN"
+    if lowered.endswith("ing") and len(lowered) > 4:
+        return "VERB"
+    if lowered.endswith("ed") and len(lowered) > 3:
+        return "VERB"
+    if lowered.endswith("ly") and len(lowered) > 3:
+        return "OTHER"
+    if lowered.endswith("s") and not lowered.endswith("ss"):
+        for base in (lowered[:-1], lowered[:-2], lowered[:-3] + "y"):
+            if base and base in lexicon:
+                return lexicon[base]
+    return "NOUN"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from groundcap import BoundingBox, denormalize_box, iou, normalize_box
-from groundcap.boxes import iou_xywh
+from groundcap.boxes import box_fault, iou_xywh
 from oracles import _oracle_iou, grid_iou
 
 
@@ -133,3 +133,18 @@ def test_clamped_limits_to_frame():
     clamped = box.clamped(100, 200)
     assert clamped == BoundingBox(0, 10, 25, 190)
     assert BoundingBox(500, 500, 10, 10).clamped(100, 100).area == 0
+    with pytest.raises(ValueError, match="clamped\\(\\) applies to pixel boxes"):
+        BoundingBox(0, 0, 0.5, 0.5, normalized=True).clamped(100, 100)
+
+
+coordinates = st.floats(-1e6, 1e6)
+sizes = st.floats(0, 1e6)
+
+
+@given(coordinates, coordinates, sizes, sizes, st.floats(1, 1e4), st.floats(1, 1e4))
+def test_clamped_box_is_one_the_constructor_accepts(x, y, w, h, width, height):
+    clamped = BoundingBox(x, y, w, h).clamped(width, height)
+    assert type(clamped) is BoundingBox and clamped.normalized is False
+    assert box_fault(*clamped) is None
+    assert 0 <= clamped.x <= clamped.x + clamped.w <= width
+    assert 0 <= clamped.y <= clamped.y + clamped.h <= height

@@ -11,6 +11,7 @@ import urllib.request
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import groundcap.llm as llm
 from groundcap import read_annotations, serialize_video_annotation
@@ -1378,6 +1379,38 @@ def test_mock_llm_refuses_a_port_outside_the_range(tmp_path, capsys, port):
 def test_canonical_json_float_format():
     assert canonical_json({"x": 0.5, "n": 3, "s": "é"}) == '{"n": 3, "s": "é", "x": 0.500000}'
     assert canonical_json({"10": 1, "2": 2}) == '{"2": 2, "10": 1}'
+
+
+# what a string escape can get wrong: quotes, backslashes, control characters, the two
+# line separators JavaScript refuses, characters past the BMP and lone surrogates
+ESCAPED_CHARACTERS = st.one_of(
+    st.characters(),
+    st.sampled_from('"\\/\x7f\u2028\u2029'),
+    st.integers(0, 0x1F).map(chr),
+    st.integers(0x10000, 0x10FFFF).map(chr),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
+
+
+@pytest.mark.parametrize(
+    "value, error, message",
+    [
+        ({1: 0}, TypeError, "object keys must be strings, got int"),
+        ([{0.5}], TypeError, "cannot serialize set"),
+        ({"x": float("nan")}, ValueError, "non-finite float nan cannot be serialized"),
+    ],
+)
+def test_canonical_json_refuses_what_json_cannot_hold(value, error, message):
+    with pytest.raises(error) as excinfo:
+        canonical_json(value)
+    assert str(excinfo.value) == message
+
+
+@given(st.text(ESCAPED_CHARACTERS))
+def test_canonical_json_writes_strings_as_json_dumps_does(text):
+    quoted = json.dumps(text, ensure_ascii=False)
+    assert canonical_json(text) == quoted
+    assert canonical_json({text: [text]}) == "{" + quoted + ": [" + quoted + "]}"
 
 
 @pytest.mark.parametrize(

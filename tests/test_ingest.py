@@ -31,6 +31,7 @@ from conftest import make_annotation
 from oracles import (
     load_schema,
     reference_annotation,
+    reference_frame,
     reference_mask_to_box,
     reference_objectness,
     rle_box_bruteforce,
@@ -130,6 +131,17 @@ class TestParseFrameGrounding:
             parse_frame_grounding(to_jsonl([frame_line(frame_index=1), line]))
         assert excinfo.value.line == 2
         assert excinfo.value.field_path == "$.objects[0].mask[1]"
+
+    @pytest.mark.parametrize("runs", [[10**400], [1, 2]])
+    def test_mask_of_a_frame_past_a_double_reads_as_the_walker_explains(self, runs):
+        # a frame of 10**400 pixels is larger than a double holds, so int runs that sum to
+        # it are not all numbers the schema allows: the walker, not the sum, decides
+        line = frame_line(width=10**200, height=10**200, objects=[{"phrase": "a", "mask": runs}])
+        with pytest.raises(SchemaError) as excinfo:
+            parse_frame_grounding(to_jsonl([line]))
+        with pytest.raises(SchemaError) as expected:
+            reference_frame(json.loads(json.dumps(line)), 1)
+        assert str(excinfo.value) == str(expected.value)
 
     @pytest.mark.parametrize(
         "second, field_path",
@@ -290,6 +302,7 @@ class TestMaskToBox:
     @example(([3, -1, 2, -4], 2, 2, False))  # the first negative run is named
     @example(([-1, 5], 1, 1, False))  # a negative run is named before the total
     @example(([], 2, 2, False))
+    @example(([1], 0, 1, False))  # a frame without pixels
     def test_matches_the_per_run_loop(self, mask):
         runs, width, height, well_formed = mask
         outcome = mask_outcome(mask_to_box, runs, width, height)

@@ -554,6 +554,40 @@ class TestConnection:
             assert target.lines == ["POST /v1/chat/completions HTTP/1.1"]
             assert "Proxy-Authorization" not in target.headers[0]
 
+    def test_https_goes_through_a_tunnel_from_the_proxy_environment(self, monkeypatch):
+        for name in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        heads = []
+
+        def read_head_and_close(listener):  # a proxy that refuses every tunnel by hanging up
+            conn, _address = listener.accept()
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head and (chunk := conn.recv(4096)):
+                    head += chunk
+            heads.append(head.decode("ascii").split("\r\n"))
+
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            proxy = threading.Thread(target=read_head_and_close, args=(listener,), daemon=True)
+            proxy.start()
+            port = listener.getsockname()[1]
+            monkeypatch.setenv("https_proxy", f"http://u:p@127.0.0.1:{port}")
+            endpoint = llm.JsonEndpoint("https://example.invalid/v1/chat", timeout=5)
+            with pytest.raises(TransportError, match="POST to https://example.invalid/v1/chat"):
+                endpoint.post(b"{}")
+            proxy.join(timeout=5)
+            assert not proxy.is_alive()
+        assert heads[0][0] == "CONNECT example.invalid:443 HTTP/1.0"
+        assert "Proxy-Authorization: Basic dTpw" in heads[0]  # base64 of "u:p"
+
+    def test_proxy_without_a_host_is_named(self, monkeypatch):
+        for name in ("https_proxy", "HTTPS_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("https_proxy", "http://:8080")
+        with pytest.raises(ValueError) as excinfo:
+            llm.JsonEndpoint("https://example.invalid/v1/chat", timeout=5)
+        assert str(excinfo.value) == "https proxy must be a URL, got 'http://:8080'"
+
     def test_endpoint_must_be_an_http_url(self):
         for endpoint in ("", "127.0.0.1:8080/v1", "ftp://host/v1", "http:///v1"):
             with pytest.raises(ValueError, match="must be an http or https URL"):

@@ -49,6 +49,11 @@ class TestPosTag:
         assert tags("a zweeble") == ["DET", "NOUN"]
         assert tags("zweebling quickly") == ["VERB", "OTHER"]
         assert tags("she zweebled") == ["PRON", "VERB"]
+        # an unknown plural takes its singular's tag: of the three singulars each of these
+        # could have, only "red", "other" and "heavy" are in the lexicon, and none as a noun
+        assert tags("the reds") == ["DET", "ADJ"]
+        assert tags("the others") == ["DET", "DET"]
+        assert tags("the heavies") == ["DET", "ADJ"]
 
 
 def relations(sentence: str, frame: int = 0):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from groundcap import extract_svo, pos_tag, render_svo_block
 from groundcap import svo
-from oracles import parse_svo_block
+from oracles import parse_svo_block, reference_pos_tag
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 SUFFIXES = ["ing", "ed", "ly", "s", "es", "ies"]  # each one a rule of the tagger's
@@ -52,6 +52,42 @@ def test_random_captions_tag_extract_and_render(captions):
     if expected == [[]]:  # one frame without relations renders as "[]", as no frames do
         expected = []
     assert parse_svo_block(render_svo_block(frames)) == expected
+
+
+def pair(first: list[str], second: list[str]):
+    return st.builds("{} {}".format, st.sampled_from(first), st.sampled_from(second))
+
+
+# every rule of the lookup and both repairs: lexicon words and their plurals, unknown
+# words capitalised at the start or later, suffixed forms, digits and punctuation, and
+# the pairs each repair looks for, in any order and spacing
+TAGGER_WORDS = {
+    **WORDS,
+    "plural": st.builds(
+        str.__add__, st.sampled_from(BY_TAG["NOUN"] + BY_TAG["ADJ"]), st.sampled_from(["s", "es"])
+    ),
+    "modifier verb": pair(BY_TAG["DET"] + BY_TAG["ADJ"], BY_TAG["VERB"]),
+    "aux -ing": pair(BY_TAG["AUX"], [w for w in BY_TAG["NOUN"] if w.endswith("ing")] + ["xing"]),
+    "decimal": st.builds("{}.{}".format, st.integers(0, 99), st.integers(0, 99)),
+    "punctuation": st.sampled_from(list("'-()\",:/&")),
+}
+cases = st.sampled_from([str] * 4 + [str.capitalize, str.upper])
+sentences = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(TAGGER_WORDS)).flatmap(TAGGER_WORDS.__getitem__),
+        cases,
+        st.sampled_from([" ", "", "  ", "\t"]),
+    ),
+    max_size=24,
+).map(lambda words: "".join(case(word) + gap for word, case, gap in words))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sentences)
+def test_tagger_equals_the_former_token_by_token_tagger(sentence):
+    tokens = pos_tag(sentence)
+    assert tokens == reference_pos_tag(sentence)
+    assert all(type(token) is svo.TaggedToken for token in tokens)
 
 
 @pytest.fixture
